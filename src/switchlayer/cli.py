@@ -412,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--format", default=None, choices=("csv", "json"))
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; all methods are deterministic")
 
     common(sub.add_parser("simulate", help="run one trajectory and write it out"))
 

@@ -119,10 +119,16 @@ class SwitchedField:
 
     ``hidden_g`` may be None for the classical linear (Filippov) combination.
     ``time_dependent`` must be declared by the constructor; it is never
-    inferred from sampling.  ``fused``, when given, evaluates f(x; lam) for
-    lam in [-1, 1] in one call; it must agree with the hidden-form
-    combination of the other members, and integrator inner loops call it
-    in place of f_plus, f_minus and hidden_g.
+    inferred from sampling.
+
+    ``fused`` evaluates f(x; lam) in one call and is always set: it is the
+    one evaluator that ``eval_field`` and ``fast_field_eval`` wrap.  When
+    the constructor gives none, it is composed once from the hidden form of
+    f_plus, f_minus and hidden_g; the composition returns f_plus / f_minus
+    exactly at lam = +-1 without calling hidden_g.  A given ``fused`` must
+    agree with that hidden form.  Either way it is also evaluated slightly
+    past +-1 (|lam| <= 1.5), where sliding continuation follows a root
+    through the layer boundary, so it must continue the hidden form there.
     """
 
     f_plus: FieldFn
@@ -133,6 +139,13 @@ class SwitchedField:
     time_dependent: bool = False
     fused: HiddenFn | None = None
 
+    def __post_init__(self):
+        parts = (self.f_plus, self.f_minus, self.hidden_g)
+        # a composed evaluator is rebuilt when dataclasses.replace swaps
+        # the parts it was composed from
+        if self.fused is None or getattr(self.fused, "parts", parts) != parts:
+            object.__setattr__(self, "fused", _compose(*parts))
+
     def _check_state(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
@@ -140,6 +153,25 @@ class SwitchedField:
                 f"expected state of dimension {self.dim}, got shape {x.shape}"
             )
         return x
+
+
+def _compose(fp: FieldFn, fm: FieldFn, g: HiddenFn | None) -> HiddenFn:
+    """f(x, t, lam) from the hidden form, exact branch values at lam = +-1."""
+
+    def fused(x, t, lam):
+        if lam == 1.0:
+            return np.asarray(fp(x, t), dtype=float)
+        if lam == -1.0:
+            return np.asarray(fm(x, t), dtype=float)
+        fpv = np.asarray(fp(x, t), dtype=float)
+        fmv = np.asarray(fm(x, t), dtype=float)
+        out = 0.5 * (fpv + fmv) + (0.5 * lam) * (fpv - fmv)
+        if g is not None:
+            out = out + (lam * lam - 1.0) * np.asarray(g(x, t, lam), dtype=float)
+        return out
+
+    fused.parts = (fp, fm, g)
+    return fused
 
 
 def _as_state(x) -> tuple[np.ndarray, float]:
@@ -158,28 +190,24 @@ def _check_lambda(lam: float) -> float:
 def eval_field(sys: SwitchedField, x, lam: float, t: float | None = None) -> np.ndarray:
     """Evaluate f(x; lam) = (f_+ + f_-)/2 + (f_+ - f_-)/2 lam + (lam^2-1) g.
 
-    At lam = +-1 this returns exactly the direct evaluation of f_+ / f_-:
-    the hidden term is skipped entirely, not just multiplied by zero.
+    The validating wrapper of ``sys.fused``: the state shape, lam in
+    [-1, 1] and the finiteness of the result are each checked once.  At
+    lam = +-1 this is exactly the direct evaluation of f_+ / f_-.
     """
     xv, xt = _as_state(x)
     if t is not None:
         xt = float(t)
     xv = sys._check_state(xv)
     lam = _check_lambda(lam)
-    if lam == 1.0:
-        return np.asarray(sys.f_plus(xv, xt), dtype=float)
-    if lam == -1.0:
-        return np.asarray(sys.f_minus(xv, xt), dtype=float)
-    fp = np.asarray(sys.f_plus(xv, xt), dtype=float)
-    fm = np.asarray(sys.f_minus(xv, xt), dtype=float)
-    out = 0.5 * (fp + fm) + 0.5 * (fp - fm) * lam
-    out = out + hidden_term(sys, xv, lam, t=xt)
-    if not np.all(np.isfinite(out)):
-        bad = np.flatnonzero(~np.isfinite(out))
-        raise NonFiniteFieldError(
-            f"field component(s) {bad.tolist()} non-finite at x={xv}, lam={lam}"
-        )
+    out = np.asarray(sys.fused(xv, xt, lam), dtype=float)
+    _check_finite(out, xv, lam)
     return out
+
+
+def _check_finite(values: np.ndarray, x, lam, what: str = "field") -> None:
+    """Raise NonFiniteFieldError unless every value is finite."""
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteFieldError(f"non-finite {what} value(s) at x={x}, lam={lam}")
 
 
 def hidden_term(sys: SwitchedField, x, lam: float, t: float | None = None) -> np.ndarray:
@@ -192,34 +220,18 @@ def hidden_term(sys: SwitchedField, x, lam: float, t: float | None = None) -> np
     if sys.hidden_g is None or abs(lam) == 1.0:
         return np.zeros(sys.dim)
     g = np.asarray(sys.hidden_g(xv, xt, lam), dtype=float)
-    if not np.all(np.isfinite(g)):
-        bad = np.flatnonzero(~np.isfinite(g))
-        raise NonFiniteFieldError(
-            f"hidden multiplier g component(s) {bad.tolist()} non-finite "
-            f"at x={xv}, lam={lam}"
-        )
+    _check_finite(g, xv, lam, what="hidden multiplier g")
     return (lam * lam - 1.0) * g
 
 
 def fast_field_eval(sys: SwitchedField):
     """Closure computing f(x; lam) without per-call validation.
 
-    For integrator inner loops, where the state shape is fixed and
-    finiteness is checked on the assembled trajectory instead of per
-    evaluation.  lam is clipped into [-1, 1].  Uses the system's fused
-    evaluator when it has one.
+    The unchecked wrapper of ``sys.fused``, for inner loops where the
+    state shape is fixed and finiteness is checked on the collected
+    values instead of per evaluation.  lam is clipped into [-1, 1].
     """
-    fp, fm, g = sys.f_plus, sys.f_minus, sys.hidden_g
-
-    def combine(x, t, lam):
-        fpv = fp(x, t)
-        fmv = fm(x, t)
-        out = 0.5 * (fpv + fmv) + (0.5 * lam) * (fpv - fmv)
-        if g is not None and lam * lam != 1.0:
-            out = out + (lam * lam - 1.0) * g(x, t, lam)
-        return out
-
-    inner = sys.fused or combine
+    inner = sys.fused
 
     def f(x, t, lam):
         if lam > 1.0:

@@ -220,6 +220,10 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, events=(), max_step=None,
             solver.integrate(t1)
     finally:
         _running = False
+        # the compiled wrapper keeps its last callback alive past the run,
+        # and through it the integrator and this run's sample lists
+        solver._integrator.solout = None
+        solver._integrator.call_args = None
     if failure:
         raise failure[0]
     code = solver.get_return_code()

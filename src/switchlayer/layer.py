@@ -22,6 +22,7 @@ from .core import (
     regime_of,
     require_adapted,
     _as_state,
+    _check_finite,
 )
 from .integrate import (
     Event,
@@ -99,11 +100,6 @@ def layer_field(sys: SwitchedField, x_rest, t: float, lam: float
     return float(f[0]), f[1:]
 
 
-def _f1(sys: SwitchedField, x_rest: np.ndarray, t: float, lam: float) -> float:
-    x = _full_state(np.asarray(x_rest, dtype=float), sys.dim)
-    return float(eval_field(sys, x, lam, t=t)[0])
-
-
 def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0,
                        root_tol: float = ROOT_TOL,
                        deriv_tol: float = DERIV_TOL,
@@ -114,12 +110,17 @@ def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0,
     An empty list means the flow crosses.  An identically vanishing f1 on
     a subinterval raises DegenerateInclusionError.
     """
-    x_rest = np.asarray(x_rest, dtype=float)
-    x = _full_state(x_rest, sys.dim)
+    x = _full_state(np.asarray(x_rest, dtype=float), sys.dim)
     require_adapted(sys, x)
+    feval = fast_field_eval(sys)
+
+    def f1(lam):
+        return float(feval(x, t, lam)[0])
 
     lams = np.linspace(-1.0, 1.0, grid + 1)
-    vals = np.array([_f1(sys, x_rest, t, lm) for lm in lams])
+    fields = np.array([feval(x, t, lm) for lm in lams.tolist()])
+    _check_finite(fields, x, "[-1, 1]")
+    vals = fields[:, 0]
 
     # set-valued degeneracy: a run of exact zeros across grid cells
     tiny = np.abs(vals) < 1e-14
@@ -149,7 +150,7 @@ def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0,
                 add(b)
             continue
         if fa * fb < 0:
-            r = brentq(lambda lm: _f1(sys, x_rest, t, lm), a, b,
+            r = brentq(f1, a, b,
                        xtol=root_tol, rtol=4 * np.finfo(float).eps)
             add(float(r))
 
@@ -157,15 +158,14 @@ def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0,
     for r in sorted(roots):
         h = 1e-6
         lo, hi = max(-1.0, r - h), min(1.0, r + h)
-        d = (_f1(sys, x_rest, t, hi) - _f1(sys, x_rest, t, lo)) / (hi - lo)
+        d = (f1(hi) - f1(lo)) / (hi - lo)
         if abs(d) <= deriv_tol:
             stab = "marginal"
         elif d < 0:
             stab = "attracting"
         else:
             stab = "repelling"
-        xf = _full_state(x_rest, sys.dim)
-        slide = eval_field(sys, xf, r, t=t)[1:]
+        slide = feval(x, t, r)[1:]
         out.append(SlidingSolution(lam_s=r, stability=stab, sliding_field=slide))
     return out
 
@@ -188,7 +188,7 @@ def classify_surface_point(sys: SwitchedField, x_rest, t: float,
 
     lam0 = -1.0 if entry_side == "minus" else 1.0
     inward = -lam0  # direction the lam-flow must travel to enter the layer
-    f10 = _f1(sys, x_rest, t, lam0)
+    f10 = eval_field(sys, _full_state(x_rest, sys.dim), lam0, t=t)[0]
 
     if f10 * inward > 0:
         path = [r for r in roots if (r.lam_s - lam0) * inward > 1e-12]
@@ -204,16 +204,6 @@ def classify_surface_point(sys: SwitchedField, x_rest, t: float,
         nearest = min(roots, key=lambda r: abs(r.lam_s - lam0))
         return "stick", nearest
     return "cross", None
-
-
-def _layer_rhs(sys: SwitchedField, t: float, z: np.ndarray) -> np.ndarray:
-    lam = float(np.clip(z[0], -1.0, 1.0))
-    x = _full_state(z[1:], sys.dim)
-    f = eval_field(sys, x, lam, t=t)
-    out = np.empty_like(z)
-    out[0] = f[0]
-    out[1:] = f[1:]
-    return out
 
 
 def _numeric_jacobian(fun, z: np.ndarray, h: float = 1e-7) -> np.ndarray:
@@ -243,8 +233,13 @@ def find_layer_equilibria(sys: SwitchedField, search_box, t: float = 0.0,
         raise ValueError(f"search_box must give {sys.dim} (lam, x_rest) intervals")
     require_adapted(sys, _full_state(np.zeros(sys.dim - 1), sys.dim))
 
+    feval = fast_field_eval(sys)
+
     def F(z):
-        return _layer_rhs(sys, t, z)
+        # adapted coordinates: the state on the surface is (0, x_rest)
+        x = z.copy()
+        x[0] = 0.0
+        return feval(x, t, z[0])
 
     found: list[np.ndarray] = []
     axes = [np.linspace(lo, hi, grid) for lo, hi in box]
@@ -259,6 +254,7 @@ def find_layer_equilibria(sys: SwitchedField, search_box, t: float = 0.0,
                 ok = True
                 break
             J = _numeric_jacobian(F, z)
+            _check_finite(np.append(Fz, J), z[1:], z[0])
             try:
                 step = np.linalg.solve(J, Fz)
             except np.linalg.LinAlgError:
@@ -297,40 +293,32 @@ def find_layer_equilibria(sys: SwitchedField, search_box, t: float = 0.0,
     return out
 
 
-def _f1_extended(sys: SwitchedField, x_rest: np.ndarray, t: float,
-                 lam: float) -> float:
-    """Normal component continued smoothly past lam = +-1.
-
-    The hidden-form expression is polynomial-like in lam and remains
-    defined slightly outside the layer; root continuation needs this so a
-    root can be followed up to (and through) the boundary.
-    """
-    x = _full_state(np.asarray(x_rest, dtype=float), sys.dim)
-    fp = sys.f_plus(x, t)
-    fm = sys.f_minus(x, t)
-    out = 0.5 * (fp[0] + fm[0]) + 0.5 * lam * (fp[0] - fm[0])
-    if sys.hidden_g is not None and lam * lam != 1.0:
-        out = out + (lam * lam - 1.0) * sys.hidden_g(x, t, lam)[0]
-    return float(out)
-
-
 class _SlidingRootTracker:
-    """Continuation of lam_s along a sliding segment, Newton warm-started."""
+    """Continuation of lam_s along a sliding segment, Newton warm-started.
+
+    The iterates may step slightly past lam = +-1, so that a root can be
+    followed up to (and through) the layer boundary; the field's ``fused``
+    evaluator continues the hidden form there, so it is called unclipped.
+    """
 
     def __init__(self, sys: SwitchedField, lam0: float):
-        self.sys = sys
+        self.fused = sys.fused
+        self.dim = sys.dim
         self.lam = float(lam0)
 
     def solve(self, x_rest: np.ndarray, t: float) -> float:
-        sys = self.sys
+        x = _full_state(x_rest, self.dim)
+
+        def f1(lam):
+            return float(self.fused(x, t, lam)[0])
+
         lam = self.lam
         h = 1e-7
         for _ in range(50):
-            f = _f1_extended(sys, x_rest, t, lam)
+            f = f1(lam)
             if abs(f) < 10 * ROOT_TOL:
                 break
-            d = (_f1_extended(sys, x_rest, t, lam + h)
-                 - _f1_extended(sys, x_rest, t, lam - h)) / (2 * h)
+            d = (f1(lam + h) - f1(lam - h)) / (2 * h)
             if d == 0 or not math.isfinite(d):
                 raise IntegrationError("sliding root continuation lost the root")
             lam = lam - f / d
@@ -347,17 +335,15 @@ def _integrate_sliding(sys, x_surface, t_span, cfg, root: SlidingSolution):
     boundary; a root fold leaving [-1, 1] exits through the same event).
     """
     tracker = _SlidingRootTracker(sys, root.lam_s)
+    feval = fast_field_eval(sys)
     dim = sys.dim
 
     def rhs(x_rest, t):
-        lam = tracker.solve(np.asarray(x_rest), t)
-        lam = float(np.clip(lam, -1.0, 1.0))
-        x = _full_state(np.asarray(x_rest), dim)
-        return eval_field(sys, x, lam, t=t)[1:]
+        lam = tracker.solve(x_rest, t)
+        return feval(_full_state(x_rest, dim), t, lam)[1:]
 
     def boundary(t, y):
-        lam = tracker.solve(np.asarray(y), t)
-        return 1.0 - abs(lam)
+        return 1.0 - abs(tracker.solve(y, t))
 
     run = _solve(rhs, x_surface[1:], t_span, cfg,
                  events=(Event(boundary, direction=-1.0),))
@@ -451,8 +437,8 @@ def integrate_hybrid(sys: SwitchedField, x0, t_span,
     if regime == "on_surface":
         # starting on the surface: take the side whose boundary flow enters
         xv[0] = 0.0
-        f1m = _f1(sys, xv[1:], t_now, -1.0)
-        f1p = _f1(sys, xv[1:], t_now, 1.0)
+        f1m = eval_field(sys, xv, -1.0, t=t_now)[0]
+        f1p = eval_field(sys, xv, 1.0, t=t_now)[0]
         entry_side = "minus" if f1m > 0 else ("plus" if f1p < 0 else "minus")
 
     while t_now < t_end - 1e-14:

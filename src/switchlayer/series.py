@@ -110,74 +110,52 @@ def reconstruct(e: SeriesExpansion, x, lam: float) -> np.ndarray:
     if not -1.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [-1, +1], got {lam}")
     xv, _ = _as_state(x)
-    out = np.asarray(e.coefficients[0](xv), dtype=float).copy()
+    return _power_sum(e.coefficients, xv, lam)
+
+
+def _power_sum(coeffs, x: np.ndarray, lam: float) -> np.ndarray:
+    out = np.array(coeffs[0](x), dtype=float)
     lam_pow = 1.0
-    for a in e.coefficients[1:]:
+    for a in coeffs[1:]:
         lam_pow *= lam
-        out += lam_pow * np.asarray(a(xv), dtype=float)
+        out += lam_pow * np.asarray(a(x), dtype=float)
     return out
 
 
 def to_hidden_form(e: SeriesExpansion, surface_tolerance: float = 1e-9,
-                   time_dependent: bool = False, dim: int | None = None) -> SwitchedField:
+                   time_dependent: bool = False, *, dim: int) -> SwitchedField:
     """Convert an expansion to a SwitchedField in factored hidden form.
 
-    The hidden multiplier comes from factoring lam^2 - 1 out of the
-    n >= 2 part of the series; for N <= 1 it is identically zero and the
-    result is the plain convex combination.
+    The series itself, sum_n alpha_n lam^n, is the field's ``fused``
+    evaluator, and f_plus / f_minus are that evaluator at lam = +-1.  The
+    hidden multiplier comes from factoring lam^2 - 1 out of the n >= 2
+    part of the series; for N <= 1 it is identically zero and the result
+    is the plain convex combination.
     """
     coeffs = e.coefficients
     n_top = e.truncation_order
 
-    def pick(i):
-        if i <= n_top:
-            return coeffs[i]
-        return None
-
-    def f_plus(x, t):
-        return reconstruct(e, x, +1.0)
-
-    def f_minus(x, t):
-        return reconstruct(e, x, -1.0)
+    def fused(x, t, lam):
+        return _power_sum(coeffs, x, lam)
 
     def hidden_g(x, t, lam):
-        out = None
-        n = 1
-        while 2 * n <= n_top:
-            a_even = pick(2 * n)
-            a_odd = pick(2 * n + 1)
-            term = np.asarray(a_even(x), dtype=float).copy()
-            if a_odd is not None:
-                term += lam * np.asarray(a_odd(x), dtype=float)
-            inner = sum(lam ** (2 * j) for j in range(n))
-            term *= inner
-            out = term if out is None else out + term
-            n += 1
-        if out is None:
-            out = np.zeros_like(np.asarray(coeffs[0](x), dtype=float))
+        out = 0.0
+        for n in range(1, n_top // 2 + 1):
+            term = np.array(coeffs[2 * n](x), dtype=float)
+            if 2 * n + 1 <= n_top:
+                term += lam * np.asarray(coeffs[2 * n + 1](x), dtype=float)
+            out = out + sum(lam ** (2 * j) for j in range(n)) * term
         return out
 
-    def make(d):
-        return SwitchedField(
-            f_plus=f_plus, f_minus=f_minus,
-            surface=adapted_surface(d, surface_tolerance),
-            dim=d,
-            hidden_g=None if n_top <= 1 else hidden_g,
-            time_dependent=time_dependent,
-        )
-
-    if dim is not None:
-        return make(dim)
-    # dimension is not recoverable from the callables alone: probe alpha_0
-    # at origins of growing dimension until input and output agree
-    for d in range(2, 16):
-        try:
-            probe = np.asarray(coeffs[0](np.zeros(d)), dtype=float)
-        except Exception:
-            continue
-        if probe.shape == (d,):
-            return make(d)
-    raise ValueError("could not infer state dimension from alpha_0; pass dim=")
+    return SwitchedField(
+        f_plus=lambda x, t: fused(x, t, 1.0),
+        f_minus=lambda x, t: fused(x, t, -1.0),
+        surface=adapted_surface(dim, surface_tolerance),
+        dim=dim,
+        hidden_g=None if n_top <= 1 else hidden_g,
+        time_dependent=time_dependent,
+        fused=fused,
+    )
 
 
 def match_alpha23(f_plus: np.ndarray, f_minus: np.ndarray, a: AsymptoticData,

@@ -1,5 +1,7 @@
 """Canonical hidden-term form: evaluation, classification, validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,12 @@ class TestEvalField:
         sys = linear_system([np.inf, 0.0], [0.0, 1.0])
         with pytest.raises(NonFiniteFieldError):
             eval_field(sys, np.zeros(2), 0.5)
+
+    def test_composed_evaluator_follows_replaced_parts(self):
+        sys = linear_system([1.0, 0.0], [0.0, 1.0])
+        moved = dataclasses.replace(sys, f_plus=lambda x, t: np.array([3.0, 0.0]))
+        np.testing.assert_array_equal(eval_field(moved, np.zeros(2), 1.0), [3.0, 0.0])
+        np.testing.assert_allclose(eval_field(moved, np.zeros(2), 0.0), [1.5, 0.5])
 
     def test_state_vector_carries_time(self):
         seen = {}

@@ -1,5 +1,8 @@
 """Event-driven integration: smooth flows, surface hits, regularized runs."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,25 @@ class TestIntegrateSmooth:
 
         with pytest.raises(RuntimeError, match="re-entrant"):
             integrate_smooth(field, np.array([1.0, 1.0]), (0.0, 1.0))
+
+    def test_finished_runs_are_freed(self):
+        cfg = IntegratorConfig(max_step=1e-3)
+
+        def field(x, t):
+            return np.array([x[1], -x[0]])
+
+        integrate_smooth(field, np.array([1.0, 0.0]), (0.0, 0.1), cfg)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):  # 10k accepted steps each
+                integrate_smooth(field, np.array([1.0, 0.0]), (0.0, 10.0), cfg)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1e6, f"{retained / 1e6:.1f} MB retained after 10 runs"
 
 
 class TestAdvanceToSurface:

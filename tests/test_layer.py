@@ -6,6 +6,7 @@ import pytest
 from switchlayer import (
     DegenerateInclusionError,
     IntegratorConfig,
+    NonFiniteFieldError,
     SeriesExpansion,
     SwitchedField,
     adapted_surface,
@@ -119,6 +120,23 @@ class TestFindSlidingModes:
             dim=2)
         with pytest.raises(CoordinateAdaptationError):
             find_sliding_modes(tilted, np.array([0.0]))
+
+
+class TestNonFiniteField:
+    """The root finders evaluate unchecked and test the collected values."""
+
+    @staticmethod
+    def infinite_inside_layer():
+        return linear_system([-1.0, 0.0], [1.0, 0.0],
+                             g=lambda x, t, lam: np.array([np.inf, 0.0]))
+
+    def test_sliding_modes_raise(self):
+        with pytest.raises(NonFiniteFieldError):
+            find_sliding_modes(self.infinite_inside_layer(), np.array([0.0]))
+
+    def test_layer_equilibria_raise(self):
+        with pytest.raises(NonFiniteFieldError):
+            find_layer_equilibria(self.infinite_inside_layer(), [(-1, 1), (-5, 5)])
 
 
 class TestLayerField:

@@ -6,6 +6,9 @@ import pytest
 from switchlayer import (
     CircuitParams,
     DuffingParams,
+    SeriesExpansion,
+    SwitchedField,
+    adapted_surface,
     circuit_iv_to_state,
     circuit_state_to_iv,
     eval_field,
@@ -15,6 +18,7 @@ from switchlayer import (
     make_example1,
     make_example2,
     mu_of_lambda,
+    to_hidden_form,
 )
 
 ALL_FACTORIES = [
@@ -59,16 +63,33 @@ class TestStructuralInvariants:
 
     def test_fused_field_matches_hidden_form(self):
         rng = np.random.default_rng(3)
-        for factory in ALL_FACTORIES:
+        alphas = tuple((lambda v: (lambda x: v * (1.0 + x[1])))(rng.normal(size=2))
+                       for _ in range(5))
+
+        def series_field():
+            return to_hidden_form(SeriesExpansion(alphas), dim=2)
+
+        def composed():
+            return SwitchedField(
+                f_plus=lambda x, t: np.array([1.0 - x[1], np.sin(t)]),
+                f_minus=lambda x, t: np.array([-1.0, x[0] * x[1]]),
+                surface=adapted_surface(2), dim=2,
+                hidden_g=lambda x, t, lam: np.array([lam * x[1], 2.0 + lam * lam]))
+
+        for factory in ALL_FACTORIES + [series_field, composed]:
             sys = factory()
-            assert sys.fused is not None
             for _ in range(50):
                 x = rng.normal(size=sys.dim)
                 t = float(rng.uniform(0, 10))
-                lam = float(rng.uniform(-1, 1))
-                np.testing.assert_allclose(sys.fused(x, t, lam),
-                                           eval_field(sys, x, lam, t=t),
+                lam = float(rng.uniform(-1.5, 1.5))
+                fp, fm = sys.f_plus(x, t), sys.f_minus(x, t)
+                hidden = 0.0 if sys.hidden_g is None else sys.hidden_g(x, t, lam)
+                oracle = (0.5 * (fp + fm) + 0.5 * (fp - fm) * lam
+                          + (lam * lam - 1.0) * hidden)
+                np.testing.assert_allclose(sys.fused(x, t, lam), oracle,
                                            rtol=1e-12, atol=1e-12)
+                np.testing.assert_array_equal(sys.fused(x, t, 1.0), fp)
+                np.testing.assert_array_equal(sys.fused(x, t, -1.0), fm)
 
 
 class TestExample1:
