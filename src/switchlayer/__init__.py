@@ -2,13 +2,9 @@
 piecewise-smooth systems with nonlinear (hidden) switching terms."""
 
 from .core import (
-    CoordinateAdaptationError,
     DimensionMismatchError,
     NonFiniteFieldError,
-    StateVector,
     SwitchedField,
-    SwitchingSurface,
-    adapted_surface,
     eval_field,
     hidden_term,
     regime_of,

@@ -100,6 +100,8 @@ class RunConfig:
             integrator=dict(doc.get("integrator", {})),
             output=dict(doc.get("output", {})),
         )
+        if not cfg.eps_layer > 0:
+            raise ConfigError("eps_layer must be positive")
         cfg.build_integrator()  # validate eagerly
         if cfg.sigmoid is not None:
             cfg.build_sigmoid()
@@ -228,7 +230,12 @@ def run_simulation(cfg: RunConfig):
 
 
 def amplitude_of(result, window: tuple[float, float]) -> dict:
-    """Half the peak-to-peak range of the multiplier over a time window."""
+    """Half the peak-to-peak range of the multiplier over a time window.
+
+    This is the raw range of the samples, so on a stiff layer it includes
+    the fast in-layer ripple; ``layer.layer_amplitude`` with ``average``
+    set gives the ripple-averaged amplitude instead.
+    """
     t_all, lam_all = [], []
     for seg in _segments_of(result):
         if seg.lam is None:
@@ -422,7 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True,
                          help="JSON list of values, e.g. '[0.1, 0.01]'")
 
-    p_amp = sub.add_parser("amplitude", help="multiplier amplitude over a window")
+    amp_help = ("raw half peak-to-peak of the multiplier over a window "
+                "(in-layer ripple included, not averaged)")
+    p_amp = sub.add_parser("amplitude", help=amp_help, description=amp_help)
     common(p_amp)
     p_amp.add_argument("--window", required=True, nargs=2, type=float,
                        metavar=("T_LO", "T_HI"))

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import ode
 from scipy.optimize import brentq
 
-from .core import SwitchedField, fast_field_eval, regime_of, _as_state
+from .core import SwitchedField, fast_field_eval, regime_of
 from .sigmoids import SigmoidSpec
 
 _EPS = np.finfo(float).eps
@@ -40,15 +40,12 @@ class IntegratorConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_step: float = 1e-2
-    event_tol: float = 1e-10
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_step", "event_tol"):
+        for name in ("rel_tol", "abs_tol", "max_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.event_tol >= self.max_step:
-            raise ValueError("event_tol must be smaller than max_step")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
 
@@ -244,32 +241,31 @@ def integrate_smooth(field, x0, t_span, cfg: IntegratorConfig | None = None,
     No surface logic is applied; the regime label is purely descriptive.
     """
     cfg = cfg or IntegratorConfig()
-    xv, _ = _as_state(x0)
-    run = _solve(field, xv, t_span, cfg)
+    run = _solve(field, x0, t_span, cfg)
     return TrajectorySegment(run.t, run.y, regime)
 
 
 def advance_to_surface(sys: SwitchedField, x0, t_span,
                        cfg: IntegratorConfig | None = None
                        ) -> tuple[TrajectorySegment, tuple[float, np.ndarray] | None]:
-    """Integrate the active branch until v changes sign or time runs out.
+    """Integrate the active branch until x1 changes sign or time runs out.
 
     Returns the free segment and, when the surface is reached, the hit
-    (t*, x*) localized inside the step so |v(x*)| is at rounding level.
+    (t*, x*) localized inside the step so |x1*| is at rounding level.
     """
     cfg = cfg or IntegratorConfig()
-    xv, _ = _as_state(x0)
-    regime = regime_of(sys.surface, xv)
+    xv = np.asarray(x0, dtype=float)
+    regime = regime_of(sys, xv)
     if regime == "on_surface":
         raise ValueError("advance_to_surface requires a strictly off-surface start")
     branch = sys.f_plus if regime == "plus" else sys.f_minus
     sgn = 1.0 if regime == "plus" else -1.0
-    value, tol = sys.surface.value, sys.surface.surface_tolerance
+    tol = sys.surface_tolerance
 
     # leaving the active side ends the segment; entering the tolerance
     # band from the active side is only recorded
-    crossing = Event(lambda t, y: value(y), direction=-sgn)
-    graze = Event(lambda t, y: sgn * value(y) - tol, direction=-1.0,
+    crossing = Event(lambda t, y: y[0], direction=-sgn)
+    graze = Event(lambda t, y: sgn * y[0] - tol, direction=-1.0,
                   terminal=False)
 
     run = _solve(branch, xv, t_span, cfg, events=(crossing, graze))
@@ -286,31 +282,29 @@ def advance_to_surface(sys: SwitchedField, x0, t_span,
 
 def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
                           cfg: IntegratorConfig | None = None) -> TrajectorySegment:
-    """Integrate dx/dt = f(x; phi_eps(v(x))) as one smooth stiff system.
+    """Integrate dx/dt = f(x; phi_eps(x1)) as one smooth stiff system.
 
-    Inside the transition band |v| < eps the step size is capped at eps/4;
+    Inside the transition band |x1| < eps the step size is capped at eps/4;
     outside it the configured max_step applies.  Band entry and exit are
     localized with events so the cap switches at the right times.
     """
     cfg = cfg or IntegratorConfig()
-    xv, _ = _as_state(x0)
-    sys._check_state(xv)
+    xv = sys._check_state(x0)
     eps = sigmoid.eps
-    vfun = sys.surface.value
     feval = fast_field_eval(sys)
 
     phi = sigmoid.scalar_fn()
     shifted = sigmoid.range == (0.0, 1.0)
 
     def lam_of(x):
-        lam = phi(vfun(x))
+        lam = phi(float(x[0]))
         return 2.0 * lam - 1.0 if shifted else lam
 
     def field(x, t):
         return feval(x, t, lam_of(x))
 
     def edge(sign):
-        return lambda t, y: vfun(y) - sign * eps
+        return lambda t, y: y[0] - sign * eps
 
     # each run ends where the trajectory passes a band edge outward
     # (inside) or inward (outside); crossings back are not events
@@ -318,14 +312,13 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
     enter = (Event(edge(1.0), direction=-1.0), Event(edge(-1.0), direction=1.0))
 
     def in_band(x, t):
-        v0 = vfun(x)
+        v0 = x[0]
         if abs(v0) < eps * (1.0 - 1e-12):
             return True
         if abs(v0) > eps * (1.0 + 1e-12):
             return False
-        # sitting on the band edge: side of the next instant decided by dv/dt
-        vdot = float(sys.surface.gradient(x) @ field(x, t))
-        return v0 * vdot < 0
+        # sitting on the band edge: side of the next instant decided by dx1/dt
+        return v0 * field(x, t)[0] < 0
 
     t_parts, x_parts = [], []
     t_now, t_end = float(t_span[0]), float(t_span[1])

@@ -20,8 +20,6 @@ from .core import (
     eval_field,
     fast_field_eval,
     regime_of,
-    require_adapted,
-    _as_state,
     _check_finite,
 )
 from .integrate import (
@@ -35,6 +33,8 @@ from .integrate import (
 
 ROOT_TOL = 1e-12
 DERIV_TOL = 1e-8
+SLIDING_GRID = 512  # lam cells searched for sign changes of f1
+EQUILIBRIA_GRID = 8  # Newton seeds per search-box axis
 
 
 class DegenerateInclusionError(ValueError):
@@ -94,16 +94,12 @@ def layer_field(sys: SwitchedField, x_rest, t: float, lam: float
                 ) -> tuple[float, np.ndarray]:
     """(d lam/d tau, d x_rest/dt) of the blown-up system on the surface."""
     x_rest = np.asarray(x_rest, dtype=float)
-    x = _full_state(x_rest, sys.dim)
-    require_adapted(sys, x)
-    f = eval_field(sys, x, lam, t=t)
+    f = eval_field(sys, _full_state(x_rest, sys.dim), lam, t=t)
     return float(f[0]), f[1:]
 
 
-def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0,
-                       root_tol: float = ROOT_TOL,
-                       deriv_tol: float = DERIV_TOL,
-                       grid: int = 512) -> list[SlidingSolution]:
+def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0
+                       ) -> list[SlidingSolution]:
     """All roots of f1(x; lam) = 0 on lam in [-1, 1], tagged with stability.
 
     Sign changes on a uniform grid are refined by bracketed root-finding.
@@ -111,13 +107,12 @@ def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0,
     a subinterval raises DegenerateInclusionError.
     """
     x = _full_state(np.asarray(x_rest, dtype=float), sys.dim)
-    require_adapted(sys, x)
     feval = fast_field_eval(sys)
 
     def f1(lam):
         return float(feval(x, t, lam)[0])
 
-    lams = np.linspace(-1.0, 1.0, grid + 1)
+    lams = np.linspace(-1.0, 1.0, SLIDING_GRID + 1)
     fields = np.array([feval(x, t, lm) for lm in lams.tolist()])
     _check_finite(fields, x, "[-1, 1]")
     vals = fields[:, 0]
@@ -139,19 +134,19 @@ def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0,
         if all(abs(r - q) > 1e-9 for q in roots):
             roots.append(r)
 
-    for i in range(grid):
+    for i in range(SLIDING_GRID):
         a, b = lams[i], lams[i + 1]
         fa, fb = vals[i], vals[i + 1]
         if fa == 0.0:
             add(a)
             continue
         if fb == 0.0:
-            if i == grid - 1:
+            if i == SLIDING_GRID - 1:
                 add(b)
             continue
         if fa * fb < 0:
             r = brentq(f1, a, b,
-                       xtol=root_tol, rtol=4 * np.finfo(float).eps)
+                       xtol=ROOT_TOL, rtol=4 * np.finfo(float).eps)
             add(float(r))
 
     out = []
@@ -159,7 +154,7 @@ def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0,
         h = 1e-6
         lo, hi = max(-1.0, r - h), min(1.0, r + h)
         d = (f1(hi) - f1(lo)) / (hi - lo)
-        if abs(d) <= deriv_tol:
+        if abs(d) <= DERIV_TOL:
             stab = "marginal"
         elif d < 0:
             stab = "attracting"
@@ -216,9 +211,8 @@ def _numeric_jacobian(fun, z: np.ndarray, h: float = 1e-7) -> np.ndarray:
     return J
 
 
-def find_layer_equilibria(sys: SwitchedField, search_box, t: float = 0.0,
-                          root_tol: float = ROOT_TOL,
-                          grid: int = 8) -> list[LayerEquilibrium]:
+def find_layer_equilibria(sys: SwitchedField, search_box, t: float = 0.0
+                          ) -> list[LayerEquilibrium]:
     """Rest points of the coupled layer system inside a search box.
 
     search_box is a sequence of (lo, hi) pairs for (lam, x2, ..., xn).
@@ -231,18 +225,17 @@ def find_layer_equilibria(sys: SwitchedField, search_box, t: float = 0.0,
     box = [(float(lo), float(hi)) for lo, hi in search_box]
     if len(box) != sys.dim:
         raise ValueError(f"search_box must give {sys.dim} (lam, x_rest) intervals")
-    require_adapted(sys, _full_state(np.zeros(sys.dim - 1), sys.dim))
 
     feval = fast_field_eval(sys)
 
     def F(z):
-        # adapted coordinates: the state on the surface is (0, x_rest)
+        # the state on the surface is (0, x_rest)
         x = z.copy()
         x[0] = 0.0
         return feval(x, t, z[0])
 
     found: list[np.ndarray] = []
-    axes = [np.linspace(lo, hi, grid) for lo, hi in box]
+    axes = [np.linspace(lo, hi, EQUILIBRIA_GRID) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     seeds = np.stack([m.ravel() for m in mesh], axis=1)
     for seed in seeds:
@@ -250,7 +243,7 @@ def find_layer_equilibria(sys: SwitchedField, search_box, t: float = 0.0,
         ok = False
         for _ in range(60):
             Fz = F(z)
-            if np.linalg.norm(Fz, ord=np.inf) < root_tol:
+            if np.linalg.norm(Fz, ord=np.inf) < ROOT_TOL:
                 ok = True
                 break
             J = _numeric_jacobian(F, z)
@@ -365,7 +358,7 @@ def _integrate_layer(sys, lam0, x_rest0, t_span, cfg, eps_layer):
     scale[0] = eps_layer
 
     def rhs(z, t):
-        # adapted coordinates: the state on the surface is (0, x_rest)
+        # the state on the surface is (0, x_rest)
         x = z.copy()
         x[0] = 0.0
         return feval(x, t, z[0]) / scale
@@ -384,9 +377,10 @@ def _integrate_layer(sys, lam0, x_rest0, t_span, cfg, eps_layer):
 def integrate_layer_only(sys: SwitchedField, lam0: float, x_rest0, t_span,
                          cfg: IntegratorConfig | None = None,
                          eps_layer: float = 1e-5) -> TrajectorySegment:
-    """Simulate the layer subsystem alone from (lam0, x_rest0) on v = 0."""
+    """Simulate the layer subsystem alone from (lam0, x_rest0) on x1 = 0."""
     cfg = cfg or IntegratorConfig()
-    require_adapted(sys, _full_state(np.asarray(x_rest0, dtype=float), sys.dim))
+    if not eps_layer > 0:
+        raise ValueError("eps_layer must be positive")
     seg, _ = _integrate_layer(sys, float(lam0), np.asarray(x_rest0, dtype=float),
                               (float(t_span[0]), float(t_span[1])), cfg, eps_layer)
     return seg
@@ -403,14 +397,21 @@ def layer_amplitude(t, lam, window, average: float = 0.0) -> float:
     t = np.asarray(t, dtype=float)
     lam = np.asarray(lam, dtype=float)
     lo, hi = float(window[0]), float(window[1])
+    inside = (t >= lo) & (t <= hi)
+    if not inside.any():
+        span = f"spans [{t[0]:g}, {t[-1]:g}]" if t.size else "has no samples"
+        raise ValueError(f"window [{lo:g}, {hi:g}] holds no samples; the run {span}")
     if average > 0:
         area = np.concatenate(([0.0], np.cumsum(0.5 * (lam[1:] + lam[:-1]) * np.diff(t))))
         half = 0.5 * average
         centres = np.arange(lo + half, hi - half, 0.1 * average)
+        if centres.size == 0:
+            raise ValueError(f"window [{lo:g}, {hi:g}] is not longer than "
+                             f"the averaging span {average:g}")
         lam = (np.interp(centres + half, t, area)
                - np.interp(centres - half, t, area)) / average
     else:
-        lam = lam[(t >= lo) & (t <= hi)]
+        lam = lam[inside]
     return float(0.5 * (lam.max() - lam.min()))
 
 
@@ -425,14 +426,12 @@ def integrate_hybrid(sys: SwitchedField, x0, t_span,
     cfg = cfg or IntegratorConfig()
     if eps_layer <= 0:
         raise ValueError("eps_layer must be positive")
-    xv, _ = _as_state(x0)
-    xv = sys._check_state(xv.copy())
-    require_adapted(sys, xv)
-    tol = sys.surface.surface_tolerance
+    xv = sys._check_state(np.array(x0, dtype=float))
+    tol = sys.surface_tolerance
     t_now, t_end = float(t_span[0]), float(t_span[1])
     traj = HybridTrajectory()
 
-    regime = regime_of(sys.surface, xv)
+    regime = regime_of(sys, xv)
     entry_side = None
     if regime == "on_surface":
         # starting on the surface: take the side whose boundary flow enters
@@ -460,31 +459,25 @@ def integrate_hybrid(sys: SwitchedField, x0, t_span,
             new_side = "minus" if entry_side == "plus" else "plus"
             xv[0] = -2 * tol if new_side == "minus" else 2 * tol
             entry_side = None
-        elif kind == "stick":
-            traj.transitions.append((t_now, "stick"))
+            continue
+
+        if kind == "stick":
+            enter, leave = "stick", "exit_slide"
             seg, exited = _integrate_sliding(sys, xv, (t_now, t_end), cfg, sliding)
-            traj.segments.append(seg)
-            t_now = seg.t_final
-            xv = seg.x_final.copy()
-            if not exited:
-                break
-            traj.transitions.append((t_now, "exit_slide"))
-            lam_exit = float(seg.lam[-1])
-            xv[0] = 2 * tol if lam_exit > 0 else -2 * tol
-            entry_side = None
         else:  # layer_dynamic
-            traj.transitions.append((t_now, "layer_enter"))
+            enter, leave = "layer_enter", "layer_exit"
             lam0 = 1.0 if entry_side == "plus" else -1.0
             seg, exited = _integrate_layer(sys, lam0, xv[1:], (t_now, t_end),
                                            cfg, eps_layer)
-            traj.segments.append(seg)
-            t_now = seg.t_final
-            xv = seg.x_final.copy()
-            if not exited:
-                break
-            traj.transitions.append((t_now, "layer_exit"))
-            lam_exit = float(seg.lam[-1])
-            xv[0] = 2 * tol if lam_exit > 0 else -2 * tol
-            entry_side = None
+        traj.transitions.append((t_now, enter))
+        traj.segments.append(seg)
+        t_now = seg.t_final
+        xv = seg.x_final.copy()
+        if not exited:
+            break
+        traj.transitions.append((t_now, leave))
+        # step off the surface on the side the multiplier left through
+        xv[0] = 2 * tol if seg.lam[-1] > 0 else -2 * tol
+        entry_side = None
 
     return traj

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SwitchedField, adapted_surface
+from .core import SwitchedField
 
 
 def make_example1(variant: str = "nonlinear",
@@ -40,8 +40,8 @@ def make_example1(variant: str = "nonlinear",
     return SwitchedField(
         f_plus=lambda x, t: fused(x, t, 1.0),
         f_minus=lambda x, t: fused(x, t, -1.0),
-        surface=adapted_surface(2, surface_tolerance),
         dim=2, hidden_g=hidden, time_dependent=False, fused=fused,
+        surface_tolerance=surface_tolerance,
     )
 
 
@@ -70,8 +70,8 @@ def make_example2(variant: str = "nonlinear",
     return SwitchedField(
         f_plus=lambda x, t: fused(x, t, 1.0),
         f_minus=lambda x, t: fused(x, t, -1.0),
-        surface=adapted_surface(2, surface_tolerance),
         dim=2, hidden_g=hidden, time_dependent=False, fused=fused,
+        surface_tolerance=surface_tolerance,
     )
 
 
@@ -138,8 +138,8 @@ def make_circuit(p: CircuitParams | None = None,
     return SwitchedField(
         f_plus=lambda x, t: fused(x, t, 1.0),  # mu = 1, "on"
         f_minus=lambda x, t: fused(x, t, -1.0),  # mu = 0, "off"
-        surface=adapted_surface(2, surface_tolerance),
         dim=2, hidden_g=hidden, time_dependent=False, fused=fused,
+        surface_tolerance=surface_tolerance,
     )
 
 
@@ -215,6 +215,6 @@ def make_duffing(p: DuffingParams | None = None, with_tracker: bool = False,
     return SwitchedField(
         f_plus=lambda x, t: fused(x, t, 1.0),
         f_minus=lambda x, t: fused(x, t, -1.0),
-        surface=adapted_surface(dim, surface_tolerance),
         dim=dim, hidden_g=hidden, time_dependent=True, fused=fused,
+        surface_tolerance=surface_tolerance,
     )

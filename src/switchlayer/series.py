@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SwitchedField, adapted_surface, _as_state
+from .core import SwitchedField
 
 # state -> n-vector
 CoeffFn = Callable[[np.ndarray], np.ndarray]
@@ -109,8 +109,7 @@ def reconstruct(e: SeriesExpansion, x, lam: float) -> np.ndarray:
     lam = float(lam)
     if not -1.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [-1, +1], got {lam}")
-    xv, _ = _as_state(x)
-    return _power_sum(e.coefficients, xv, lam)
+    return _power_sum(e.coefficients, np.asarray(x, dtype=float), lam)
 
 
 def _power_sum(coeffs, x: np.ndarray, lam: float) -> np.ndarray:
@@ -150,11 +149,11 @@ def to_hidden_form(e: SeriesExpansion, surface_tolerance: float = 1e-9,
     return SwitchedField(
         f_plus=lambda x, t: fused(x, t, 1.0),
         f_minus=lambda x, t: fused(x, t, -1.0),
-        surface=adapted_surface(dim, surface_tolerance),
         dim=dim,
         hidden_g=None if n_top <= 1 else hidden_g,
         time_dependent=time_dependent,
         fused=fused,
+        surface_tolerance=surface_tolerance,
     )
 
 
@@ -185,7 +184,7 @@ def match_alpha23(f_plus: np.ndarray, f_minus: np.ndarray, a: AsymptoticData,
 def boundary_residuals(e: SeriesExpansion, x) -> tuple[np.ndarray, np.ndarray]:
     """(sum alpha_n - f(+1), sum (-1)^n alpha_n - f(-1)); zero by construction
     for expansions built here, exposed for property checks on hand-built ones."""
-    xv, _ = _as_state(x)
+    xv = np.asarray(x, dtype=float)
     plus = reconstruct(e, xv, 1.0)
     minus = reconstruct(e, xv, -1.0)
     direct_plus = sum(np.asarray(a(xv), dtype=float) for a in e.coefficients)

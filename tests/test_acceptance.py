@@ -22,7 +22,6 @@ from switchlayer import (
     CircuitParams,
     DuffingParams,
     SwitchedField,
-    adapted_surface,
     circuit_iv_to_state,
     eval_field,
     find_layer_equilibria,
@@ -274,7 +273,7 @@ def test_criterion_5_property_suites():
         fp, fm = rng.normal(size=2), rng.normal(size=2)
         sys = SwitchedField(
             f_plus=lambda x, t, v=fp: v, f_minus=lambda x, t, v=fm: v,
-            surface=adapted_surface(2), dim=2)
+            dim=2)
         roots = find_sliding_modes(sys, np.array([0.0]))
         if fp[0] * fm[0] < 0:
             ok = (len(roots) == 1 and roots[0].stability
@@ -294,7 +293,7 @@ def test_criterion_5_property_suites():
     for sys, x0, span in runs:
         traj = integrate_hybrid(sys, x0, span,
                                 IntegratorConfig(max_step=0.05))
-        tol = sys.surface.surface_tolerance
+        tol = sys.surface_tolerance
         for prev, nxt in zip(traj.segments, traj.segments[1:]):
             gap = float(np.linalg.norm(nxt.x[0] - prev.x_final))
             c.check(gap <= 10 * tol,

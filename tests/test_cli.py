@@ -115,6 +115,17 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert "layer_transit" in out.read_text()
 
+    @pytest.mark.parametrize("eps_layer", [0.0, -1e-4])
+    def test_non_positive_eps_layer_exits_2(self, tmp_path, eps_layer):
+        doc = base_config(scenario="duffing", mode="layer_only",
+                          initial_state=[0.0, 0.0], t_span=[0.0, 2.0],
+                          eps_layer=eps_layer)
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "l.csv")]) == 2
+        assert not (tmp_path / "l.csv").exists()
+        with pytest.raises(ConfigError, match="eps_layer"):
+            RunConfig.parse(doc)
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "no.json")]) == 2
 

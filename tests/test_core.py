@@ -8,18 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchlayer import (
-    CoordinateAdaptationError,
     DimensionMismatchError,
     NonFiniteFieldError,
-    StateVector,
     SwitchedField,
-    SwitchingSurface,
-    adapted_surface,
     eval_field,
     hidden_term,
     regime_of,
 )
-from switchlayer.core import require_adapted
 
 
 def linear_system(fp, fm, dim=2, g=None):
@@ -28,7 +23,6 @@ def linear_system(fp, fm, dim=2, g=None):
     return SwitchedField(
         f_plus=lambda x, t: fp,
         f_minus=lambda x, t: fm,
-        surface=adapted_surface(dim),
         dim=dim,
         hidden_g=g,
     )
@@ -93,11 +87,8 @@ class TestEvalField:
             seen["t"] = t
             return np.array([1.0, 0.0])
 
-        sys = SwitchedField(f_plus=fp, f_minus=fp,
-                            surface=adapted_surface(2), dim=2)
-        eval_field(sys, StateVector(np.zeros(2), t=3.5), 1.0)
-        assert seen["t"] == 3.5
-        eval_field(sys, StateVector(np.zeros(2), t=3.5), 1.0, t=7.0)
+        sys = SwitchedField(f_plus=fp, f_minus=fp, dim=2)
+        eval_field(sys, np.zeros(2), 1.0, t=7.0)
         assert seen["t"] == 7.0
 
 
@@ -124,53 +115,15 @@ class TestHiddenTerm:
 
 class TestRegimeClassification:
     def test_thresholding(self):
-        surf = adapted_surface(2, surface_tolerance=1e-6)
-        assert regime_of(surf, np.array([1e-5, 0.0])) == "plus"
-        assert regime_of(surf, np.array([-1e-5, 0.0])) == "minus"
-        assert regime_of(surf, np.array([5e-7, 0.0])) == "on_surface"
-        assert regime_of(surf, np.array([0.0, 9.0])) == "on_surface"
+        sys = dataclasses.replace(linear_system([1.0, 0.0], [0.0, 1.0]),
+                                  surface_tolerance=1e-6)
+        assert regime_of(sys, np.array([1e-5, 0.0])) == "plus"
+        assert regime_of(sys, np.array([-1e-5, 0.0])) == "minus"
+        assert regime_of(sys, np.array([5e-7, 0.0])) == "on_surface"
+        assert regime_of(sys, np.array([0.0, 9.0])) == "on_surface"
 
     def test_tolerance_must_be_positive(self):
+        sys = linear_system([1.0, 0.0], [0.0, 1.0])
         with pytest.raises(ValueError):
-            adapted_surface(2, surface_tolerance=0.0)
+            dataclasses.replace(sys, surface_tolerance=0.0)
 
-
-class TestSurface:
-    def test_adapted_surface_gradient(self):
-        surf = adapted_surface(3)
-        x = np.array([0.1, 2.0, -1.0])
-        assert surf.value(x) == 0.1
-        np.testing.assert_array_equal(surf.gradient(x), [1.0, 0.0, 0.0])
-        assert surf.is_adapted(x)
-        assert surf.check_gradient(x)
-
-    def test_non_adapted_surface_detected(self):
-        surf = SwitchingSurface(
-            v=lambda x: x[0] + x[1],
-            grad_v=lambda x: np.array([1.0, 1.0]),
-        )
-        assert not surf.is_adapted(np.zeros(2))
-        sys = SwitchedField(
-            f_plus=lambda x, t: np.zeros(2),
-            f_minus=lambda x, t: np.zeros(2),
-            surface=surf, dim=2)
-        with pytest.raises(CoordinateAdaptationError):
-            require_adapted(sys, np.zeros(2))
-
-    def test_gradient_check_catches_wrong_gradient(self):
-        surf = SwitchingSurface(
-            v=lambda x: x[0] ** 2 + x[1],
-            grad_v=lambda x: np.array([1.0, 1.0]),  # wrong at x0 != 0.5
-        )
-        assert not surf.check_gradient(np.array([2.0, 0.0]))
-
-
-class TestStateVector:
-    def test_requires_vector_of_dim_at_least_two(self):
-        with pytest.raises(DimensionMismatchError):
-            StateVector(np.array([1.0]))
-        with pytest.raises(DimensionMismatchError):
-            StateVector(np.zeros((2, 2)))
-        sv = StateVector([1.0, 2.0, 3.0], t=1.0)
-        assert sv.dim == 3
-        assert sv.t == 1.0

@@ -12,7 +12,6 @@ from switchlayer import (
     SigmoidSpec,
     SwitchedField,
     TrajectorySegment,
-    adapted_surface,
     advance_to_surface,
     integrate_regularized,
     integrate_smooth,
@@ -26,8 +25,8 @@ def linear_system(fp, fm, dim=2, g=None, tol=1e-9):
     return SwitchedField(
         f_plus=lambda x, t: fp,
         f_minus=lambda x, t: fm,
-        surface=adapted_surface(dim, tol),
         dim=dim,
+        surface_tolerance=tol,
         hidden_g=g,
     )
 
@@ -43,8 +42,6 @@ class TestIntegratorConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             IntegratorConfig(rel_tol=-1.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(event_tol=1.0, max_step=0.5)
         with pytest.raises(ValueError):
             IntegratorConfig(max_steps=0)
 
@@ -159,8 +156,7 @@ class TestAdvanceToSurface:
         def fp(x, t):
             return np.array([2.0 * (t - 1.0), 1.0])
 
-        sys = SwitchedField(f_plus=fp, f_minus=fp,
-                            surface=adapted_surface(2, tol), dim=2)
+        sys = SwitchedField(f_plus=fp, f_minus=fp, dim=2, surface_tolerance=tol)
         # x1(t) = (t-1)^2 + tol/2 dips into the band but never crosses
         x0 = np.array([1.0 + tol / 2, 0.0])
         with pytest.warns(GrazeWarning):

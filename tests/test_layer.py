@@ -9,18 +9,17 @@ from switchlayer import (
     NonFiniteFieldError,
     SeriesExpansion,
     SwitchedField,
-    adapted_surface,
     classify_surface_point,
     find_layer_equilibria,
     find_sliding_modes,
     integrate_hybrid,
     integrate_layer_only,
+    layer_amplitude,
     layer_field,
     make_duffing,
     make_example2,
     to_hidden_form,
 )
-from switchlayer.core import CoordinateAdaptationError
 
 
 def linear_system(fp, fm, dim=2, g=None, tol=1e-9, time_dependent=False):
@@ -29,8 +28,8 @@ def linear_system(fp, fm, dim=2, g=None, tol=1e-9, time_dependent=False):
     return SwitchedField(
         f_plus=lambda x, t: fp,
         f_minus=lambda x, t: fm,
-        surface=adapted_surface(dim, tol),
         dim=dim,
+        surface_tolerance=tol,
         hidden_g=g,
         time_dependent=time_dependent,
     )
@@ -110,17 +109,6 @@ class TestFindSlidingModes:
         with pytest.raises(DegenerateInclusionError):
             find_sliding_modes(sys, np.array([0.0]))
 
-    def test_requires_adapted_surface(self):
-        surf = adapted_surface(2)
-        tilted = SwitchedField(
-            f_plus=lambda x, t: np.array([1.0, 0.0]),
-            f_minus=lambda x, t: np.array([-1.0, 0.0]),
-            surface=type(surf)(v=lambda x: x[0] + x[1],
-                               grad_v=lambda x: np.array([1.0, 1.0])),
-            dim=2)
-        with pytest.raises(CoordinateAdaptationError):
-            find_sliding_modes(tilted, np.array([0.0]))
-
 
 class TestNonFiniteField:
     """The root finders evaluate unchecked and test the collected values."""
@@ -187,8 +175,7 @@ class TestFindLayerEquilibria:
         def fm(x, t):
             return np.array([1.3, 2.0 - x[1]])
 
-        sys = SwitchedField(f_plus=fp, f_minus=fm,
-                            surface=adapted_surface(2), dim=2)
+        sys = SwitchedField(f_plus=fp, f_minus=fm, dim=2)
         eqs = find_layer_equilibria(sys, [(-1, 1), (-5, 5)])
         assert len(eqs) == 1
         eq = eqs[0]
@@ -205,8 +192,7 @@ class TestFindLayerEquilibria:
         def fm(x, t):
             return np.array([1.3, 1.0])
 
-        sys = SwitchedField(f_plus=fp, f_minus=fm,
-                            surface=adapted_surface(2), dim=2)
+        sys = SwitchedField(f_plus=fp, f_minus=fm, dim=2)
         assert find_layer_equilibria(sys, [(-1, 1), (-5, 5)]) == []
 
     def test_time_dependent_rejected(self):
@@ -247,8 +233,7 @@ class TestIntegrateHybrid:
         def fm(x, t):
             return np.array([1.0, 1.0])
 
-        sys = SwitchedField(f_plus=fp, f_minus=fm,
-                            surface=adapted_surface(2), dim=2)
+        sys = SwitchedField(f_plus=fp, f_minus=fm, dim=2)
         traj = integrate_hybrid(sys, np.array([-0.5, 0.0]), (0.0, 2.0))
         kinds = [kind for _, kind in traj.transitions]
         assert kinds[:2] == ["stick", "exit_slide"]
@@ -317,3 +302,30 @@ class TestIntegrateLayerOnly:
         assert seg.t_final == pytest.approx(30.0)
         assert np.max(np.abs(seg.lam)) > 0.1  # sustained hidden oscillation
         assert np.all(np.abs(seg.lam) <= 1.0 + 1e-9)
+
+    @pytest.mark.parametrize("eps_layer", [0.0, -1e-4])
+    def test_eps_layer_validated(self, eps_layer):
+        with pytest.raises(ValueError, match="eps_layer"):
+            integrate_layer_only(make_duffing(), 0.0, np.array([0.0]), (0.0, 2.0),
+                                 eps_layer=eps_layer)
+
+
+class TestLayerAmplitude:
+    t = np.linspace(0.0, 10.0, 10_001)
+    # slow swing of amplitude 0.5 with a fast ripple of amplitude 0.1
+    lam = 0.5 * np.sin(t) + 0.1 * np.sin(200.0 * t)
+
+    def test_raw_and_averaged(self):
+        raw = layer_amplitude(self.t, self.lam, (0.0, 10.0))
+        assert raw == pytest.approx(0.6, abs=1e-3)
+        avg = layer_amplitude(self.t, self.lam, (0.0, 10.0), average=2 * np.pi / 20)
+        assert avg == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("window, average", [
+        ((20.0, 30.0), 0.0),   # no samples in the window
+        ((20.0, 30.0), 0.3),
+        ((4.0, 4.2), 0.3),     # window shorter than the averaging span
+    ])
+    def test_empty_window_named(self, window, average):
+        with pytest.raises(ValueError, match=r"window \[\d"):
+            layer_amplitude(self.t, self.lam, window, average=average)

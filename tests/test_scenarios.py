@@ -8,7 +8,6 @@ from switchlayer import (
     DuffingParams,
     SeriesExpansion,
     SwitchedField,
-    adapted_surface,
     circuit_iv_to_state,
     circuit_state_to_iv,
     eval_field,
@@ -56,11 +55,6 @@ class TestStructuralInvariants:
             np.testing.assert_array_equal(eval_field(sys, x, -1.0, t=t),
                                           sys.f_minus(x, t))
 
-    def test_adapted_surfaces(self):
-        for factory in ALL_FACTORIES:
-            sys = factory()
-            assert sys.surface.is_adapted(np.zeros(sys.dim))
-
     def test_fused_field_matches_hidden_form(self):
         rng = np.random.default_rng(3)
         alphas = tuple((lambda v: (lambda x: v * (1.0 + x[1])))(rng.normal(size=2))
@@ -73,7 +67,7 @@ class TestStructuralInvariants:
             return SwitchedField(
                 f_plus=lambda x, t: np.array([1.0 - x[1], np.sin(t)]),
                 f_minus=lambda x, t: np.array([-1.0, x[0] * x[1]]),
-                surface=adapted_surface(2), dim=2,
+                dim=2,
                 hidden_g=lambda x, t, lam: np.array([lam * x[1], 2.0 + lam * lam]))
 
         for factory in ALL_FACTORIES + [series_field, composed]:

@@ -127,11 +127,6 @@ class TestHiddenForm:
                 np.testing.assert_allclose(hidden_form, reconstruct(e, x, float(lam)),
                                            atol=1e-12)
 
-    def test_surface_is_adapted(self):
-        e = SeriesExpansion((const([1, 0]), const([0, 1]), const([1, 1])))
-        sys = to_hidden_form(e, dim=2)
-        assert sys.surface.is_adapted(np.zeros(2))
-
 
 class TestAsymptoticMatching:
     def test_round_trip_recovery(self):
