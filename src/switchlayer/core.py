@@ -47,13 +47,21 @@ class SwitchedField:
     inferred from sampling.
 
     ``fused`` evaluates f(x; lam) in one call and is always set: it is the
-    one evaluator that ``eval_field`` and ``fast_field_eval`` wrap.  When
-    the constructor gives none, it is composed once from the hidden form of
-    f_plus, f_minus and hidden_g; the composition returns f_plus / f_minus
-    exactly at lam = +-1 without calling hidden_g.  A given ``fused`` must
-    agree with that hidden form.  Either way it is also evaluated slightly
-    past +-1 (|lam| <= 1.5), where sliding continuation follows a root
-    through the layer boundary, so it must continue the hidden form there.
+    one evaluator of the field.  ``eval_field`` wraps it with validation and
+    ``fast_field_eval`` with a clip of lam; the layer and regularized runs
+    call it directly, clipping lam themselves.  When the constructor gives
+    none, it is composed once from the hidden form of f_plus, f_minus and
+    hidden_g; the composition returns f_plus / f_minus exactly at lam = +-1
+    without calling hidden_g.  A given ``fused`` must agree with that
+    hidden form.  Either way it is also evaluated slightly past +-1
+    (|lam| <= 1.5), where sliding continuation follows a root through the
+    layer boundary, so it must continue the hidden form there.
+
+    The runs rely on this calling contract: ``fused`` gets a float64 state
+    of shape (dim,) and a Python float lam, returns a float array of shape
+    (dim,), and neither keeps nor modifies x (the integrator reuses its
+    state buffers).  Callers never write into the returned array, which a
+    composed field shares with f_plus / f_minus at lam = +-1.
     """
 
     f_plus: FieldFn

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import ode
 from scipy.optimize import brentq
 
-from .core import SwitchedField, fast_field_eval, regime_of
+from .core import SwitchedField, regime_of
 from .sigmoids import SigmoidSpec
 
 _EPS = np.finfo(float).eps
@@ -111,14 +111,6 @@ def _hermite(t0, y0, f0, t1, y1, f1):
     return y
 
 
-def _crosses(g0: float, g1: float, direction: float) -> bool:
-    if g0 == 0.0 and g1 == 0.0:
-        return False
-    up = g0 <= 0.0 <= g1
-    down = g0 >= 0.0 >= g1
-    return (up and direction >= 0) or (down and direction <= 0)
-
-
 _running = False
 
 
@@ -153,7 +145,9 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, events=(), max_step=None,
             return nan
 
     ts, ys = [t0], [y0]
-    g_prev = [ev.fun(t0, y0) for ev in events]
+    funs = [ev.fun for ev in events]
+    directions = [ev.direction for ev in events]
+    g_prev = [fun(t0, y0) for fun in funs]
     event_times: list[list[float]] = [[] for _ in events]
     stopped_by = None
 
@@ -172,9 +166,15 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, events=(), max_step=None,
             return 0  # DOPRI5 reports the initial point first
         try:
             y = y.copy()
-            g_new = [ev.fun(t, y) for ev in events]
-            hit = [i for i, ev in enumerate(events)
-                   if _crosses(g_prev[i], g_new[i], ev.direction)]
+            g_new = [fun(t, y) for fun in funs]
+            hit = None
+            for i, d in enumerate(directions):
+                g0, g1 = g_prev[i], g_new[i]
+                # a sign change (or a zero at either end) in direction d;
+                # a pair of exact zeros is no crossing
+                if ((g0 <= 0.0 <= g1 and d >= 0 or g0 >= 0.0 >= g1 and d <= 0)
+                        and (g0 != 0.0 or g1 != 0.0)):
+                    hit = (hit or []) + [i]
             if hit:
                 ta, ya = ts[-1], ys[-1]
                 interp = _hermite(ta, ya, np.asarray(field(ya, ta), dtype=float),
@@ -291,17 +291,18 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
     cfg = cfg or IntegratorConfig()
     xv = sys._check_state(x0)
     eps = sigmoid.eps
-    feval = fast_field_eval(sys)
-
+    fused = sys.fused
     phi = sigmoid.scalar_fn()
     shifted = sigmoid.range == (0.0, 1.0)
 
-    def lam_of(x):
-        lam = phi(float(x[0]))
-        return 2.0 * lam - 1.0 if shifted else lam
+    def lam_of(x1):
+        lam = phi(x1)
+        if shifted:
+            lam = 2.0 * lam - 1.0
+        return -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam)
 
     def field(x, t):
-        return feval(x, t, lam_of(x))
+        return fused(x, t, lam_of(float(x[0])))
 
     def edge(sign):
         return lambda t, y: y[0] - sign * eps
@@ -324,8 +325,8 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
     t_now, t_end = float(t_span[0]), float(t_span[1])
     x_now = xv
     steps_left = cfg.max_steps
+    inside = in_band(x_now, t_now)
     while True:
-        inside = in_band(x_now, t_now)
         run = _solve(field, x_now, (t_now, t_end), cfg,
                      events=leave if inside else enter,
                      max_step=min(cfg.max_step, eps / 4.0) if inside else cfg.max_step,
@@ -340,8 +341,11 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
             raise IntegrationError(
                 f"no progress past a transition-band edge at t={t_now:.6g}")
         t_now, x_now = float(run.t[-1]), run.y[-1]
+        # x1 may lie a few ulp past the edge, so the event that stopped the
+        # run tells the side: a leave stop is outside, an enter stop inside
+        inside = not inside
 
     t_all = np.concatenate(t_parts)
     x_all = np.vstack(x_parts)
-    lam_all = np.clip([lam_of(xx) for xx in x_all], -1.0, 1.0)
+    lam_all = np.array([lam_of(x1) for x1 in x_all[:, 0].tolist()])
     return TrajectorySegment(t_all, x_all, "regularized", lam=lam_all)

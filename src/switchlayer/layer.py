@@ -353,15 +353,17 @@ def _integrate_sliding(sys, x_surface, t_span, cfg, root: SlidingSolution):
 
 def _integrate_layer(sys, lam0, x_rest0, t_span, cfg, eps_layer):
     """Coupled layer transit: d lam/dt = f1/eps_layer, slow rest dynamics."""
-    feval = fast_field_eval(sys)
+    fused = sys.fused
     scale = np.ones(sys.dim)
     scale[0] = eps_layer
 
     def rhs(z, t):
-        # the state on the surface is (0, x_rest)
+        # the state on the surface is (0, x_rest); lam is clipped to the layer
         x = z.copy()
+        lam = float(x[0])
+        lam = -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam)
         x[0] = 0.0
-        return feval(x, t, z[0]) / scale
+        return fused(x, t, lam) / scale
 
     exits = (Event(lambda t, z: z[0] - 1.0, direction=1.0),
              Event(lambda t, z: z[0] + 1.0, direction=-1.0))

@@ -122,11 +122,14 @@ def make_circuit(p: CircuitParams | None = None,
     p = p or CircuitParams()
     L, R, RC, V0, Vb, sg = p.L, p.R, p.RC, p.V0, p.Vb, p.sigma
 
-    # f = (dx1/dt, dI/dt); x1 = Vb - V, so dx1/dt = -dV/dt
+    # f = (dx1/dt, dI/dt); x1 = Vb - V, so dx1/dt = -dV/dt.  Computed on
+    # Python floats, with p.p_of_mu(mu) written out in its operation order
     def fused(x, t, lam):
+        x1, I = x.tolist()
         mu = 0.5 * (1.0 + lam)
-        V = Vb - x[0]
-        return np.array([(V - x[1] * R * p.p_of_mu(mu)) / RC, (V0 - mu * V) / L])
+        V = Vb - x1
+        return np.array(((V - I * R * (mu - sg * (1.0 - mu) * mu)) / RC,
+                         (V0 - mu * V) / L))
 
     hidden = None
     if sg != 0.0:
@@ -197,12 +200,13 @@ def make_duffing(p: DuffingParams | None = None, with_tracker: bool = False,
     dim = 3 if with_tracker else 2
 
     def fused(x, t, lam):
+        s = x.tolist()  # Python floats: far cheaper than numpy scalars
         # both variants agree at lam = +-1
         drive = -lam * lam * lam if cubic else -lam
-        out = [x[1] - c * x[0], drive - b * x[1] + a * math.cos(t)]
+        f2 = drive - b * s[1] + a * math.cos(t)
         if with_tracker:
-            out.append((lam - x[2]) / mu_tr)
-        return np.array(out)
+            return np.array((s[1] - c * s[0], f2, (lam - s[2]) / mu_tr))
+        return np.array((s[1] - c * s[0], f2))
 
     hidden = None
     if cubic:

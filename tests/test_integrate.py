@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from switchlayer import (
+    CircuitParams,
     GrazeWarning,
     IntegratorConfig,
     SigmoidSpec,
     SwitchedField,
     TrajectorySegment,
     advance_to_surface,
+    circuit_iv_to_state,
     integrate_regularized,
     integrate_smooth,
+    make_circuit,
 )
 from switchlayer.integrate import IntegrationError
 
@@ -223,3 +226,18 @@ class TestIntegrateRegularized:
         # the stable balance sits at lam = -1/sqrt(2), i.e. v = -eps/sqrt(2)
         assert seg.x_final[0] == pytest.approx(-sig.eps / np.sqrt(2), rel=1e-3)
         assert seg.x_final[1] == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize("kind", ["piecewise_linear", "erf"])
+    def test_restart_just_past_band_edge(self, kind):
+        # the sigma = 1/2 circuit enters the band at t = 4.81; the run that
+        # enters stops 2e-16 (erf: 4.7e-16) above x1 = eps, past a 1e-12
+        # relative slack, so the restart must take its side from the event
+        p = CircuitParams(sigma=0.5)
+        sig = SigmoidSpec(kind, eps=1e-4)
+        seg = integrate_regularized(make_circuit(p), sig, circuit_iv_to_state(0.0, 0.0, p),
+                                    (0.0, 6.0))
+        assert seg.t_final == 6.0
+        entered = np.argmax(np.abs(seg.x[:, 0]) < sig.eps)
+        assert 4.8 < seg.t[entered] < 4.82
+        # capped from the entry on: the band is left only through its edges
+        assert np.diff(seg.t[entered:]).max() <= sig.eps / 4 + 1e-12

@@ -1,5 +1,7 @@
 """Layer analysis: sliding roots, equilibria, classification, hybrid runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,14 @@ from switchlayer import (
     IntegratorConfig,
     NonFiniteFieldError,
     SeriesExpansion,
+    SigmoidSpec,
     SwitchedField,
     classify_surface_point,
     find_layer_equilibria,
     find_sliding_modes,
     integrate_hybrid,
     integrate_layer_only,
+    integrate_regularized,
     layer_amplitude,
     layer_field,
     make_duffing,
@@ -308,6 +312,26 @@ class TestIntegrateLayerOnly:
         with pytest.raises(ValueError, match="eps_layer"):
             integrate_layer_only(make_duffing(), 0.0, np.array([0.0]), (0.0, 2.0),
                                  eps_layer=eps_layer)
+
+
+# returned as is by a composed field's fused at lam = +-1
+F_PLUS = np.array([-1.0, 1.0])
+F_MINUS = np.array([1.0, 0.5])
+
+
+def test_runs_never_write_into_field_arrays():
+    before = F_PLUS.copy(), F_MINUS.copy()
+    sys = SwitchedField(f_plus=lambda x, t: F_PLUS, f_minus=lambda x, t: F_MINUS, dim=2)
+    x0 = np.array([0.5, 0.0])
+    integrate_layer_only(sys, 1.0, np.array([0.0]), (0.0, 1.0), eps_layer=1e-3)
+    integrate_regularized(sys, SigmoidSpec("piecewise_linear", eps=1e-2), x0, (0.0, 1.0))
+    # free flight, then sliding or (time dependent) a layer transit
+    for system, regime in ((sys, "sliding"),
+                           (dataclasses.replace(sys, time_dependent=True), "layer_transit")):
+        traj = integrate_hybrid(system, x0, (0.0, 1.0), eps_layer=1e-3)
+        assert [seg.regime for seg in traj.segments] == ["free_plus", regime]
+    np.testing.assert_array_equal(F_PLUS, before[0])
+    np.testing.assert_array_equal(F_MINUS, before[1])
 
 
 class TestLayerAmplitude:

@@ -1,5 +1,7 @@
 """Reference systems: published parameters, field formulas, structure."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,46 @@ class TestStructuralInvariants:
                                            rtol=1e-12, atol=1e-12)
                 np.testing.assert_array_equal(sys.fused(x, t, 1.0), fp)
                 np.testing.assert_array_equal(sys.fused(x, t, -1.0), fm)
+
+
+def array_circuit(p):
+    """The circuit's evaluator on numpy scalars, as first written."""
+    def fused(x, t, lam):
+        mu = 0.5 * (1.0 + lam)
+        V = p.Vb - x[0]
+        return np.array([(V - x[1] * p.R * p.p_of_mu(mu)) / p.RC, (p.V0 - mu * V) / p.L])
+    return fused
+
+
+def array_duffing(p, with_tracker):
+    """The forced relay's evaluator on numpy scalars, as first written."""
+    cubic = p.variant == "nonlinear_cubic"
+
+    def fused(x, t, lam):
+        drive = -lam * lam * lam if cubic else -lam
+        out = [x[1] - p.c * x[0], drive - p.b * x[1] + p.a * math.cos(t)]
+        if with_tracker:
+            out.append((lam - x[2]) / p.tracker_mu)
+        return np.array(out)
+    return fused
+
+
+@pytest.mark.parametrize("sys, ref", [
+    *[pytest.param(make_circuit(CircuitParams(sigma=s)), array_circuit(CircuitParams(sigma=s)),
+                   id=f"circuit-sigma{s}") for s in (0.0, 0.5, 0.3)],
+    *[pytest.param(make_duffing(DuffingParams(variant=v), with_tracker=k),
+                   array_duffing(DuffingParams(variant=v), k), id=f"duffing-{v}-tracker{k}")
+      for v in ("nonlinear_cubic", "linear") for k in (False, True)],
+])
+def test_float_evaluators_are_bit_exact(sys, ref):
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        x = rng.normal(scale=3.0, size=sys.dim)
+        t = float(rng.uniform(0.0, 50.0))
+        for lam in (float(rng.uniform(-1.5, 1.5)), 1.0, -1.0):
+            out = sys.fused(x, t, lam)
+            assert out.dtype == np.float64 and out is not x
+            np.testing.assert_array_equal(out, ref(x, t, lam), strict=True)
 
 
 class TestExample1:
