@@ -31,6 +31,7 @@ from .layer import (
     find_sliding_modes,
     integrate_hybrid,
     integrate_layer_only,
+    layer_amplitude,
 )
 from .scenarios import (
     CircuitParams,
@@ -229,37 +230,28 @@ def run_simulation(cfg: RunConfig):
                                 eps_layer=cfg.eps_layer)
 
 
-def amplitude_of(result, window: tuple[float, float]) -> dict:
-    """Half the peak-to-peak range of the multiplier over a time window.
+def amplitude_of(result, window: tuple[float, float], average: float = 0.0) -> dict:
+    """``layer.layer_amplitude`` of the run's multiplier over a time window.
 
-    This is the raw range of the samples, so on a stiff layer it includes
-    the fast in-layer ripple; ``layer.layer_amplitude`` with ``average``
-    set gives the ripple-averaged amplitude instead.
+    Raw (in-layer ripple included), or ripple-averaged with ``average`` >
+    0; n_samples, lambda_min and lambda_max are of the raw samples.
     """
-    t_all, lam_all = [], []
-    for seg in _segments_of(result):
-        if seg.lam is None:
-            continue
-        t_all.append(seg.t)
-        lam_all.append(seg.lam)
-    if not t_all:
+    segs = [seg for seg in _segments_of(result) if seg.lam is not None]
+    if not segs:
         raise ConfigError("no multiplier samples in the trajectory")
-    t = np.concatenate(t_all)
-    lam = np.concatenate(lam_all)
+    t = np.concatenate([seg.t for seg in segs])
+    lam = np.concatenate([seg.lam for seg in segs])
     lo, hi = window
     if lo < t[0] - 1e-9 or hi > t[-1] + 1e-9 or hi <= lo:
         raise ConfigError(f"window {window} outside the simulated span")
-    m = (t >= lo) & (t <= hi)
-    if not np.any(m):
-        raise ConfigError("window contains no multiplier samples")
-    sel = lam[m]
-    return {
-        "window": [lo, hi],
-        "n_samples": int(m.sum()),
-        "lambda_min": float(sel.min()),
-        "lambda_max": float(sel.max()),
-        "amplitude": float(0.5 * (sel.max() - sel.min())),
-    }
+    try:
+        amp = layer_amplitude(t, lam, window, average)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    sel = lam[(t >= lo) & (t <= hi)]
+    report = {"window": [lo, hi], "n_samples": int(sel.size), "amplitude": amp,
+              "lambda_min": float(sel.min()), "lambda_max": float(sel.max())}
+    return {**report, "average": average} if average > 0 else report
 
 
 # -- subcommands --------------------------------------------------------
@@ -337,9 +329,10 @@ def cmd_sweep(doc: dict, parameter: str, values: list, out: str | None,
 
 
 def cmd_amplitude(cfg: RunConfig, window: tuple[float, float],
-                  out: str | None) -> int:
-    result = run_simulation(cfg)
-    report = amplitude_of(result, window)
+                  out: str | None, average: float | None = None) -> int:
+    if average is not None and not average > 0:
+        raise ConfigError("--average must be a positive span")
+    report = amplitude_of(run_simulation(cfg), window, average or 0.0)
     text = json.dumps(report, indent=1, sort_keys=True) + "\n"
     if out:
         with open(out, "w") as fh:
@@ -429,12 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True,
                          help="JSON list of values, e.g. '[0.1, 0.01]'")
 
-    amp_help = ("raw half peak-to-peak of the multiplier over a window "
-                "(in-layer ripple included, not averaged)")
+    amp_help = ("half peak-to-peak of the multiplier over a window: raw (in-layer "
+                "ripple included), or with --average SPAN of its running mean")
     p_amp = sub.add_parser("amplitude", help=amp_help, description=amp_help)
     common(p_amp)
     p_amp.add_argument("--window", required=True, nargs=2, type=float,
                        metavar=("T_LO", "T_HI"))
+    p_amp.add_argument("--average", type=float, metavar="SPAN", help="averaging span")
 
     common(sub.add_parser("sliding", help="dump sliding modes over a state grid"))
     common(sub.add_parser("equilibria", help="dump layer equilibria in a box"))
@@ -457,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out, args.format)
         if args.command == "amplitude":
-            return cmd_amplitude(cfg, tuple(args.window), args.out)
+            return cmd_amplitude(cfg, tuple(args.window), args.out, args.average)
         if args.command == "sliding":
             return cmd_sliding(cfg, doc, args.out, args.format)
         return cmd_equilibria(cfg, doc, args.out, args.format)

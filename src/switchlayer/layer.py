@@ -33,7 +33,13 @@ from .integrate import (
 
 ROOT_TOL = 1e-12
 DERIV_TOL = 1e-8
-SLIDING_GRID = 512  # lam cells searched for sign changes of f1
+SLIDING_GRID = 512  # uniform lam cells that bracket the polished roots
+_GRID = np.linspace(-1.0, 1.0, SLIDING_GRID + 1).tolist()
+CHEB_TOL = 1e-13  # resolved once upper-half coefficients < CHEB_TOL * max|f1|
+CLUSTER_MAX = 1e-2  # widest gap inside a cluster of colleague-matrix roots
+POLISH_TOL = 5e-5  # how far a grid-cell root may lie from the root it polishes
+REAL_TOL = 1e-6  # slack on a root's imaginary part and on [-1, 1]
+_SET_VALUED = "f1 vanishes on a lam-subinterval; sliding is set-valued"
 EQUILIBRIA_GRID = 8  # Newton seeds per search-box axis
 
 
@@ -98,13 +104,82 @@ def layer_field(sys: SwitchedField, x_rest, t: float, lam: float
     return float(f[0]), f[1:]
 
 
+def _chebyshev_f1(feval, x, t: float):
+    """f1's Chebyshev coefficients on [-1, 1], or None if not resolved."""
+    n, v = 16, None
+    lams = np.cos(np.arange(n + 1) * (np.pi / n))
+    while True:
+        fields = np.array([feval(x, t, lm) for lm in lams.tolist()])
+        _check_finite(fields, x, "[-1, 1]")
+        v = fields[:, 0] if v is None else np.insert(v, np.arange(1, v.size), fields[:, 0])
+        scale = np.abs(v).max()
+        if scale < 1e-14:
+            raise DegenerateInclusionError(_SET_VALUED)
+        c = np.fft.rfft(np.concatenate((v, v[-2:0:-1]))).real / n  # even extension
+        c[[0, n]] /= 2
+        tol = CHEB_TOL * scale
+        if np.abs(c[n // 2 + 1:]).max() <= tol:
+            return c[:np.flatnonzero(np.abs(c) > tol)[-1] + 1]
+        if n == SLIDING_GRID:
+            return None
+        n *= 2
+        lams = np.cos(np.arange(1, n, 2) * (np.pi / n))
+
+
+def _merged_roots(coeffs) -> list[float]:
+    """Real roots in [-1, 1] of a Chebyshev series p, each cluster merged.
+
+    A k-fold root splits by about (eta / |p^(k)(r) / k!|)**(1/k), eta =
+    CHEB_TOL * sum|coeffs|: k roots that close to their mean are one root.
+    """
+    cheb = np.polynomial.chebyshev
+    z = [r for r in np.sort_complex(cheb.chebroots(coeffs)).tolist()
+         if abs(r.imag) <= CLUSTER_MAX]
+    eta = CHEB_TOL * np.abs(coeffs).sum()
+    out, runs = [], [z] if z else []
+    while runs:
+        run = runs.pop()
+        k, mean = len(run), sum(run) / len(run)
+        gaps = [abs(b - a) for a, b in zip(run, run[1:])]
+        if k > 1 and (max(gaps) > CLUSTER_MAX or max(abs(r - mean) for r in run) ** k
+                      * abs(cheb.chebval(mean, cheb.chebder(coeffs, k)))
+                      > eta * math.factorial(k)):
+            i = gaps.index(max(gaps)) + 1
+            runs += [run[:i], run[i:]]
+        elif abs(mean.imag) <= REAL_TOL and abs(mean.real) <= 1.0 + REAL_TOL:
+            out.append(mean.real)
+    return out
+
+
+def _cell_roots(f1, lo: int, hi: int, vals=None) -> list[float]:
+    """The grid scan's root in cells lo..hi: an end where f1 is 0, else brentq's."""
+    vals = {i: f1(_GRID[i]) for i in range(lo, hi + 2)} if vals is None else vals
+    out = []
+    for i in range(lo, hi + 1):
+        a, b, fa, fb = _GRID[i], _GRID[i + 1], vals[i], vals[i + 1]
+        if fa == 0.0 or fb == 0.0:
+            out.append(a if fa == 0.0 else b)
+        elif fa * fb < 0:
+            out.append(brentq(f1, a, b, xtol=ROOT_TOL, rtol=4 * np.finfo(float).eps))
+    return out
+
+
 def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0
                        ) -> list[SlidingSolution]:
     """All roots of f1(x; lam) = 0 on lam in [-1, 1], tagged with stability.
 
-    Sign changes on a uniform grid are refined by bracketed root-finding.
-    An empty list means the flow crosses.  An identically vanishing f1 on
-    a subinterval raises DegenerateInclusionError.
+    f1 is sampled at the Chebyshev-Lobatto points cos(pi k / n), n = 16,
+    32, ... (old samples reused), until the upper half of its Chebyshev
+    coefficients is below CHEB_TOL * max|f1|.  The roots are the real
+    eigenvalues in [-1, 1] of the colleague matrix; the cluster a multiple
+    root splits into is merged.  Each is replaced by the nearest root
+    within POLISH_TOL of a cell of the uniform SLIDING_GRID grid: an end
+    where f1 is zero, or brentq's root where f1 changes sign.  A root no
+    cell brackets (even multiplicity, two in a cell) is kept as it is.  A
+    central difference gives stability, so a multiple root is 'marginal'.
+    An f1 unresolved at SLIDING_GRID cells (a kink in lam) gets the roots
+    of every grid cell instead.  No roots means the flow crosses; f1 = 0
+    (on that scan: on a subinterval) raises DegenerateInclusionError.
     """
     x = _full_state(np.asarray(x_rest, dtype=float), sys.dim)
     feval = fast_field_eval(sys)
@@ -112,56 +187,32 @@ def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0
     def f1(lam):
         return float(feval(x, t, lam)[0])
 
-    lams = np.linspace(-1.0, 1.0, SLIDING_GRID + 1)
-    fields = np.array([feval(x, t, lm) for lm in lams.tolist()])
-    _check_finite(fields, x, "[-1, 1]")
-    vals = fields[:, 0]
+    coeffs = _chebyshev_f1(feval, x, t)
+    if coeffs is None:
+        fields = np.array([feval(x, t, lm) for lm in _GRID])
+        _check_finite(fields, x, "[-1, 1]")
+        tiny = np.abs(fields[:, 0]) < 1e-14
+        if (tiny[:-2] & tiny[1:-1] & tiny[2:]).any():
+            raise DegenerateInclusionError(_SET_VALUED)
+        found = _cell_roots(f1, 0, SLIDING_GRID - 1, fields[:, 0])
+    else:
+        found = []
+        for r in _merged_roots(coeffs):
+            lo, hi = (min(max(int((r + d + 1) * SLIDING_GRID / 2), 0), SLIDING_GRID - 1)
+                      for d in (-POLISH_TOL, POLISH_TOL))
+            near = [p for p in _cell_roots(f1, lo, hi) if abs(p - r) <= POLISH_TOL]
+            if near or -1.0 <= r <= 1.0:
+                found.append(min(near, key=lambda p: abs(p - r)) if near else r)
 
-    # set-valued degeneracy: a run of exact zeros across grid cells
-    tiny = np.abs(vals) < 1e-14
-    if tiny.size >= 3:
-        run = 0
-        for flag in tiny:
-            run = run + 1 if flag else 0
-            if run >= 3:
-                raise DegenerateInclusionError(
-                    "f1 vanishes on a lam-subinterval; sliding is set-valued"
-                )
-
-    roots: list[float] = []
-
-    def add(r):
-        if all(abs(r - q) > 1e-9 for q in roots):
-            roots.append(r)
-
-    for i in range(SLIDING_GRID):
-        a, b = lams[i], lams[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            add(a)
+    out: list[SlidingSolution] = []
+    for r in sorted(found):
+        if out and r - out[-1].lam_s <= 1e-9:
             continue
-        if fb == 0.0:
-            if i == SLIDING_GRID - 1:
-                add(b)
-            continue
-        if fa * fb < 0:
-            r = brentq(f1, a, b,
-                       xtol=ROOT_TOL, rtol=4 * np.finfo(float).eps)
-            add(float(r))
-
-    out = []
-    for r in sorted(roots):
-        h = 1e-6
-        lo, hi = max(-1.0, r - h), min(1.0, r + h)
+        lo, hi = max(-1.0, r - 1e-6), min(1.0, r + 1e-6)
         d = (f1(hi) - f1(lo)) / (hi - lo)
-        if abs(d) <= DERIV_TOL:
-            stab = "marginal"
-        elif d < 0:
-            stab = "attracting"
-        else:
-            stab = "repelling"
-        slide = feval(x, t, r)[1:]
-        out.append(SlidingSolution(lam_s=r, stability=stab, sliding_field=slide))
+        stab = ("marginal" if abs(d) <= DERIV_TOL
+                else "attracting" if d < 0 else "repelling")
+        out.append(SlidingSolution(r, stab, feval(x, t, r)[1:]))
     return out
 
 
@@ -186,18 +237,12 @@ def classify_surface_point(sys: SwitchedField, x_rest, t: float,
     f10 = eval_field(sys, _full_state(x_rest, sys.dim), lam0, t=t)[0]
 
     if f10 * inward > 0:
-        path = [r for r in roots if (r.lam_s - lam0) * inward > 1e-12]
-        path.sort(key=lambda r: abs(r.lam_s - lam0))
-        if path:
-            return "stick", path[0]
-        return "cross", None
-
-    # the boundary flow points back off the surface: the surface repels
+        roots = [r for r in roots if (r.lam_s - lam0) * inward > 1e-12]
+    # else the boundary flow points back off the surface: the surface repels
     # this side and is reached only along the layer's invariant sets;
     # report the nearest root (possibly repelling) so the caller can decide
     if roots:
-        nearest = min(roots, key=lambda r: abs(r.lam_s - lam0))
-        return "stick", nearest
+        return "stick", min(roots, key=lambda r: abs(r.lam_s - lam0))
     return "cross", None
 
 

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from switchlayer.cli import ConfigError, RunConfig, main
+from switchlayer import DUFFING_RIPPLE_WINDOW, layer_amplitude
+from switchlayer.cli import ConfigError, RunConfig, main, run_simulation
 
 
 def write_config(path, doc):
@@ -193,6 +194,32 @@ class TestAmplitude:
         cfg = write_config(tmp_path / "c.json", base_config())
         assert main(["amplitude", "--config", cfg,
                      "--window", "0.5", "3.0"]) == 2
+
+    def test_average_matches_layer_amplitude(self, tmp_path, capsys):
+        doc = base_config(scenario="duffing", mode="layer_only", t_span=[0.0, 8.0],
+                          initial_state=[0.0, 0.0], eps_layer=1e-3)
+        cfg = write_config(tmp_path / "c.json", doc)
+        seg = run_simulation(RunConfig.parse(doc))
+        window = ["4.0", "8.0"]
+        assert main(["amplitude", "--config", cfg, "--window", *window]) == 0
+        raw = json.loads(capsys.readouterr().out)
+        assert "average" not in raw
+        assert raw["amplitude"] == layer_amplitude(seg.t, seg.lam, (4.0, 8.0))
+        assert main(["amplitude", "--config", cfg, "--window", *window,
+                     "--average", str(DUFFING_RIPPLE_WINDOW)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["average"] == DUFFING_RIPPLE_WINDOW
+        assert report["amplitude"] == layer_amplitude(
+            seg.t, seg.lam, (4.0, 8.0), average=DUFFING_RIPPLE_WINDOW)
+        assert report["amplitude"] < raw["amplitude"]
+        assert {k: raw[k] for k in ("n_samples", "lambda_min", "lambda_max")} == {
+            k: report[k] for k in ("n_samples", "lambda_min", "lambda_max")}
+
+    @pytest.mark.parametrize("span", ["0", "-0.3"])
+    def test_non_positive_average_exits_2(self, tmp_path, span):
+        cfg = write_config(tmp_path / "c.json", base_config())
+        assert main(["amplitude", "--config", cfg, "--window", "0.4", "1.0",
+                     "--average", span]) == 2
 
 
 class TestSliding:

@@ -1,11 +1,16 @@
 """Layer analysis: sliding roots, equilibria, classification, hybrid runs."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from switchlayer import (
+    CircuitParams,
     DegenerateInclusionError,
     IntegratorConfig,
     NonFiniteFieldError,
@@ -20,10 +25,13 @@ from switchlayer import (
     integrate_regularized,
     layer_amplitude,
     layer_field,
+    make_circuit,
     make_duffing,
+    make_example1,
     make_example2,
     to_hidden_form,
 )
+from switchlayer.core import fast_field_eval
 
 
 def linear_system(fp, fm, dim=2, g=None, tol=1e-9, time_dependent=False):
@@ -110,6 +118,156 @@ class TestFindSlidingModes:
 
     def test_degenerate_inclusion_detected(self):
         sys = linear_system([0.0, 1.0], [0.0, -1.0])  # f1 == 0 for all lam
+        with pytest.raises(DegenerateInclusionError):
+            find_sliding_modes(sys, np.array([0.0]))
+
+
+def product_system(roots):
+    """f1 = prod(lam - r) over roots (repeats allowed), evaluated as a product."""
+
+    def fused(x, t, lam):
+        return np.array([math.prod(lam - r for r in roots), 1.0 + x[1]])
+
+    return SwitchedField(f_plus=lambda x, t: fused(x, t, 1.0),
+                         f_minus=lambda x, t: fused(x, t, -1.0), dim=2, fused=fused)
+
+
+def grid_scan_modes(sys, x_rest, t=0.0):
+    """The sign-change scan on 513 uniform lam values: the reference for
+    every root it finds (kept as find_sliding_modes was before Chebyshev)."""
+    x = np.zeros(sys.dim)
+    x[1:] = x_rest
+    feval = fast_field_eval(sys)
+
+    def f1(lam):
+        return float(feval(x, t, lam)[0])
+
+    lams = np.linspace(-1.0, 1.0, 513)
+    vals = np.array([feval(x, t, lm) for lm in lams.tolist()])[:, 0]
+    roots = []
+
+    def add(r):
+        if all(abs(r - q) > 1e-9 for q in roots):
+            roots.append(r)
+
+    for i in range(512):
+        a, b = lams[i], lams[i + 1]
+        fa, fb = vals[i], vals[i + 1]
+        if fa == 0.0:
+            add(a)
+            continue
+        if fb == 0.0:
+            if i == 511:
+                add(b)
+            continue
+        if fa * fb < 0:
+            add(float(brentq(f1, a, b, xtol=1e-12, rtol=4 * np.finfo(float).eps)))
+    out = []
+    for r in sorted(roots):
+        lo, hi = max(-1.0, r - 1e-6), min(1.0, r + 1e-6)
+        d = (f1(hi) - f1(lo)) / (hi - lo)
+        stab = "marginal" if abs(d) <= 1e-8 else ("attracting" if d < 0 else "repelling")
+        out.append((r, stab, feval(x, t, r)[1:]))
+    return out
+
+
+def assert_same_as_grid_scan(sys, x_rest):
+    got = find_sliding_modes(sys, np.array(x_rest))
+    want = grid_scan_modes(sys, np.array(x_rest))
+    assert [(r.lam_s, r.stability) for r in got] == [w[:2] for w in want]
+    for r, w in zip(got, want):
+        assert type(r.lam_s) is float
+        np.testing.assert_array_equal(r.sliding_field, w[2])
+
+
+class TestChebyshevRoots:
+    """Roots the uniform grid misses: tangential, clustered, in one cell."""
+
+    @pytest.mark.parametrize("multiple, simple", [
+        ((0.3,), ()),                  # the switch_atlas tangential fields
+        ((-0.55,), (0.8,)),
+        ((0.1, -0.7), ()),
+    ])
+    def test_tangential_fields(self, multiple, simple):
+        roots = [r for r in multiple for _ in range(2)] + list(simple)
+        got = find_sliding_modes(polynomial_system(np.poly(roots)[::-1]), np.array([0.0]))
+        assert [r.lam_s for r in got] == pytest.approx(sorted(multiple + simple), abs=1e-6)
+        for r in got:
+            if any(abs(r.lam_s - s) < 1e-6 for s in simple):
+                assert r.lam_s == pytest.approx(0.8, abs=1e-9)
+                assert r.stability == "repelling"
+            else:
+                assert r.stability == "marginal"
+
+    def test_triple_root(self):
+        (root,) = find_sliding_modes(polynomial_system(np.poly([0.5] * 3)[::-1]),
+                                     np.array([0.0]))
+        assert root.lam_s == pytest.approx(0.5, abs=1e-6)
+        assert root.stability == "marginal"
+
+    @pytest.mark.parametrize("pair", [(0.1, 0.101), (0.2975, 0.3)])
+    def test_close_pair(self, pair):
+        # (0.2975, 0.3) lie in one grid cell, [0.296875, 0.30078125]
+        got = find_sliding_modes(polynomial_system(np.poly(pair)[::-1]), np.array([0.0]))
+        assert [r.lam_s for r in got] == pytest.approx(pair, abs=1e-9)
+        assert [r.stability for r in got] == ["attracting", "repelling"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-0.95, 0.95), st.integers(1, 3)),
+                    min_size=1, max_size=4))
+    def test_root_multiset(self, draws):
+        distinct = []
+        for r, m in sorted(draws):
+            if all(abs(r - q) >= 0.1 for q, _ in distinct):
+                distinct.append((r, m))
+        got = find_sliding_modes(product_system([r for r, m in distinct for _ in range(m)]),
+                                 np.array([0.0]))
+        assert [r.lam_s for r in got] == pytest.approx([r for r, _ in distinct], abs=1e-6)
+        for sol, (r, m) in zip(got, distinct):
+            assert (sol.stability == "marginal") == (m > 1)
+            if m == 1:
+                assert sol.lam_s == pytest.approx(r, abs=1e-9)
+
+    def test_same_roots_as_grid_scan(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            roots = []
+            while len(roots) < int(rng.integers(1, 6)):
+                r = float(rng.uniform(-1.5, 1.5))
+                if all(abs(r - q) >= 0.01 for q in roots):
+                    roots.append(r)
+            coeffs = float(rng.uniform(0.5, 2.0)) * np.poly(roots)[::-1]
+            tangential = rng.normal(size=coeffs.size)
+            funcs = tuple((lambda c, d: (lambda x: np.array([c, d * (1.0 + x[1])])))(c, d)
+                          for c, d in zip(coeffs, tangential))
+            assert_same_as_grid_scan(to_hidden_form(SeriesExpansion(funcs), dim=2),
+                                     [float(rng.uniform(-1.0, 1.0))])
+        for make, variants in ((make_example1, ("filippov", "nonlinear")),
+                               (make_example2, ("continuous", "nonlinear"))):
+            for v in variants:
+                assert_same_as_grid_scan(make(v), [0.0])
+        for sigma in (0.0, 0.3, 0.5):
+            sys = make_circuit(CircuitParams(sigma=sigma))
+            for current in np.linspace(-0.5, 6.0, 60):
+                assert_same_as_grid_scan(sys, [current])
+
+    def test_kink_falls_back_to_grid_scan(self):
+        # |lam - 0.2| - 0.1 is not resolved by Chebyshev sampling at 512 cells
+        def fused(x, t, lam):
+            return np.array([abs(lam - 0.2) - 0.1, 1.0])
+
+        sys = SwitchedField(f_plus=lambda x, t: fused(x, t, 1.0),
+                            f_minus=lambda x, t: fused(x, t, -1.0), dim=2, fused=fused)
+        got = find_sliding_modes(sys, np.array([0.0]))
+        assert [r.lam_s for r in got] == pytest.approx([0.1, 0.3], abs=1e-9)
+        assert_same_as_grid_scan(sys, [0.0])
+
+    def test_zero_on_half_the_layer_is_degenerate(self):
+        def fused(x, t, lam):
+            return np.array([max(lam, 0.0), 1.0])
+
+        sys = SwitchedField(f_plus=lambda x, t: fused(x, t, 1.0),
+                            f_minus=lambda x, t: fused(x, t, -1.0), dim=2, fused=fused)
         with pytest.raises(DegenerateInclusionError):
             find_sliding_modes(sys, np.array([0.0]))
 
