@@ -26,7 +26,9 @@ from .integrate import (
     integrate_regularized,
 )
 from .layer import (
+    DegenerateInclusionError,
     HybridTrajectory,
+    SlidingSolution,
     find_layer_equilibria,
     find_sliding_modes,
     integrate_hybrid,
@@ -357,7 +359,11 @@ def cmd_sliding(cfg: RunConfig, doc: dict, out: str | None, fmt: str | None) -> 
     rows = []
     mesh = np.meshgrid(*axes, indexing="ij")
     for point in np.stack([m.ravel() for m in mesh], axis=1):
-        for root in find_sliding_modes(sys_, point, t):
+        try:
+            roots = find_sliding_modes(sys_, point, t)
+        except DegenerateInclusionError:  # f1 = 0 for every lam: one row of nan
+            roots = [SlidingSolution(math.nan, "set_valued", [math.nan] * len(axes))]
+        for root in roots:
             rows.append([*(float(v) for v in point), root.lam_s, root.stability,
                          *(float(v) for v in root.sliding_field)])
     path = out or cfg.output.get("path")
@@ -430,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=("T_LO", "T_HI"))
     p_amp.add_argument("--average", type=float, metavar="SPAN", help="averaging span")
 
-    common(sub.add_parser("sliding", help="dump sliding modes over a state grid"))
+    common(sub.add_parser("sliding", help="dump sliding modes over a state grid (a point "
+                          "where f1 = 0 for every lam: one row, set_valued, nan)"))
     common(sub.add_parser("equilibria", help="dump layer equilibria in a box"))
     return parser
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from .core import (
     SwitchedField,
@@ -41,6 +41,11 @@ POLISH_TOL = 5e-5  # how far a grid-cell root may lie from the root it polishes
 REAL_TOL = 1e-6  # slack on a root's imaginary part and on [-1, 1]
 _SET_VALUED = "f1 vanishes on a lam-subinterval; sliding is set-valued"
 EQUILIBRIA_GRID = 8  # Newton seeds per search-box axis
+SECANT_STEPS = 8  # secant steps per sliding solve before the bracketed fallback
+SECANT_REACH = 0.05  # how far a secant iterate may go, so it keeps to its branch
+SLOPE_STEP = 1e-7  # difference step of d f1/d lam at an accepted sliding sample
+LAM_REACH = 1.5  # how far past +-1 a sliding root is followed
+FOLD_GAP = 1e-4  # lam offset that tells the flow past a fold from the fold itself
 
 
 class DegenerateInclusionError(ValueError):
@@ -331,73 +336,124 @@ def find_layer_equilibria(sys: SwitchedField, search_box, t: float = 0.0
     return out
 
 
-class _SlidingRootTracker:
-    """Continuation of lam_s along a sliding segment, Newton warm-started.
-
-    The iterates may step slightly past lam = +-1, so that a root can be
-    followed up to (and through) the layer boundary; the field's ``fused``
-    evaluator continues the hidden form there, so it is called unclipped.
-    """
-
-    def __init__(self, sys: SwitchedField, lam0: float):
-        self.fused = sys.fused
-        self.dim = sys.dim
-        self.lam = float(lam0)
-
-    def solve(self, x_rest: np.ndarray, t: float) -> float:
-        x = _full_state(x_rest, self.dim)
-
-        def f1(lam):
-            return float(self.fused(x, t, lam)[0])
-
-        lam = self.lam
-        h = 1e-7
-        for _ in range(50):
-            f = f1(lam)
-            if abs(f) < 10 * ROOT_TOL:
-                break
-            d = (f1(lam + h) - f1(lam - h)) / (2 * h)
-            if d == 0 or not math.isfinite(d):
-                raise IntegrationError("sliding root continuation lost the root")
-            lam = lam - f / d
-            if not math.isfinite(lam) or abs(lam) > 1.5:
-                raise IntegrationError("sliding root left the layer during continuation")
-        self.lam = float(lam)
-        return self.lam
+def _branch_fallback(f1, lam, f, branch):
+    """(lam, found) where the secant lost the branch: the first root from lam
+    (f = f1(lam)) the way the branch runs, in steps doubling from 1e-3, or,
+    if |f1| turns up first or at the reach, where f1 is nearest zero."""
+    sgn = math.copysign(1.0, f)
+    direction, lo, mid, g_mid, step = -sgn * branch, lam, lam, abs(f), 1e-3
+    while True:
+        a = min(max(mid + direction * step, -LAM_REACH), LAM_REACH)
+        g = sgn * f1(a)
+        if g <= 0.0:
+            return brentq(f1, *sorted((mid, a)), xtol=ROOT_TOL), True
+        if g > g_mid:  # the least |f1| lies in (lo, a): a root if it dips through 0
+            m = minimize_scalar(lambda v: sgn * f1(v), bounds=sorted((lo, a)),
+                                method="bounded", options={"xatol": 1e-10}).x
+            if sgn * f1(m) > 0.0:
+                return m, False
+            return brentq(f1, *sorted((lo, m)), xtol=ROOT_TOL), True
+        if abs(a) == LAM_REACH:
+            return a, False
+        lo, mid, g_mid, step = mid, a, g, 2.0 * step
 
 
 def _integrate_sliding(sys, x_surface, t_span, cfg, root: SlidingSolution):
-    """Slide along the surface, re-solving lam_s continuously.
+    """Slide on the root lam_s(t, x_rest) of f1 = 0 to t_end, |lam_s| = 1 or a fold.
 
-    Terminates at t_end or when lam_s reaches +-1 (exit through the layer
-    boundary; a root fold leaving [-1, 1] exits through the same event).
+    Each field call solves for lam_s by secant from the anchor (lam and d f1/d lam
+    at the last accepted sample, carried forward at their rates), so within a step
+    lam_s is a function of (t, x_rest); ``_branch_fallback`` covers points past a
+    fold or the reach.  Returns (segment, side, root): side is None at t_end, else the
+    boundary the fast flow leaves by; root is where a fold's flow sticks again.
     """
-    tracker = _SlidingRootTracker(sys, root.lam_s)
-    feval = fast_field_eval(sys)
-    dim = sys.dim
+    fused, dim, tol = sys.fused, sys.dim, 10 * ROOT_TOL
+    t0, y0 = float(t_span[0]), np.array(x_surface[1:], dtype=float)
+    x0, lam0 = _full_state(y0, dim), root.lam_s
+    h = -SLOPE_STEP if lam0 > 0 else SLOPE_STEP
+    slope = (fused(x0, t0, lam0 + h)[0] - fused(x0, t0, lam0)[0]) / h
+    branch = -1.0 if slope < 0 else 1.0  # sign of d f1/d lam along the branch
+    anchor = (t0, lam0, 0.0, slope, 0.0, y0)  # t, lam, d lam/dt, s = d f1/d lam, ds/dt, x_rest
+    last, lams = None, []  # last: [t, x, lam, F, found, fold value] of a solve
 
-    def rhs(x_rest, t):
-        lam = tracker.solve(x_rest, t)
-        return feval(_full_state(x_rest, dim), t, lam)[1:]
+    def rhs(y, t):
+        # d x_rest/dt at lam_s(t, y); the solve is kept in `last`
+        nonlocal last
+        x = np.zeros(dim)
+        x[1:] = y
+        ta, lam, rate, slope, srate, _ = anchor
+        lam = start = lam + rate * (t - ta)
+        if not -LAM_REACH <= lam <= LAM_REACH:
+            lam = start = math.copysign(LAM_REACH, lam)
+        slope += srate * (t - ta)
+        F = fused(x, t, lam)
+        for _ in range(SECANT_STEPS):
+            f = F.item(0)
+            if not slope * branch > 0.0:  # not the branch's sign: past a fold
+                break
+            if abs(f) < tol:
+                last = [t, x, lam, F, True, None]
+                return F[1:]
+            nxt = lam - f / slope
+            if not (abs(nxt - start) <= SECANT_REACH and abs(nxt) <= LAM_REACH):
+                break
+            F = fused(x, t, nxt)
+            lam, slope = nxt, (F.item(0) - f) / (nxt - lam)
+        f = fused(x, t, anchor[1])[0]
+        if not math.isfinite(f):
+            raise IntegrationError("non-finite field value")
+        lam, found = _branch_fallback(lambda v: fused(x, t, v)[0], anchor[1], f, branch)
+        last = [t, x, lam, fused(x, t, lam), found, None]
+        return last[3][1:]
 
-    def boundary(t, y):
-        return 1.0 - abs(tracker.solve(y, t))
+    def at(t, y):
+        # the solve at (t, y), the FSAL stage's at an accepted sample, with its
+        # fold value: branch-signed d f1/d lam, or -|f1| past a fold
+        nonlocal anchor
+        if not (last and last[0] == t and last[1][1:].tolist() == y.tolist()):
+            rhs(y, t)
+        _, x, lam, F, found, fold = last
+        if fold is None:
+            hs = -SLOPE_STEP if lam > 0 else SLOPE_STEP
+            slope = (fused(x, t, lam + hs)[0] - F[0]) / hs if found else anchor[3]
+            last[5] = branch * slope if found else -abs(F[0])
+            if t > anchor[0]:  # accepted: record lam, move the anchor
+                dt = t - anchor[0]
+                anchor = (t, lam, (lam - anchor[1]) / dt, slope, (slope - anchor[3]) / dt, y)
+                lams.append(lam)
+        return last
 
-    run = _solve(rhs, x_surface[1:], t_span, cfg,
-                 events=(Event(boundary, direction=-1.0),))
-    t_arr = run.t
-    xr_arr = run.y
-    lam_replay = _SlidingRootTracker(sys, root.lam_s)
-    lam_arr = np.array([lam_replay.solve(xr, tt) for tt, xr in zip(t_arr, xr_arr)])
-    x_arr = np.zeros((t_arr.size, dim))
-    x_arr[:, 1:] = xr_arr
-    seg = TrajectorySegment(t_arr, x_arr, "sliding", lam=np.clip(lam_arr, -1, 1))
-    exited = run.stopped_by is not None
-    return seg, exited
+    events = (Event(lambda t, y: 1.0 - abs(at(t, y)[2]), direction=-1.0),
+              Event(lambda t, y: at(t, y)[5], direction=-1.0))
+    try:
+        lams.append(at(t0, y0)[2])
+        run = _solve(rhs, y0, t_span, cfg, events=events)
+    except IntegrationError as exc:
+        t, lam, _, _, _, y = anchor
+        raise IntegrationError(f"sliding phase at t={t:.6g}, x_rest={y.tolist()}, "
+                               f"lam={lam:.6g}: {exc}") from exc
+    lams = lams[:run.t.size]
+    if run.stopped_by is not None:  # the located event, inside the last step
+        rhs(run.y[-1], run.t[-1])
+        lams[-1] = last[2]
+    x_arr = np.zeros((run.t.size, dim))
+    x_arr[:, 1:] = run.y
+    seg = TrajectorySegment(run.t, x_arr, "sliding", lam=np.clip(lams, -1, 1))
+    if run.stopped_by != 1:
+        return seg, None if run.stopped_by is None else math.copysign(1.0, lams[-1]), None
+    # a fold: past it f1 keeps one sign near lam, the way the fast flow goes;
+    # it sticks at the nearest root beyond FOLD_GAP that way, or leaves the layer
+    t, x, lam = seg.t_final, seg.x_final, lams[-1]
+    side = math.copysign(1.0, fused(x, t, lam + FOLD_GAP)[0] + fused(x, t, lam - FOLD_GAP)[0])
+    ahead = [r for r in find_sliding_modes(sys, x[1:], t) if (r.lam_s - lam) * side > FOLD_GAP]
+    return seg, side, min(ahead, key=lambda r: abs(r.lam_s - lam), default=None)
 
 
 def _integrate_layer(sys, lam0, x_rest0, t_span, cfg, eps_layer):
-    """Coupled layer transit: d lam/dt = f1/eps_layer, slow rest dynamics."""
+    """Coupled layer transit: d lam/dt = f1/eps_layer, slow rest dynamics.
+
+    Returns (segment, side): side is None at t_end, else lam's exit boundary.
+    """
     fused = sys.fused
     scale = np.ones(sys.dim)
     scale[0] = eps_layer
@@ -418,7 +474,7 @@ def _integrate_layer(sys, lam0, x_rest0, t_span, cfg, eps_layer):
     x_arr = run.y.copy()
     x_arr[:, 0] = 0.0
     seg = TrajectorySegment(run.t, x_arr, "layer_transit", lam=run.y[:, 0])
-    return seg, run.stopped_by is not None
+    return seg, None if run.stopped_by is None else 1.0 - 2.0 * run.stopped_by
 
 
 def integrate_layer_only(sys: SwitchedField, lam0: float, x_rest0, t_span,
@@ -487,44 +543,39 @@ def integrate_hybrid(sys: SwitchedField, x0, t_span,
         f1p = eval_field(sys, xv, 1.0, t=t_now)[0]
         entry_side = "minus" if f1m > 0 else ("plus" if f1p < 0 else "minus")
 
+    restick = None  # the root the fast flow reached from a fold
     while t_now < t_end - 1e-14:
-        if entry_side is None:
+        if restick is None and entry_side is None:
             seg, hit = advance_to_surface(sys, xv, (t_now, t_end), cfg)
             traj.segments.append(seg)
             if hit is None:
                 break
-            t_now = hit[0]
-            xv = hit[1].copy()
+            t_now, xv = hit[0], hit[1].copy()
             entry_side = "plus" if seg.regime == "free_plus" else "minus"
             xv[0] = 0.0
             continue
-
-        kind, sliding = classify_surface_point(sys, xv[1:], t_now, entry_side)
+        kind, sliding = (("stick", restick) if restick is not None
+                         else classify_surface_point(sys, xv[1:], t_now, entry_side))
         if kind == "cross":
-            label = "cross_down" if entry_side == "plus" else "cross_up"
-            traj.transitions.append((t_now, label))
-            new_side = "minus" if entry_side == "plus" else "plus"
-            xv[0] = -2 * tol if new_side == "minus" else 2 * tol
-            entry_side = None
+            down = entry_side == "plus"
+            traj.transitions.append((t_now, "cross_down" if down else "cross_up"))
+            xv[0], entry_side = (-2 * tol if down else 2 * tol), None
             continue
 
         if kind == "stick":
             enter, leave = "stick", "exit_slide"
-            seg, exited = _integrate_sliding(sys, xv, (t_now, t_end), cfg, sliding)
+            seg, side, restick = _integrate_sliding(sys, xv, (t_now, t_end), cfg, sliding)
         else:  # layer_dynamic
             enter, leave = "layer_enter", "layer_exit"
             lam0 = 1.0 if entry_side == "plus" else -1.0
-            seg, exited = _integrate_layer(sys, lam0, xv[1:], (t_now, t_end),
-                                           cfg, eps_layer)
+            seg, side = _integrate_layer(sys, lam0, xv[1:], (t_now, t_end), cfg, eps_layer)
         traj.transitions.append((t_now, enter))
         traj.segments.append(seg)
-        t_now = seg.t_final
-        xv = seg.x_final.copy()
-        if not exited:
+        t_now, xv = seg.t_final, seg.x_final.copy()
+        if side is None:
             break
         traj.transitions.append((t_now, leave))
         # step off the surface on the side the multiplier left through
-        xv[0] = 2 * tol if seg.lam[-1] > 0 else -2 * tol
-        entry_side = None
+        xv[0], entry_side = 2 * side * tol, None
 
     return traj

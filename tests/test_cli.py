@@ -236,6 +236,19 @@ class TestSliding:
         assert len(lines) == 1 + 3 * 2  # two roots at each of three grid points
         assert "attracting" in lines[1]
 
+    def test_set_valued_point_written_as_nan_row(self, tmp_path):
+        # Duffing on the surface: f1 = x2 for every lam, so x2 = 0 is
+        # set-valued and the other points have no root and write no row
+        doc = {
+            "scenario": "duffing",
+            "grid": {"x_rest": [[-1, 1, 11]], "t": 0.7},
+            "output": {"path": str(tmp_path / "sl.csv"), "format": "csv"},
+        }
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["sliding", "--config", cfg]) == 0
+        lines = (tmp_path / "sl.csv").read_text().splitlines()
+        assert lines == ["x2,lambda_s,stability,slide_dx2", "0,nan,set_valued,nan"]
+
     def test_missing_grid_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",
                            {"scenario": "example2",

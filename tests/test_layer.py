@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from switchlayer import (
     CircuitParams,
     DegenerateInclusionError,
+    IntegrationError,
     IntegratorConfig,
     NonFiniteFieldError,
     SeriesExpansion,
     SigmoidSpec,
     SwitchedField,
+    circuit_iv_to_state,
     classify_surface_point,
     find_layer_equilibria,
     find_sliding_modes,
@@ -443,6 +446,108 @@ class TestIntegrateHybrid:
         with pytest.raises(ValueError):
             integrate_hybrid(make_example2(), np.array([-0.3, 0.0]), (0.0, 1.0),
                              eps_layer=0.0)
+
+
+def _fuzz_system(rng, hidden):
+    """f+- = A+- x + b+- with N(0, 1) entries; g = h (1 + lam) when hidden."""
+    Ap, Am = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+    bp, bm = rng.normal(size=2), rng.normal(size=2)
+    h = rng.normal(size=2) if hidden else None
+    return SwitchedField(f_plus=lambda x, t: Ap @ x + bp, f_minus=lambda x, t: Am @ x + bm,
+                         dim=2, hidden_g=None if h is None else lambda x, t, lam: h * (1.0 + lam))
+
+
+def assert_complete(traj, t_end):
+    assert traj.t_final == pytest.approx(t_end, abs=1e-12)
+    for prev, nxt in zip(traj.segments, traj.segments[1:]):
+        assert np.linalg.norm(nxt.x[0] - prev.x_final) <= 1e-8
+        assert nxt.t[0] == prev.t_final
+
+
+class TestSlidingRobustness:
+    def test_random_affine_systems_complete(self):
+        # the slides of draws 32, 66, 90 and 130 end at a fold of the root
+        rng = np.random.default_rng(0)
+        cfg = IntegratorConfig(max_step=0.05)
+        for k in range(150):
+            sys = _fuzz_system(rng, hidden=k % 2 == 0)
+            x0 = rng.normal(size=2)
+            assert_complete(integrate_hybrid(sys, x0, (0.0, 5.0), cfg), 5.0)
+
+    def test_fold_exit_to_free_flight(self):
+        # f1 = lam^2 + x2 - 1/4: the attracting root -sqrt(1/4 - x2) meets
+        # the repelling one at x2 = 1/4 (t = 1/4); past it f1 > 0 pushes lam up
+        f = lambda x, t: np.array([x[1] + 0.75, 1.0])  # noqa: E731
+        sys = SwitchedField(f_plus=f, f_minus=f, dim=2,
+                            hidden_g=lambda x, t, lam: np.array([1.0, 0.0]))
+        traj = integrate_hybrid(sys, np.array([-0.1, 0.0]), (0.0, 1.0))
+        assert [k for _, k in traj.transitions] == ["stick", "exit_slide"]
+        assert traj.transitions[1][0] == pytest.approx(0.25, abs=1e-6)
+        slide = traj.segments[1]
+        np.testing.assert_allclose(slide.lam, -np.sqrt(0.25 - slide.x[:, 1]), atol=1e-6)
+        assert slide.lam[-1] == pytest.approx(0.0, abs=1e-6)
+        assert [s.regime for s in traj.segments] == ["free_minus", "sliding", "free_plus"]
+        assert_complete(traj, 1.0)
+
+    def test_fold_exit_sticks_on_the_root_ahead(self):
+        # f1 = -(lam^2 + x2 - 1/4)(lam - 1/2): past the fold f1 = lam^2/2
+        # near lam = 0, so the fast flow runs up to the root lam = 1/2
+        sys = SwitchedField(f_plus=lambda x, t: np.array([-0.5 * x[1] - 0.375, 1.0]),
+                            f_minus=lambda x, t: np.array([1.5 * x[1] + 1.125, 1.0]),
+                            dim=2, hidden_g=lambda x, t, lam: np.array([0.5 - lam, 0.0]))
+        for lam in (-0.7, -0.2, 0.3, 0.9):
+            want = -(lam * lam + 0.1 - 0.25) * (lam - 0.5)
+            assert sys.fused(np.array([0.0, 0.1]), 0.0, lam)[0] == pytest.approx(want)
+        traj = integrate_hybrid(sys, np.array([-0.1, 0.0]), (0.0, 1.0))
+        assert [k for _, k in traj.transitions] == ["stick", "exit_slide", "stick"]
+        assert traj.transitions[1][0] == pytest.approx(0.25, abs=1e-6)
+        assert [s.regime for s in traj.segments] == ["free_minus", "sliding", "sliding"]
+        np.testing.assert_allclose(traj.segments[-1].lam, 0.5, atol=1e-9)
+        assert_complete(traj, 1.0)
+
+    def test_boundary_exit_time_matches_reduced_equation(self):
+        # sigma = 1/2 circuit from (0, 0): the slide leaves through lam = +1
+        # at I = Vb / R = 1.6; on it dI/dt = (V0 - mu_s Vb) / L, with mu_s
+        # the root of I R (mu - sigma (1 - mu) mu) = Vb
+        p = CircuitParams(sigma=0.5)
+        traj = integrate_hybrid(make_circuit(p), circuit_iv_to_state(0.0, 0.0, p),
+                                (0.0, 15.0), IntegratorConfig(max_step=0.05))
+        (t_stick, stick), (t_exit, leave) = traj.transitions[:2]
+        assert (stick, leave) == ("stick", "exit_slide")
+        slide = traj.segments[1]
+
+        def rate(t, y):
+            c = p.Vb / (y[0] * p.R)
+            mu = (math.sqrt((1 - p.sigma) ** 2 + 4 * p.sigma * c) - (1 - p.sigma)) / (2 * p.sigma)
+            return [(p.V0 - mu * p.Vb) / p.L]
+
+        at_exit = lambda t, y: y[0] - p.Vb / p.R  # noqa: E731
+        at_exit.terminal = True
+        ref = solve_ivp(rate, (t_stick, 15.0), [slide.x[0, 1]], rtol=1e-13, atol=1e-14,
+                        events=at_exit)
+        assert t_exit == pytest.approx(ref.t_events[0][0], abs=1e-8)
+        assert slide.lam[-1] == 1.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cubic=st.booleans(),
+           x0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    def test_random_polynomial_fields_never_raise(self, seed, cubic, x0):
+        # affine in x; through g = G x + h0 + h1 lam, up to cubic in lam
+        rng = np.random.default_rng(seed)
+        Ap, Am, G = rng.normal(size=(3, 2, 2))
+        bp, bm, h0, h1 = rng.normal(size=(4, 2)) * [[1], [1], [1], [cubic]]
+        sys = SwitchedField(f_plus=lambda x, t: Ap @ x + bp, f_minus=lambda x, t: Am @ x + bm,
+                            dim=2, hidden_g=lambda x, t, lam: G @ x + h0 + h1 * lam)
+        traj = integrate_hybrid(sys, np.array(x0), (0.0, 2.0), IntegratorConfig(max_step=0.05))
+        assert_complete(traj, 2.0)
+
+    def test_sliding_errors_name_phase_and_state(self):
+        sys = make_example2("nonlinear")
+        with pytest.raises(IntegrationError,
+                           match=r"sliding phase at t=0\.\d+, x_rest=\[0\.\d+\], "
+                                 r"lam=-0\.707107: step budget of 5 exceeded"):
+            integrate_hybrid(sys, np.array([-0.01, 0.0]), (0.0, 1.0),
+                             IntegratorConfig(max_steps=5))
 
 
 class TestIntegrateLayerOnly:
