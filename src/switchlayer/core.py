@@ -58,10 +58,12 @@ class SwitchedField:
     layer boundary, so it must continue the hidden form there.
 
     The runs rely on this calling contract: ``fused`` gets a float64 state
-    of shape (dim,) and a Python float lam, returns a float array of shape
-    (dim,), and neither keeps nor modifies x (the integrator reuses its
-    state buffers).  Callers never write into the returned array, which a
-    composed field shares with f_plus / f_minus at lam = +-1.
+    of shape (dim,) and a Python float lam and returns dim floats, and
+    neither keeps nor modifies x (the runs reuse their state buffers).  A
+    tuple of Python floats is preferred: the integrator takes it without a
+    numpy round trip.  A float64 array of shape (dim,) is accepted, as a
+    composed field returns; callers never keep it or write into it, since
+    a composed field shares it with f_plus / f_minus at lam = +-1.
     """
 
     f_plus: FieldFn
@@ -152,7 +154,9 @@ def fast_field_eval(sys: SwitchedField):
 
     The unchecked wrapper of ``sys.fused``, for inner loops where the
     state shape is fixed and finiteness is checked on the collected
-    values instead of per evaluation.  lam is clipped into [-1, 1].
+    values instead of per evaluation.  lam is clipped into [-1, 1].  It
+    returns what ``fused`` returns, dim floats: a tuple of Python floats
+    or a float64 array, which callers never keep or write into.
     """
     inner = sys.fused
 

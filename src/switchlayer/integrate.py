@@ -258,17 +258,16 @@ def advance_to_surface(sys: SwitchedField, x0, t_span,
     regime = regime_of(sys, xv)
     if regime == "on_surface":
         raise ValueError("advance_to_surface requires a strictly off-surface start")
-    branch = sys.f_plus if regime == "plus" else sys.f_minus
-    sgn = 1.0 if regime == "plus" else -1.0
+    fused, sgn = sys.fused, 1.0 if regime == "plus" else -1.0
     tol = sys.surface_tolerance
 
     # leaving the active side ends the segment; entering the tolerance
     # band from the active side is only recorded
-    crossing = Event(lambda t, y: y[0], direction=-sgn)
-    graze = Event(lambda t, y: sgn * y[0] - tol, direction=-1.0,
+    crossing = Event(lambda t, y: y.item(0), direction=-sgn)
+    graze = Event(lambda t, y: sgn * y.item(0) - tol, direction=-1.0,
                   terminal=False)
 
-    run = _solve(branch, xv, t_span, cfg, events=(crossing, graze))
+    run = _solve(lambda x, t: fused(x, t, sgn), xv, t_span, cfg, events=(crossing, graze))
     hit = None
     if run.stopped_by == 0:
         hit = (float(run.t[-1]), run.y[-1].copy())
@@ -295,17 +294,14 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
     phi = sigmoid.scalar_fn()
     shifted = sigmoid.range == (0.0, 1.0)
 
-    def lam_of(x1):
-        lam = phi(x1)
+    def field(x, t):
+        lam = phi(x.item(0))
         if shifted:
             lam = 2.0 * lam - 1.0
-        return -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam)
-
-    def field(x, t):
-        return fused(x, t, lam_of(float(x[0])))
+        return fused(x, t, -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam))
 
     def edge(sign):
-        return lambda t, y: y[0] - sign * eps
+        return lambda t, y: y.item(0) - sign * eps
 
     # each run ends where the trajectory passes a band edge outward
     # (inside) or inward (outside); crossings back are not events
@@ -347,5 +343,8 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
 
     t_all = np.concatenate(t_parts)
     x_all = np.vstack(x_parts)
-    lam_all = np.array([lam_of(x1) for x1 in x_all[:, 0].tolist()])
-    return TrajectorySegment(t_all, x_all, "regularized", lam=lam_all)
+    # each sample's lam as the callback computes it; np.clip clips alike
+    lam_all = np.array([phi(x1) for x1 in x_all[:, 0].tolist()])
+    if shifted:
+        lam_all = 2.0 * lam_all - 1.0
+    return TrajectorySegment(t_all, x_all, "regularized", lam=np.clip(lam_all, -1.0, 1.0))

@@ -239,7 +239,8 @@ def classify_surface_point(sys: SwitchedField, x_rest, t: float,
 
     lam0 = -1.0 if entry_side == "minus" else 1.0
     inward = -lam0  # direction the lam-flow must travel to enter the layer
-    f10 = eval_field(sys, _full_state(x_rest, sys.dim), lam0, t=t)[0]
+    # f1 at lam0 = +-1 is finite: find_sliding_modes sampled it there
+    f10 = sys.fused(_full_state(x_rest, sys.dim), t, lam0)[0]
 
     if f10 * inward > 0:
         roots = [r for r in roots if (r.lam_s - lam0) * inward > 1e-12]
@@ -282,7 +283,7 @@ def find_layer_equilibria(sys: SwitchedField, search_box, t: float = 0.0
         # the state on the surface is (0, x_rest)
         x = z.copy()
         x[0] = 0.0
-        return feval(x, t, z[0])
+        return np.asarray(feval(x, t, z[0]))
 
     found: list[np.ndarray] = []
     axes = [np.linspace(lo, hi, EQUILIBRIA_GRID) for lo, hi in box]
@@ -388,7 +389,7 @@ def _integrate_sliding(sys, x_surface, t_span, cfg, root: SlidingSolution):
         slope += srate * (t - ta)
         F = fused(x, t, lam)
         for _ in range(SECANT_STEPS):
-            f = F.item(0)
+            f = F[0]
             if not slope * branch > 0.0:  # not the branch's sign: past a fold
                 break
             if abs(f) < tol:
@@ -398,7 +399,7 @@ def _integrate_sliding(sys, x_surface, t_span, cfg, root: SlidingSolution):
             if not (abs(nxt - start) <= SECANT_REACH and abs(nxt) <= LAM_REACH):
                 break
             F = fused(x, t, nxt)
-            lam, slope = nxt, (F.item(0) - f) / (nxt - lam)
+            lam, slope = nxt, (F[0] - f) / (nxt - lam)
         f = fused(x, t, anchor[1])[0]
         if not math.isfinite(f):
             raise IntegrationError("non-finite field value")
@@ -454,20 +455,18 @@ def _integrate_layer(sys, lam0, x_rest0, t_span, cfg, eps_layer):
 
     Returns (segment, side): side is None at t_end, else lam's exit boundary.
     """
-    fused = sys.fused
-    scale = np.ones(sys.dim)
-    scale[0] = eps_layer
+    fused, x = sys.fused, np.zeros(sys.dim)
 
     def rhs(z, t):
-        # the state on the surface is (0, x_rest); lam is clipped to the layer
-        x = z.copy()
-        lam = float(x[0])
-        lam = -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam)
-        x[0] = 0.0
-        return fused(x, t, lam) / scale
+        # the state on the surface is (0, x_rest): x1 of the buffer stays 0;
+        # lam is clipped to the layer
+        lam = z.item(0)
+        x[1:] = z[1:]
+        F = fused(x, t, -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam))
+        return (F[0] / eps_layer, *F[1:])
 
-    exits = (Event(lambda t, z: z[0] - 1.0, direction=1.0),
-             Event(lambda t, z: z[0] + 1.0, direction=-1.0))
+    exits = (Event(lambda t, z: z.item(0) - 1.0, direction=1.0),
+             Event(lambda t, z: z.item(0) + 1.0, direction=-1.0))
     z0 = np.concatenate(([lam0], x_rest0))
     run = _solve(rhs, z0, t_span, cfg, events=exits,
                  max_step=min(cfg.max_step, 1.0))

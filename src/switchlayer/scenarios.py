@@ -32,14 +32,14 @@ def make_example1(variant: str = "nonlinear",
             return np.array([0.0, -2.0])
 
         def fused(x, t, lam):
-            return np.array([lam, 1.0 - 2.0 * lam * lam])
+            return (lam, 1.0 - 2.0 * lam * lam)
     else:
         def fused(x, t, lam):
-            return np.array([lam, -1.0])
+            return (lam, -1.0)
 
     return SwitchedField(
-        f_plus=lambda x, t: fused(x, t, 1.0),
-        f_minus=lambda x, t: fused(x, t, -1.0),
+        f_plus=lambda x, t: np.array(fused(x, t, 1.0)),
+        f_minus=lambda x, t: np.array(fused(x, t, -1.0)),
         dim=2, hidden_g=hidden, time_dependent=False, fused=fused,
         surface_tolerance=surface_tolerance,
     )
@@ -62,14 +62,14 @@ def make_example2(variant: str = "nonlinear",
             return np.array([2.0, 0.0])
 
         def fused(x, t, lam):
-            return np.array([2.0 * lam * lam - 1.0, 1.0])
+            return (2.0 * lam * lam - 1.0, 1.0)
     else:
         def fused(x, t, lam):
-            return np.array([1.0, 1.0])
+            return (1.0, 1.0)
 
     return SwitchedField(
-        f_plus=lambda x, t: fused(x, t, 1.0),
-        f_minus=lambda x, t: fused(x, t, -1.0),
+        f_plus=lambda x, t: np.array(fused(x, t, 1.0)),
+        f_minus=lambda x, t: np.array(fused(x, t, -1.0)),
         dim=2, hidden_g=hidden, time_dependent=False, fused=fused,
         surface_tolerance=surface_tolerance,
     )
@@ -128,8 +128,7 @@ def make_circuit(p: CircuitParams | None = None,
         x1, I = x.tolist()
         mu = 0.5 * (1.0 + lam)
         V = Vb - x1
-        return np.array(((V - I * R * (mu - sg * (1.0 - mu) * mu)) / RC,
-                         (V0 - mu * V) / L))
+        return ((V - I * R * (mu - sg * (1.0 - mu) * mu)) / RC, (V0 - mu * V) / L)
 
     hidden = None
     if sg != 0.0:
@@ -139,8 +138,8 @@ def make_circuit(p: CircuitParams | None = None,
             return np.array([-x[1] * R * sg / (4.0 * RC), 0.0])
 
     return SwitchedField(
-        f_plus=lambda x, t: fused(x, t, 1.0),  # mu = 1, "on"
-        f_minus=lambda x, t: fused(x, t, -1.0),  # mu = 0, "off"
+        f_plus=lambda x, t: np.array(fused(x, t, 1.0)),  # mu = 1, "on"
+        f_minus=lambda x, t: np.array(fused(x, t, -1.0)),  # mu = 0, "off"
         dim=2, hidden_g=hidden, time_dependent=False, fused=fused,
         surface_tolerance=surface_tolerance,
     )
@@ -205,8 +204,8 @@ def make_duffing(p: DuffingParams | None = None, with_tracker: bool = False,
         drive = -lam * lam * lam if cubic else -lam
         f2 = drive - b * s[1] + a * math.cos(t)
         if with_tracker:
-            return np.array((s[1] - c * s[0], f2, (lam - s[2]) / mu_tr))
-        return np.array((s[1] - c * s[0], f2))
+            return (s[1] - c * s[0], f2, (lam - s[2]) / mu_tr)
+        return (s[1] - c * s[0], f2)
 
     hidden = None
     if cubic:
@@ -217,8 +216,8 @@ def make_duffing(p: DuffingParams | None = None, with_tracker: bool = False,
             return g
 
     return SwitchedField(
-        f_plus=lambda x, t: fused(x, t, 1.0),
-        f_minus=lambda x, t: fused(x, t, -1.0),
+        f_plus=lambda x, t: np.array(fused(x, t, 1.0)),
+        f_minus=lambda x, t: np.array(fused(x, t, -1.0)),
         dim=dim, hidden_g=hidden, time_dependent=True, fused=fused,
         surface_tolerance=surface_tolerance,
     )

@@ -124,8 +124,10 @@ def test_float_evaluators_are_bit_exact(sys, ref):
         t = float(rng.uniform(0.0, 50.0))
         for lam in (float(rng.uniform(-1.5, 1.5)), 1.0, -1.0):
             out = sys.fused(x, t, lam)
-            assert out.dtype == np.float64 and out is not x
-            np.testing.assert_array_equal(out, ref(x, t, lam), strict=True)
+            # dim Python floats, no numpy scalars: DOPRI5 takes them as they are
+            assert type(out) is tuple and len(out) == sys.dim
+            assert all(type(v) is float for v in out)
+            np.testing.assert_array_equal(np.asarray(out), ref(x, t, lam), strict=True)
 
 
 class TestExample1:
