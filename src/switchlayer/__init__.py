@@ -26,7 +26,6 @@ from .integrate import (
     TrajectorySegment,
     advance_to_surface,
     integrate_regularized,
-    integrate_smooth,
 )
 from .layer import (
     DegenerateInclusionError,
@@ -39,7 +38,6 @@ from .layer import (
     integrate_hybrid,
     integrate_layer_only,
     layer_amplitude,
-    layer_field,
 )
 from .scenarios import (
     DUFFING_RIPPLE_WINDOW,

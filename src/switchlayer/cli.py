@@ -216,19 +216,16 @@ def write_table(path: str, header: list[str], rows: list[list], fmt: str) -> Non
 def run_simulation(cfg: RunConfig):
     sys_ = cfg.build_system()
     icfg = cfg.build_integrator()
+    x0 = cfg.build_initial_state()
+    if x0.shape != (sys_.dim,):
+        what = "(lam0, x2..xn)" if cfg.mode == "layer_only" else "(x1..xn)"
+        raise ConfigError(f"{cfg.mode} initial_state must be {what}, {sys_.dim} "
+                          f"values for this scenario, got shape {x0.shape}")
     if cfg.mode == "hybrid":
-        x0 = cfg.build_initial_state()
         return integrate_hybrid(sys_, x0, cfg.t_span, icfg, eps_layer=cfg.eps_layer)
     if cfg.mode == "regularized":
-        x0 = cfg.build_initial_state()
         return integrate_regularized(sys_, cfg.build_sigmoid(), x0, cfg.t_span, icfg)
-    # layer_only: initial_state is (lam0, x2, ..., xn)
-    z0 = cfg.build_initial_state()
-    if z0.size != sys_.dim:
-        raise ConfigError(
-            "layer_only initial_state must be (lam0, x2..xn), "
-            f"{sys_.dim} values for this scenario")
-    return integrate_layer_only(sys_, z0[0], z0[1:], cfg.t_span, icfg,
+    return integrate_layer_only(sys_, x0[0], x0[1:], cfg.t_span, icfg,
                                 eps_layer=cfg.eps_layer)
 
 
@@ -378,6 +375,8 @@ def cmd_equilibria(cfg: RunConfig, doc: dict, out: str | None, fmt: str | None) 
     box = doc.get("search_box")
     if not box:
         raise ConfigError('equilibria needs config search_box: [[lo, hi], ...]')
+    if len(box) != sys_.dim:
+        raise ConfigError(f"search_box must give {sys_.dim} (lam, x_rest) intervals")
     t = float(doc.get("t", 0.0))
     eqs = find_layer_equilibria(sys_, box, t)
     header = (["lambda_e"] + [f"x{i+2}" for i in range(sys_.dim - 1)]

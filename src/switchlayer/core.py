@@ -1,15 +1,15 @@
-"""Switched vector fields in canonical hidden-term form.
+"""Switched vector fields and their hidden terms.
 
 States are in adapted coordinates: the first component x1 is the surface
 function, so a system dx/dt = f_+(x) for x1 > 0, f_-(x) for x1 < 0 is
-extended across the switching surface x1 = 0 as
+extended across the switching surface x1 = 0 by one field f(x; lam),
+lam in [-1, +1], with f(x; +-1) = f_+-(x).  It splits as
 
     f(x; lam) = (f_+ + f_-)/2 + (f_+ - f_-)/2 * lam + (lam^2 - 1) g(x, lam)
 
-with lam in [-1, +1].  The last term is the "hidden" part: it vanishes
-identically off the surface (lam = +-1) but shapes the dynamics inside it.
-Storing the hidden part as g, rather than as the raw product, makes the
-vanishing condition structural.
+The last term is the "hidden" part: what f adds to the linear (Filippov)
+combination.  It vanishes identically off the surface (lam = +-1) but
+shapes the dynamics inside it.
 """
 
 from __future__ import annotations
@@ -33,29 +33,28 @@ class NonFiniteFieldError(ArithmeticError):
     """A field component evaluated to NaN or infinity."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SwitchedField:
-    """A piecewise-smooth system with an optional hidden switching term.
+    """A piecewise-smooth system, given by its one evaluator f(x; lam).
 
     The switching surface is x1 = 0: the first state component is the
     surface function, and ``abs(x1) <= surface_tolerance`` classifies a
     state as on-surface.  A system given in other variables is adapted by
     a coordinate map first, as the relay circuit's x = (Vb - V, I).
-
-    ``hidden_g`` may be None for the classical linear (Filippov) combination.
     ``time_dependent`` must be declared by the constructor; it is never
     inferred from sampling.
 
-    ``fused`` evaluates f(x; lam) in one call and is always set: it is the
-    one evaluator of the field.  ``eval_field`` wraps it with validation and
-    ``fast_field_eval`` with a clip of lam; the layer and regularized runs
-    call it directly, clipping lam themselves.  When the constructor gives
-    none, it is composed once from the hidden form of f_plus, f_minus and
-    hidden_g; the composition returns f_plus / f_minus exactly at lam = +-1
-    without calling hidden_g.  A given ``fused`` must agree with that
-    hidden form.  Either way it is also evaluated slightly past +-1
-    (|lam| <= 1.5), where sliding continuation follows a root through the
-    layer boundary, so it must continue the hidden form there.
+    ``fused(x, t, lam)`` is the field.  Given alone, it derives f_plus /
+    f_minus as fused(x, t, +-1), derived again when ``dataclasses.replace``
+    swaps fused, and ``hidden_term`` is what it adds to their linear
+    combination.  The hidden form (f_plus, f_minus, hidden_g), hidden_g
+    None for the linear (Filippov) combination, is still accepted: fused
+    is then composed from it, exact at lam = +-1 without calling hidden_g.
+    ``eval_field`` wraps fused with validation and ``fast_field_eval`` with
+    a clip of lam; the runs call it directly, clipping lam themselves, and
+    also slightly past +-1 (|lam| <= 1.5), where sliding continuation
+    follows a root through the layer boundary, so it must continue
+    smoothly there.
 
     The runs rely on this calling contract: ``fused`` gets a float64 state
     of shape (dim,) and a Python float lam and returns dim floats, and
@@ -66,22 +65,30 @@ class SwitchedField:
     a composed field shares it with f_plus / f_minus at lam = +-1.
     """
 
-    f_plus: FieldFn
-    f_minus: FieldFn
     dim: int
+    fused: HiddenFn | None = None
+    f_plus: FieldFn | None = None
+    f_minus: FieldFn | None = None
     hidden_g: HiddenFn | None = None
     time_dependent: bool = False
-    fused: HiddenFn | None = None
     surface_tolerance: float = 1e-9
 
     def __post_init__(self):
         if not self.surface_tolerance > 0:
             raise ValueError("surface_tolerance must be positive")
-        parts = (self.f_plus, self.f_minus, self.hidden_g)
+        fused, parts = self.fused, (self.f_plus, self.f_minus, self.hidden_g)
         # a composed evaluator is rebuilt when dataclasses.replace swaps
-        # the parts it was composed from
-        if self.fused is None or getattr(self.fused, "parts", parts) != parts:
+        # the parts it was composed from, a derived branch when it swaps fused
+        if fused is None or getattr(fused, "parts", parts) != parts:
+            if self.f_plus is None or self.f_minus is None:
+                raise TypeError("SwitchedField needs fused(x, t, lam), or "
+                                "f_plus(x, t) and f_minus(x, t)")
             object.__setattr__(self, "fused", _compose(*parts))
+            return
+        for name, lam in (("f_plus", 1.0), ("f_minus", -1.0)):
+            branch = getattr(self, name)
+            if branch is None or getattr(branch, "source", fused) is not fused:
+                object.__setattr__(self, name, _branch(fused, lam))
 
     def _check_state(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -90,6 +97,16 @@ class SwitchedField:
                 f"expected state of dimension {self.dim}, got shape {x.shape}"
             )
         return x
+
+
+def _branch(fused: HiddenFn, lam: float) -> FieldFn:
+    """f_+ (lam = 1) or f_- (lam = -1) of a field given by ``fused``."""
+
+    def branch(x, t):
+        return np.array(fused(x, t, lam), dtype=float)
+
+    branch.source = fused
+    return branch
 
 
 def _compose(fp: FieldFn, fm: FieldFn, g: HiddenFn | None) -> HiddenFn:
@@ -139,14 +156,26 @@ def _check_finite(values: np.ndarray, x, lam, what: str = "field") -> None:
 
 
 def hidden_term(sys: SwitchedField, x, lam: float, t: float = 0.0) -> np.ndarray:
-    """The hidden part E(x; lam) = (lam^2 - 1) g(x, lam); zero at lam = +-1."""
+    """The hidden part of f: f(lam) - (f_+ + f_-)/2 - (f_+ - f_-)/2 lam.
+
+    Exactly zero at lam = +-1.  A field given in hidden form returns its
+    (lam^2 - 1) g(x, lam), or zero without hidden_g.
+    """
     xv = sys._check_state(x)
     lam = _check_lambda(lam)
-    if sys.hidden_g is None or abs(lam) == 1.0:
+    t, composed = float(t), hasattr(sys.fused, "parts")
+    if abs(lam) == 1.0 or composed and sys.hidden_g is None:
         return np.zeros(sys.dim)
-    g = np.asarray(sys.hidden_g(xv, float(t), lam), dtype=float)
-    _check_finite(g, xv, lam, what="hidden multiplier g")
-    return (lam * lam - 1.0) * g
+    if composed:
+        g = np.asarray(sys.hidden_g(xv, t, lam), dtype=float)
+        _check_finite(g, xv, lam, what="hidden multiplier g")
+        return (lam * lam - 1.0) * g
+    fp = np.asarray(sys.f_plus(xv, t), dtype=float)
+    fm = np.asarray(sys.f_minus(xv, t), dtype=float)
+    out = (np.asarray(sys.fused(xv, t, lam), dtype=float)
+           - 0.5 * (fp + fm) - (0.5 * lam) * (fp - fm))
+    _check_finite(out, xv, lam, what="hidden term")
+    return out
 
 
 def fast_field_eval(sys: SwitchedField):

@@ -234,17 +234,6 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, events=(), max_step=None,
     return _Run(np.array(ts), y, stopped_by, event_times)
 
 
-def integrate_smooth(field, x0, t_span, cfg: IntegratorConfig | None = None,
-                     regime: str = "regularized") -> TrajectorySegment:
-    """Integrate a single smooth vector field (state, t) -> vector.
-
-    No surface logic is applied; the regime label is purely descriptive.
-    """
-    cfg = cfg or IntegratorConfig()
-    run = _solve(field, x0, t_span, cfg)
-    return TrajectorySegment(run.t, run.y, regime)
-
-
 def advance_to_surface(sys: SwitchedField, x0, t_span,
                        cfg: IntegratorConfig | None = None
                        ) -> tuple[TrajectorySegment, tuple[float, np.ndarray] | None]:

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .core import (
+    DimensionMismatchError,
     SwitchedField,
     eval_field,
     fast_field_eval,
@@ -95,18 +96,19 @@ class HybridTrajectory:
         return self.segments[-1].x_final
 
 
-def _full_state(x_rest: np.ndarray, dim: int) -> np.ndarray:
-    x = np.zeros(dim)
-    x[1:] = x_rest
-    return x
-
-
-def layer_field(sys: SwitchedField, x_rest, t: float, lam: float
-                ) -> tuple[float, np.ndarray]:
-    """(d lam/d tau, d x_rest/dt) of the blown-up system on the surface."""
+def _check_rest(x_rest, dim: int) -> np.ndarray:
     x_rest = np.asarray(x_rest, dtype=float)
-    f = eval_field(sys, _full_state(x_rest, sys.dim), lam, t=t)
-    return float(f[0]), f[1:]
+    if x_rest.shape != (dim - 1,):
+        raise DimensionMismatchError(
+            f"expected x_rest of shape ({dim - 1},), got shape {x_rest.shape}")
+    return x_rest
+
+
+def _full_state(x_rest, dim: int) -> np.ndarray:
+    """The surface state (0, x_rest)."""
+    x = np.zeros(dim)
+    x[1:] = _check_rest(x_rest, dim)
+    return x
 
 
 def _chebyshev_f1(feval, x, t: float):
@@ -186,7 +188,7 @@ def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0
     of every grid cell instead.  No roots means the flow crosses; f1 = 0
     (on that scan: on a subinterval) raises DegenerateInclusionError.
     """
-    x = _full_state(np.asarray(x_rest, dtype=float), sys.dim)
+    x = _full_state(x_rest, sys.dim)
     feval = fast_field_eval(sys)
 
     def f1(lam):
@@ -232,9 +234,9 @@ def classify_surface_point(sys: SwitchedField, x_rest, t: float,
     """
     if entry_side not in ("plus", "minus"):
         raise ValueError("entry_side must be 'plus' or 'minus'")
+    x_rest = _check_rest(x_rest, sys.dim)
     if sys.time_dependent:
         return "layer_dynamic", None
-    x_rest = np.asarray(x_rest, dtype=float)
     roots = find_sliding_modes(sys, x_rest, t)
 
     lam0 = -1.0 if entry_side == "minus" else 1.0
@@ -483,7 +485,7 @@ def integrate_layer_only(sys: SwitchedField, lam0: float, x_rest0, t_span,
     cfg = cfg or IntegratorConfig()
     if not eps_layer > 0:
         raise ValueError("eps_layer must be positive")
-    seg, _ = _integrate_layer(sys, float(lam0), np.asarray(x_rest0, dtype=float),
+    seg, _ = _integrate_layer(sys, float(lam0), _check_rest(x_rest0, sys.dim),
                               (float(t_span[0]), float(t_span[1])), cfg, eps_layer)
     return seg
 

@@ -26,23 +26,14 @@ def make_example1(variant: str = "nonlinear",
     if variant not in ("filippov", "nonlinear"):
         raise ValueError(f"unknown example1 variant {variant!r}")
 
-    hidden = None
     if variant == "nonlinear":
-        def hidden(x, t, lam):
-            return np.array([0.0, -2.0])
-
         def fused(x, t, lam):
             return (lam, 1.0 - 2.0 * lam * lam)
     else:
         def fused(x, t, lam):
             return (lam, -1.0)
 
-    return SwitchedField(
-        f_plus=lambda x, t: np.array(fused(x, t, 1.0)),
-        f_minus=lambda x, t: np.array(fused(x, t, -1.0)),
-        dim=2, hidden_g=hidden, time_dependent=False, fused=fused,
-        surface_tolerance=surface_tolerance,
-    )
+    return SwitchedField(dim=2, fused=fused, surface_tolerance=surface_tolerance)
 
 
 def make_example2(variant: str = "nonlinear",
@@ -56,23 +47,14 @@ def make_example2(variant: str = "nonlinear",
     if variant not in ("continuous", "nonlinear"):
         raise ValueError(f"unknown example2 variant {variant!r}")
 
-    hidden = None
     if variant == "nonlinear":
-        def hidden(x, t, lam):
-            return np.array([2.0, 0.0])
-
         def fused(x, t, lam):
             return (2.0 * lam * lam - 1.0, 1.0)
     else:
         def fused(x, t, lam):
             return (1.0, 1.0)
 
-    return SwitchedField(
-        f_plus=lambda x, t: np.array(fused(x, t, 1.0)),
-        f_minus=lambda x, t: np.array(fused(x, t, -1.0)),
-        dim=2, hidden_g=hidden, time_dependent=False, fused=fused,
-        surface_tolerance=surface_tolerance,
-    )
+    return SwitchedField(dim=2, fused=fused, surface_tolerance=surface_tolerance)
 
 
 @dataclass(frozen=True)
@@ -130,19 +112,7 @@ def make_circuit(p: CircuitParams | None = None,
         V = Vb - x1
         return ((V - I * R * (mu - sg * (1.0 - mu) * mu)) / RC, (V0 - mu * V) / L)
 
-    hidden = None
-    if sg != 0.0:
-        # p((1+lam)/2) has lam^2 coefficient sigma/4; it enters dV/dt
-        # through +I R p(mu)/RC, hence dx1/dt with a minus sign
-        def hidden(x, t, lam):
-            return np.array([-x[1] * R * sg / (4.0 * RC), 0.0])
-
-    return SwitchedField(
-        f_plus=lambda x, t: np.array(fused(x, t, 1.0)),  # mu = 1, "on"
-        f_minus=lambda x, t: np.array(fused(x, t, -1.0)),  # mu = 0, "off"
-        dim=2, hidden_g=hidden, time_dependent=False, fused=fused,
-        surface_tolerance=surface_tolerance,
-    )
+    return SwitchedField(dim=2, fused=fused, surface_tolerance=surface_tolerance)
 
 
 def circuit_state_to_iv(x: np.ndarray, p: CircuitParams) -> tuple[float, float]:
@@ -196,7 +166,6 @@ def make_duffing(p: DuffingParams | None = None, with_tracker: bool = False,
     p = p or DuffingParams()
     a, b, c, mu_tr = p.a, p.b, p.c, p.tracker_mu
     cubic = p.variant == "nonlinear_cubic"
-    dim = 3 if with_tracker else 2
 
     def fused(x, t, lam):
         s = x.tolist()  # Python floats: far cheaper than numpy scalars
@@ -207,17 +176,5 @@ def make_duffing(p: DuffingParams | None = None, with_tracker: bool = False,
             return (s[1] - c * s[0], f2, (lam - s[2]) / mu_tr)
         return (s[1] - c * s[0], f2)
 
-    hidden = None
-    if cubic:
-        # -lam^3 = -lam - (lam^2 - 1) lam
-        def hidden(x, t, lam):
-            g = np.zeros(dim)
-            g[1] = -lam
-            return g
-
-    return SwitchedField(
-        f_plus=lambda x, t: np.array(fused(x, t, 1.0)),
-        f_minus=lambda x, t: np.array(fused(x, t, -1.0)),
-        dim=dim, hidden_g=hidden, time_dependent=True, fused=fused,
-        surface_tolerance=surface_tolerance,
-    )
+    return SwitchedField(dim=3 if with_tracker else 2, fused=fused, time_dependent=True,
+                         surface_tolerance=surface_tolerance)

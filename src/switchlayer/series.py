@@ -2,7 +2,9 @@
 
 f(x; lam) = sum_n alpha_n(x) lam^n.  The n = 0, 1 coefficients carry the
 classical convex combination; everything from n = 2 up is hidden
-nonlinearity, and folds into the factored hidden multiplier
+nonlinearity.  ``to_hidden_form`` makes the series a SwitchedField given
+by its ``fused`` evaluator alone: f_plus, f_minus and the hidden term are
+derived from it.  The hidden term factors as (lam^2 - 1) g with
 
     g(x, lam) = sum_{n>=1} sum_{j=0}^{n-1} [alpha_2n + lam alpha_2n+1] lam^(2j).
 """
@@ -123,38 +125,19 @@ def _power_sum(coeffs, x: np.ndarray, lam: float) -> np.ndarray:
 
 def to_hidden_form(e: SeriesExpansion, surface_tolerance: float = 1e-9,
                    time_dependent: bool = False, *, dim: int) -> SwitchedField:
-    """Convert an expansion to a SwitchedField in factored hidden form.
+    """The SwitchedField whose ``fused`` evaluator is the series itself.
 
-    The series itself, sum_n alpha_n lam^n, is the field's ``fused``
-    evaluator, and f_plus / f_minus are that evaluator at lam = +-1.  The
-    hidden multiplier comes from factoring lam^2 - 1 out of the n >= 2
-    part of the series; for N <= 1 it is identically zero and the result
-    is the plain convex combination.
+    f_plus / f_minus are the series at lam = +-1 and its hidden term is the
+    n >= 2 part of the series with its value at lam = +-1 taken out, both
+    derived from ``fused``; for N <= 1 it is zero up to rounding.
     """
     coeffs = e.coefficients
-    n_top = e.truncation_order
 
     def fused(x, t, lam):
         return _power_sum(coeffs, x, lam)
 
-    def hidden_g(x, t, lam):
-        out = 0.0
-        for n in range(1, n_top // 2 + 1):
-            term = np.array(coeffs[2 * n](x), dtype=float)
-            if 2 * n + 1 <= n_top:
-                term += lam * np.asarray(coeffs[2 * n + 1](x), dtype=float)
-            out = out + sum(lam ** (2 * j) for j in range(n)) * term
-        return out
-
-    return SwitchedField(
-        f_plus=lambda x, t: fused(x, t, 1.0),
-        f_minus=lambda x, t: fused(x, t, -1.0),
-        dim=dim,
-        hidden_g=None if n_top <= 1 else hidden_g,
-        time_dependent=time_dependent,
-        fused=fused,
-        surface_tolerance=surface_tolerance,
-    )
+    return SwitchedField(dim=dim, fused=fused, time_dependent=time_dependent,
+                         surface_tolerance=surface_tolerance)
 
 
 def match_alpha23(f_plus: np.ndarray, f_minus: np.ndarray, a: AsymptoticData,

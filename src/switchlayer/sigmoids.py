@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf, erfinv
+from scipy.special import erfinv
 
 KINDS = ("piecewise_linear", "arctan_unit", "arctan_01", "tanh", "erf", "hill")
 
@@ -49,39 +49,22 @@ class SigmoidSpec:
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, v):
-        """phi_eps(v), vectorized over v.
+        """phi_eps(v), vectorized over v: ``scalar_fn()`` elementwise.
 
         For the hill kind v is the raw (positive) Hill argument; the value
         is computed in log space so small eps does not overflow.
         """
-        v = np.asarray(v, dtype=float)
-        e = self.eps
-        if self.kind == "piecewise_linear":
-            out = np.clip(v / e, -1.0, 1.0)
-        elif self.kind == "arctan_unit":
-            out = (2.0 / np.pi) * np.arctan(v / e)
-        elif self.kind == "arctan_01":
-            out = 0.5 + np.arctan(v / e) / np.pi
-        elif self.kind == "tanh":
-            out = np.tanh(v / e)
-        elif self.kind == "erf":
-            out = erf(v / e)
-        else:  # hill
-            if np.any(v <= 0):
-                raise ValueError("hill sigmoid requires a positive argument")
-            # Z(x) = x^(1/eps) / (x^(1/eps) + theta^(1/eps))
-            u = (np.log(v) - math.log(self.theta)) / e
-            out = 0.5 * (1.0 + np.tanh(0.5 * u))
+        out = np.vectorize(self.scalar_fn(), otypes=[float])(np.asarray(v, dtype=float))
         return out if out.ndim else float(out)
 
     def __call__(self, v):
         return self.evaluate(v)
 
     def scalar_fn(self):
-        """Return a validation-free scalar closure equivalent to evaluate().
+        """Return a validation-free scalar closure phi_eps(v).
 
-        Intended for per-step use inside integrator hot loops, where the
-        array round-trip of evaluate() dominates the cost.
+        The one statement of each formula: ``evaluate`` applies it
+        elementwise, and integrator hot loops call it per step.
         """
         e = self.eps
         if self.kind == "piecewise_linear":

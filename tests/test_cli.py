@@ -127,6 +127,19 @@ class TestSimulate:
         with pytest.raises(ConfigError, match="eps_layer"):
             RunConfig.parse(doc)
 
+    @pytest.mark.parametrize("mode, state", [
+        ("hybrid", [-0.3]), ("hybrid", [-0.3, 0.0, 0.0]),
+        ("regularized", [-0.3]), ("regularized", [-0.3, 0.0, 0.0]),
+        ("layer_only", [0.0, 0.0, 0.0]),
+    ])
+    def test_wrong_length_initial_state_exits_2(self, tmp_path, mode, state, capsys):
+        doc = base_config(mode=mode, initial_state=state,
+                          sigmoid={"kind": "tanh", "eps": 0.01})
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "2 values" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "no.json")]) == 2
 
@@ -270,6 +283,14 @@ class TestEquilibria:
         fields = lines[1].split(",")
         assert float(fields[0]) == pytest.approx(2 / 3, abs=1e-8)
         assert fields[2] == "saddle"
+
+    @pytest.mark.parametrize("box", [[[-1.0, 1.0]], [[-1.0, 1.0], [0.0, 1.0], [0.0, 1.0]]])
+    def test_wrong_length_box_exits_2(self, tmp_path, box):
+        cfg = write_config(tmp_path / "c.json",
+                           {"scenario": "example2", "search_box": box,
+                            "output": {"path": str(tmp_path / "x.csv")}})
+        assert main(["equilibria", "--config", cfg]) == 2
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_box_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",

@@ -80,6 +80,14 @@ class TestEvalField:
         np.testing.assert_array_equal(eval_field(moved, np.zeros(2), 1.0), [3.0, 0.0])
         np.testing.assert_allclose(eval_field(moved, np.zeros(2), 0.0), [1.5, 0.5])
 
+    def test_field_needs_fused_or_both_branches(self):
+        with pytest.raises(TypeError, match="needs fused"):
+            SwitchedField(dim=2)
+        with pytest.raises(TypeError, match="needs fused"):
+            SwitchedField(dim=2, f_plus=lambda x, t: np.zeros(2))
+        with pytest.raises(TypeError):  # keywords only
+            SwitchedField(lambda x, t: np.zeros(2), lambda x, t: np.zeros(2), 2)
+
     def test_state_vector_carries_time(self):
         seen = {}
 

@@ -16,10 +16,9 @@ from switchlayer import (
     advance_to_surface,
     circuit_iv_to_state,
     integrate_regularized,
-    integrate_smooth,
     make_circuit,
 )
-from switchlayer.integrate import IntegrationError
+from switchlayer.integrate import IntegrationError, _solve
 
 
 def linear_system(fp, fm, dim=2, g=None, tol=1e-9):
@@ -66,21 +65,22 @@ class TestTrajectorySegment:
 
 
 class TestIntegrateSmooth:
+    """Smooth fields on the DOPRI5 core, with no surface logic."""
+
     def test_exponential_decay_oracle(self):
         def field(x, t):
             return -x
 
-        seg = integrate_smooth(field, np.array([1.0, 2.0]), (0.0, 1.0))
-        np.testing.assert_allclose(seg.x_final, np.exp(-1.0) * np.array([1, 2]),
+        run = _solve(field, np.array([1.0, 2.0]), (0.0, 1.0), IntegratorConfig())
+        np.testing.assert_allclose(run.y[-1], np.exp(-1.0) * np.array([1, 2]),
                                    rtol=1e-6)
-        assert seg.regime == "regularized"
 
     def test_non_finite_state_raises(self):
         def field(x, t):
             return x * x  # finite-time blow-up from x0 > 1
 
         with pytest.raises(IntegrationError):
-            integrate_smooth(field, np.array([3.0, 3.0]), (0.0, 2.0))
+            _solve(field, np.array([3.0, 3.0]), (0.0, 2.0), IntegratorConfig())
 
     def test_field_exception_propagates(self):
         class Boom(ValueError):
@@ -92,21 +92,20 @@ class TestIntegrateSmooth:
             return -x
 
         with pytest.raises(Boom, match="field failed"):
-            integrate_smooth(field, np.array([1.0, 1.0]), (0.0, 1.0))
+            _solve(field, np.array([1.0, 1.0]), (0.0, 1.0), IntegratorConfig())
 
     def test_step_budget_enforced(self):
         cfg = IntegratorConfig(max_step=0.01, max_steps=50)
         with pytest.raises(IntegrationError, match="step budget"):
-            integrate_smooth(lambda x, t: -x, np.array([1.0, 1.0]), (0.0, 1.0),
-                             cfg)
+            _solve(lambda x, t: -x, np.array([1.0, 1.0]), (0.0, 1.0), cfg)
 
     def test_nested_run_rejected(self):
         def field(x, t):
-            integrate_smooth(lambda y, s: -y, x, (0.0, 0.1))
+            _solve(lambda y, s: -y, x, (0.0, 0.1), IntegratorConfig())
             return -x
 
         with pytest.raises(RuntimeError, match="re-entrant"):
-            integrate_smooth(field, np.array([1.0, 1.0]), (0.0, 1.0))
+            _solve(field, np.array([1.0, 1.0]), (0.0, 1.0), IntegratorConfig())
 
     def test_finished_runs_are_freed(self):
         cfg = IntegratorConfig(max_step=1e-3)
@@ -114,13 +113,13 @@ class TestIntegrateSmooth:
         def field(x, t):
             return np.array([x[1], -x[0]])
 
-        integrate_smooth(field, np.array([1.0, 0.0]), (0.0, 0.1), cfg)
+        _solve(field, np.array([1.0, 0.0]), (0.0, 0.1), cfg)
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for _ in range(10):  # 10k accepted steps each
-                integrate_smooth(field, np.array([1.0, 0.0]), (0.0, 10.0), cfg)
+                _solve(field, np.array([1.0, 0.0]), (0.0, 10.0), cfg)
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:

@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 from switchlayer import (
     CircuitParams,
     DegenerateInclusionError,
+    DimensionMismatchError,
     IntegrationError,
     IntegratorConfig,
     NonFiniteFieldError,
@@ -27,7 +28,6 @@ from switchlayer import (
     integrate_layer_only,
     integrate_regularized,
     layer_amplitude,
-    layer_field,
     make_circuit,
     make_duffing,
     make_example1,
@@ -292,12 +292,22 @@ class TestNonFiniteField:
             find_layer_equilibria(self.infinite_inside_layer(), [(-1, 1), (-5, 5)])
 
 
-class TestLayerField:
-    def test_components(self):
-        sys = linear_system([-1.0, 2.0], [3.0, 6.0])
-        dlam, rest = layer_field(sys, np.array([0.0]), 0.0, 0.5)
-        assert dlam == pytest.approx(1.0 + (-2.0) * 0.5)
-        np.testing.assert_allclose(rest, [4.0 + (-2.0) * 0.5])
+class TestRestShape:
+    """x_rest is (x2, ..., xn): a short or long one is rejected, not broadcast."""
+
+    @pytest.mark.parametrize("factory, x_rest", [
+        (lambda: make_duffing(with_tracker=True), [0.3]),
+        (lambda: make_example2(), [0.3, 0.1]),
+    ], ids=["short", "long"])
+    def test_wrong_length_rejected(self, factory, x_rest):
+        sys = factory()
+        shapes = rf"\({sys.dim - 1},\).*\({len(x_rest)},\)"
+        with pytest.raises(DimensionMismatchError, match=shapes):
+            find_sliding_modes(sys, np.array(x_rest))
+        with pytest.raises(DimensionMismatchError, match=shapes):
+            classify_surface_point(sys, np.array(x_rest), 0.0, "plus")
+        with pytest.raises(DimensionMismatchError, match=shapes):
+            integrate_layer_only(sys, 0.0, np.array(x_rest), (0.0, 1.0))
 
 
 class TestClassifySurfacePoint:

@@ -1,5 +1,6 @@
 """Reference systems: published parameters, field formulas, structure."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,34 @@ ALL_FACTORIES = [
 ]
 
 
+def circuit_g(p):
+    """p((1+lam)/2) has lam^2 coefficient sigma/4; it enters dV/dt through
+    +I R p(mu)/RC, hence dx1/dt with a minus sign."""
+    return lambda x, t, lam: np.array([-x[1] * p.R * p.sigma / (4.0 * p.RC), 0.0])
+
+
+# the hidden multipliers g of ALL_FACTORIES, in order:
+# f(x; lam) = (f_+ + f_-)/2 + (f_+ - f_-)/2 lam + (lam^2 - 1) g(x, lam)
+HIDDEN_G = [
+    lambda x, t, lam: np.zeros(2),
+    lambda x, t, lam: np.array([0.0, -2.0]),
+    lambda x, t, lam: np.zeros(2),
+    lambda x, t, lam: np.array([2.0, 0.0]),
+    circuit_g(CircuitParams()),
+    circuit_g(CircuitParams(sigma=0.5)),
+    lambda x, t, lam: np.zeros(2),
+    lambda x, t, lam: np.array([0.0, -lam]),  # -lam^3 = -lam - (lam^2 - 1) lam
+    lambda x, t, lam: np.array([0.0, -lam, 0.0]),
+]
+
+
+def assert_hidden_term(sys, g, x, t, lam):
+    """hidden_term against (lam^2 - 1) g, to 1e-12 of the field's size."""
+    f = np.concatenate([np.asarray(sys.fused(x, t, v), dtype=float) for v in (-1.0, lam, 1.0)])
+    np.testing.assert_allclose(hidden_term(sys, x, lam, t=t), (lam * lam - 1.0) * g(x, t, lam),
+                               rtol=0, atol=1e-12 * np.abs(f).max())
+
+
 class TestStructuralInvariants:
     def test_hidden_term_vanishes_at_boundaries(self):
         rng = np.random.default_rng(1)
@@ -65,27 +94,53 @@ class TestStructuralInvariants:
         def series_field():
             return to_hidden_form(SeriesExpansion(alphas), dim=2)
 
+        def series_g(x, t, lam):  # the factored alpha_2..alpha_4 part
+            return alphas[2](x) + lam * alphas[3](x) + (1.0 + lam * lam) * alphas[4](x)
+
+        def composed_g(x, t, lam):
+            return np.array([lam * x[1], 2.0 + lam * lam])
+
         def composed():
             return SwitchedField(
                 f_plus=lambda x, t: np.array([1.0 - x[1], np.sin(t)]),
                 f_minus=lambda x, t: np.array([-1.0, x[0] * x[1]]),
-                dim=2,
-                hidden_g=lambda x, t, lam: np.array([lam * x[1], 2.0 + lam * lam]))
+                dim=2, hidden_g=composed_g)
 
-        for factory in ALL_FACTORIES + [series_field, composed]:
+        for factory, g in zip(ALL_FACTORIES + [series_field, composed],
+                              HIDDEN_G + [series_g, composed_g]):
             sys = factory()
             for _ in range(50):
                 x = rng.normal(size=sys.dim)
                 t = float(rng.uniform(0, 10))
                 lam = float(rng.uniform(-1.5, 1.5))
                 fp, fm = sys.f_plus(x, t), sys.f_minus(x, t)
-                hidden = 0.0 if sys.hidden_g is None else sys.hidden_g(x, t, lam)
                 oracle = (0.5 * (fp + fm) + 0.5 * (fp - fm) * lam
-                          + (lam * lam - 1.0) * hidden)
+                          + (lam * lam - 1.0) * g(x, t, lam))
                 np.testing.assert_allclose(sys.fused(x, t, lam), oracle,
                                            rtol=1e-12, atol=1e-12)
                 np.testing.assert_array_equal(sys.fused(x, t, 1.0), fp)
                 np.testing.assert_array_equal(sys.fused(x, t, -1.0), fm)
+                if abs(lam) <= 1.0:
+                    assert_hidden_term(sys, g, x, t, lam)
+
+
+    def test_branches_follow_replaced_fused(self):
+        rng = np.random.default_rng(5)
+        alphas = tuple((lambda v: (lambda x: v))(rng.normal(size=2)) for _ in range(4))
+        for factory in ALL_FACTORIES + [lambda: to_hidden_form(SeriesExpansion(alphas), dim=2)]:
+            sys = factory()
+            old = sys.fused
+            moved = dataclasses.replace(
+                sys, fused=lambda x, t, lam: 2.0 * np.asarray(old(x, t, lam)) + lam)
+            x, t = rng.normal(size=sys.dim), 0.7
+            np.testing.assert_array_equal(moved.f_plus(x, t), 2.0 * sys.f_plus(x, t) + 1.0)
+            np.testing.assert_array_equal(moved.f_minus(x, t), 2.0 * sys.f_minus(x, t) - 1.0)
+            for lam in (-1.0, 1.0):
+                np.testing.assert_array_equal(eval_field(moved, x, lam, t=t),
+                                              (moved.f_plus if lam > 0 else moved.f_minus)(x, t))
+            np.testing.assert_allclose(hidden_term(moved, x, 0.3, t=t),
+                                       2.0 * hidden_term(sys, x, 0.3, t=t), rtol=1e-12,
+                                       atol=1e-12 * np.abs(moved.f_plus(x, t)).max())
 
 
 def array_circuit(p):
@@ -207,8 +262,12 @@ class TestCircuit:
                                        atol=1e-14)
 
     def test_no_hidden_term_for_ideal_switch(self):
-        assert make_circuit(CircuitParams()).hidden_g is None
-        assert make_circuit(CircuitParams(sigma=0.5)).hidden_g is not None
+        rng = np.random.default_rng(4)
+        for p in (CircuitParams(), CircuitParams(sigma=0.5)):
+            sys = make_circuit(p)
+            for _ in range(20):
+                x = rng.normal(size=2)
+                assert_hidden_term(sys, circuit_g(p), x, 0.0, float(rng.uniform(-1, 1)))
 
     def test_coordinate_round_trip(self):
         p = CircuitParams()

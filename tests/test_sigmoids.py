@@ -69,6 +69,21 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             spec_for("hill").scalar_fn()(-1.0)
 
+    def test_evaluate_is_scalar_fn_elementwise(self):
+        # one statement of each formula: the vectorized and scalar paths agree bit for bit
+        for kind in KINDS:
+            s = SigmoidSpec(kind, eps=0.3)
+            f = s.scalar_fn()
+            vs = np.linspace(0.001, 5.0, 2001) if kind == "hill" \
+                else np.linspace(-5.0, 5.0, 2001)
+            ref = np.array([f(v) for v in vs.tolist()])
+            np.testing.assert_array_equal(s(vs), ref, strict=True)
+            np.testing.assert_array_equal(s(vs.reshape(3, 667)), ref.reshape(3, 667),
+                                          strict=True)
+            scalars = [s(v) for v in vs.tolist()]
+            assert all(type(y) is float for y in scalars)
+            assert scalars == ref.tolist()
+
     @given(kind=st.sampled_from(KINDS),
            a=st.floats(-10.0, 10.0), b=st.floats(-10.0, 10.0))
     @settings(max_examples=300, deadline=None)
