@@ -4,6 +4,11 @@ Subcommands: simulate, sweep, amplitude, sliding, equilibria.  All take a
 JSON config document; outputs are deterministic CSV or JSON (no
 timestamps), with numbers printed to 17 significant digits.
 
+``RunConfig.parse`` is the one reader of the document: it converts and
+checks every entry present, used by the subcommand or not, before any
+computation starts.  ``sliding`` reads ``grid`` (``x_rest`` axes and its
+own ``t``); ``equilibria`` reads ``search_box`` and the top-level ``t``.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -14,7 +19,7 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,121 +57,124 @@ class ConfigError(ValueError):
 
 
 MODES = ("hybrid", "regularized", "layer_only")
+FORMATS = ("csv", "json")
+KEYS = {"scenario", "mode", "sigmoid", "t_span", "initial_state", "initial_iv",
+        "eps_layer", "integrator", "output", "grid", "search_box", "t"}
+
+
+def _entry(doc: dict, key: str, convert, default=None):
+    """``convert(doc[key])``, or ``default`` when the entry is absent or null.
+
+    A TypeError, ValueError or KeyError from convert becomes a ConfigError
+    naming the entry.
+    """
+    value = doc.get(key)
+    if value is None:
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigError(f"bad {key} entry: {type(exc).__name__}: {exc}") from exc
+
+
+def _scenario(scen) -> tuple[str, dict, SwitchedField]:
+    """(name, params, system) of a scenario entry: a name or {name, params}."""
+    if isinstance(scen, str):
+        name, params = scen, {}
+    elif isinstance(scen, dict) and "name" in scen:
+        name, params = scen["name"], dict(scen.get("params") or {})
+    else:
+        raise ValueError("needs a name or {name, params}")
+    kw = dict(params)
+    if name in ("example1", "example2"):
+        make = make_example1 if name == "example1" else make_example2
+        return name, params, make(kw.pop("variant", "nonlinear"), **kw)
+    if name == "circuit":
+        return name, params, make_circuit(CircuitParams(**kw))
+    if name == "duffing":
+        tracker = kw.pop("with_tracker", False)
+        return name, params, make_duffing(DuffingParams(**kw), with_tracker=tracker)
+    raise ValueError(f"unknown scenario {name!r}")
 
 
 @dataclass
 class RunConfig:
+    """A run configuration, each entry converted to what the run needs."""
+
     scenario: str
-    scenario_params: dict = field(default_factory=dict)
-    mode: str = "hybrid"
-    sigmoid: dict | None = None
-    t_span: tuple[float, float] = (0.0, 1.0)
-    initial_state: list[float] | None = None
-    initial_iv: list[float] | None = None  # circuit convenience: (I, V)
-    eps_layer: float = 1e-5
-    integrator: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
+    system: SwitchedField
+    mode: str
+    t_span: tuple[float, float]
+    eps_layer: float
+    integrator: IntegratorConfig
+    sigmoid: SigmoidSpec | None
+    x0: np.ndarray | None
+    grid: list[np.ndarray] | None  # sliding: axes over x2..xn, at the grid's t
+    grid_t: float
+    search_box: list[tuple[float, float]] | None  # equilibria: over lam, x2..xn, at t
+    t: float
+    path: str | None
+    format: str
 
     @classmethod
     def parse(cls, doc: dict) -> "RunConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        known = {"scenario", "mode", "sigmoid", "t_span", "initial_state",
-                 "initial_iv", "eps_layer", "integrator", "output",
-                 "grid", "search_box", "t"}
-        unknown = set(doc) - known
+        unknown = set(doc) - KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        scen = doc.get("scenario")
-        if isinstance(scen, str):
-            name, params = scen, {}
-        elif isinstance(scen, dict) and "name" in scen:
-            name, params = scen["name"], dict(scen.get("params", {}))
-        else:
+        if doc.get("scenario") is None:
             raise ConfigError("config needs scenario: name or {name, params}")
-        mode = doc.get("mode", "hybrid")
+        name, params, system = _entry(doc, "scenario", _scenario)
+        dim = system.dim
+        mode = _entry(doc, "mode", str, "hybrid")
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-        if mode == "regularized" and not doc.get("sigmoid"):
+        sigmoid = _entry(doc, "sigmoid", lambda spec: SigmoidSpec(**spec))
+        if mode == "regularized" and sigmoid is None:
             raise ConfigError("regularized mode requires a sigmoid entry")
-        t_span = doc.get("t_span", [0.0, 1.0])
-        if (not isinstance(t_span, (list, tuple)) or len(t_span) != 2
-                or not t_span[1] > t_span[0]):
+        t_span = _entry(doc, "t_span", lambda ts: tuple(map(float, ts)), (0.0, 1.0))
+        if len(t_span) != 2 or not t_span[1] > t_span[0]:
             raise ConfigError("t_span must be [t0, t1] with t1 > t0")
-        cfg = cls(
-            scenario=name, scenario_params=params, mode=mode,
-            sigmoid=doc.get("sigmoid"),
-            t_span=(float(t_span[0]), float(t_span[1])),
-            initial_state=doc.get("initial_state"),
-            initial_iv=doc.get("initial_iv"),
-            eps_layer=float(doc.get("eps_layer", 1e-5)),
-            integrator=dict(doc.get("integrator", {})),
-            output=dict(doc.get("output", {})),
-        )
-        if not cfg.eps_layer > 0:
+        eps_layer = _entry(doc, "eps_layer", float, 1e-5)
+        if not eps_layer > 0:
             raise ConfigError("eps_layer must be positive")
-        cfg.build_integrator()  # validate eagerly
-        if cfg.sigmoid is not None:
-            cfg.build_sigmoid()
-        return cfg
+        x0 = _entry(doc, "initial_state", lambda x: np.asarray(x, dtype=float))
+        if x0 is not None and x0.shape != (dim,):
+            what = "(lam0, x2..xn)" if mode == "layer_only" else "(x1..xn)"
+            raise ConfigError(f"{mode} initial_state must be {what}, {dim} "
+                              f"values for this scenario, got shape {x0.shape}")
+        if doc.get("initial_iv") is not None and name != "circuit":
+            raise ConfigError("initial_iv only applies to the circuit scenario")
+        x0 = _entry(doc, "initial_iv",
+                    lambda iv: circuit_iv_to_state(*iv, p=CircuitParams(**params)), x0)
+        grid, grid_t = _entry(doc, "grid", lambda g: (
+            [np.linspace(float(lo), float(hi), int(n)) for lo, hi, n in g["x_rest"]],
+            float(g.get("t", 0.0))), (None, 0.0))
+        if grid is not None and len(grid) != dim - 1:
+            raise ConfigError(f"grid must span {dim - 1} tangential coordinates")
+        box = _entry(doc, "search_box", lambda b: [(float(lo), float(hi)) for lo, hi in b])
+        if box is not None and len(box) != dim:
+            raise ConfigError(f"search_box must give {dim} (lam, x_rest) intervals")
+        path, fmt = _entry(doc, "output", lambda o: (o.get("path"), o.get("format", "csv")),
+                           (None, "csv"))
+        if not isinstance(path, (str, type(None))) or fmt not in FORMATS:
+            raise ConfigError(f"output needs a path string and a format in {FORMATS}, "
+                              f"got {path!r} and {fmt!r}")
+        return cls(
+            scenario=name, system=system, mode=mode, t_span=t_span, eps_layer=eps_layer,
+            integrator=_entry(doc, "integrator", lambda kw: IntegratorConfig(**kw),
+                              IntegratorConfig()),
+            sigmoid=sigmoid, x0=x0, grid=grid, grid_t=grid_t, search_box=box,
+            t=_entry(doc, "t", float, 0.0), path=path, format=fmt,
+        )
 
-    def to_dict(self) -> dict:
-        out = {
-            "scenario": {"name": self.scenario, "params": dict(self.scenario_params)},
-            "mode": self.mode,
-            "t_span": list(self.t_span),
-            "eps_layer": self.eps_layer,
-            "integrator": dict(self.integrator),
-            "output": dict(self.output),
-        }
-        if self.sigmoid is not None:
-            out["sigmoid"] = dict(self.sigmoid)
-        if self.initial_state is not None:
-            out["initial_state"] = list(self.initial_state)
-        if self.initial_iv is not None:
-            out["initial_iv"] = list(self.initial_iv)
-        return out
-
-    def build_system(self) -> SwitchedField:
-        name = self.scenario
-        params = dict(self.scenario_params)
-        try:
-            if name == "example1":
-                return make_example1(params.pop("variant", "nonlinear"), **params)
-            if name == "example2":
-                return make_example2(params.pop("variant", "nonlinear"), **params)
-            if name == "circuit":
-                return make_circuit(CircuitParams(**params))
-            if name == "duffing":
-                tracker = params.pop("with_tracker", False)
-                return make_duffing(DuffingParams(**params), with_tracker=tracker)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad parameters for scenario {name!r}: {exc}") from exc
-        raise ConfigError(f"unknown scenario {name!r}")
-
-    def build_sigmoid(self) -> SigmoidSpec:
-        if not self.sigmoid:
-            raise ConfigError("no sigmoid configured")
-        try:
-            return SigmoidSpec(**self.sigmoid)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad sigmoid spec: {exc}") from exc
-
-    def build_integrator(self) -> IntegratorConfig:
-        try:
-            return IntegratorConfig(**self.integrator)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad integrator settings: {exc}") from exc
-
-    def build_initial_state(self) -> np.ndarray:
-        if self.initial_iv is not None:
-            if self.scenario != "circuit":
-                raise ConfigError("initial_iv only applies to the circuit scenario")
-            I, V = self.initial_iv
-            return circuit_iv_to_state(I, V, CircuitParams(**self.scenario_params))
-        if self.initial_state is None:
-            raise ConfigError("config needs initial_state (or initial_iv)")
-        return np.asarray(self.initial_state, dtype=float)
+    def target(self, out: str | None, fmt: str | None) -> tuple[str, str]:
+        """The output path and format: --out / --format over the config's."""
+        path = out or self.path
+        if path is None:
+            raise ConfigError("no output path (config output.path or --out)")
+        return path, fmt or self.format
 
 
 # -- trajectory table ---------------------------------------------------
@@ -204,27 +212,21 @@ def write_table(path: str, header: list[str], rows: list[list], fmt: str) -> Non
         lines = [",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
-    elif fmt == "json":
+    else:  # json; RunConfig.parse and --format admit only FORMATS
         text = json.dumps({"columns": header, "rows": rows}, indent=1,
                           sort_keys=True, allow_nan=True) + "\n"
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
     with open(path, "w") as fh:
         fh.write(text)
 
 
 def run_simulation(cfg: RunConfig):
-    sys_ = cfg.build_system()
-    icfg = cfg.build_integrator()
-    x0 = cfg.build_initial_state()
-    if x0.shape != (sys_.dim,):
-        what = "(lam0, x2..xn)" if cfg.mode == "layer_only" else "(x1..xn)"
-        raise ConfigError(f"{cfg.mode} initial_state must be {what}, {sys_.dim} "
-                          f"values for this scenario, got shape {x0.shape}")
+    sys_, x0, icfg = cfg.system, cfg.x0, cfg.integrator
+    if x0 is None:
+        raise ConfigError("config needs initial_state (or initial_iv)")
     if cfg.mode == "hybrid":
         return integrate_hybrid(sys_, x0, cfg.t_span, icfg, eps_layer=cfg.eps_layer)
     if cfg.mode == "regularized":
-        return integrate_regularized(sys_, cfg.build_sigmoid(), x0, cfg.t_span, icfg)
+        return integrate_regularized(sys_, cfg.sigmoid, x0, cfg.t_span, icfg)
     return integrate_layer_only(sys_, x0[0], x0[1:], cfg.t_span, icfg,
                                 eps_layer=cfg.eps_layer)
 
@@ -257,44 +259,37 @@ def amplitude_of(result, window: tuple[float, float], average: float = 0.0) -> d
 
 
 def cmd_simulate(cfg: RunConfig, out: str | None, fmt: str | None) -> int:
-    result = run_simulation(cfg)
-    path = out or cfg.output.get("path")
-    if path is None:
-        raise ConfigError("no output path (config output.path or --out)")
-    fmt = fmt or cfg.output.get("format", "csv")
-    header, rows = trajectory_table(result)
+    path, fmt = cfg.target(out, fmt)
+    header, rows = trajectory_table(run_simulation(cfg))
     write_table(path, header, rows, fmt)
     return 0
 
 
 def _set_by_path(doc: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
+    *parents, last = dotted.split(".")
     node = doc
-    for key in parts[:-1]:
-        if not isinstance(node, dict) or key not in node:
-            raise ConfigError(f"swept parameter path {dotted!r} not in config")
-        node = node[key]
-    if not isinstance(node, dict) or parts[-1] not in node:
+    for key in parents:
+        node = node.get(key) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or last not in node:
         raise ConfigError(f"swept parameter path {dotted!r} not in config")
-    node[parts[-1]] = value
+    node[last] = value
 
 
 def cmd_sweep(doc: dict, parameter: str, values: list, out: str | None,
               fmt: str | None) -> int:
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
-    base = out or doc.get("output", {}).get("path")
-    if base is None:
-        raise ConfigError("no output path (config output.path or --out)")
-    fmt = fmt or doc.get("output", {}).get("format", "csv")
+    base, fmt = RunConfig.parse(doc).target(out, fmt)
     stem, dot, ext = base.rpartition(".")
     if not dot:
         stem, ext = base, fmt
-    summary = []
-    for k, value in enumerate(values):
+    members = []
+    for value in values:
         member = copy.deepcopy(doc)
         _set_by_path(member, parameter, value)
-        cfg = RunConfig.parse(member)
+        members.append(RunConfig.parse(member))
+    summary = []
+    for k, (value, cfg) in enumerate(zip(values, members)):
         result = run_simulation(cfg)
         path = f"{stem}_{k}.{ext}"
         header, rows = trajectory_table(result)
@@ -305,11 +300,8 @@ def cmd_sweep(doc: dict, parameter: str, values: list, out: str | None,
             amp = amplitude_of(result, window)["amplitude"]
         except ConfigError:
             amp = None
-        stick = cross = 0
-        if isinstance(result, HybridTrajectory):
-            stick = sum(1 for _, kind in result.transitions if kind == "stick")
-            cross = sum(1 for _, kind in result.transitions
-                        if kind.startswith("cross"))
+        kinds = ([kind for _, kind in result.transitions]
+                 if isinstance(result, HybridTrajectory) else [])
         segs = _segments_of(result)
         summary.append({
             "parameter": parameter,
@@ -318,8 +310,8 @@ def cmd_sweep(doc: dict, parameter: str, values: list, out: str | None,
             "final_t": segs[-1].t_final,
             "final_state": [float(v) for v in segs[-1].x_final],
             "post_transient_amplitude": amp,
-            "stick_count": stick,
-            "cross_count": cross,
+            "stick_count": kinds.count("stick"),
+            "cross_count": sum(kind.startswith("cross") for kind in kinds),
         })
     with open(f"{stem}_summary.json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
@@ -340,16 +332,11 @@ def cmd_amplitude(cfg: RunConfig, window: tuple[float, float],
     return 0
 
 
-def cmd_sliding(cfg: RunConfig, doc: dict, out: str | None, fmt: str | None) -> int:
-    sys_ = cfg.build_system()
-    grid_spec = doc.get("grid")
-    if not grid_spec or "x_rest" not in grid_spec:
+def cmd_sliding(cfg: RunConfig, out: str | None, fmt: str | None) -> int:
+    sys_, axes, t = cfg.system, cfg.grid, cfg.grid_t
+    if axes is None:
         raise ConfigError('sliding needs config grid: {"x_rest": [[lo, hi, n], ...]}')
-    axes = [np.linspace(float(lo), float(hi), int(n))
-            for lo, hi, n in grid_spec["x_rest"]]
-    if len(axes) != sys_.dim - 1:
-        raise ConfigError(f"grid must span {sys_.dim - 1} tangential coordinates")
-    t = float(grid_spec.get("t", 0.0))
+    path, fmt = cfg.target(out, fmt)
     header = ([f"x{i+2}" for i in range(len(axes))]
               + ["lambda_s", "stability"]
               + [f"slide_dx{i+2}" for i in range(len(axes))])
@@ -363,22 +350,19 @@ def cmd_sliding(cfg: RunConfig, doc: dict, out: str | None, fmt: str | None) -> 
         for root in roots:
             rows.append([*(float(v) for v in point), root.lam_s, root.stability,
                          *(float(v) for v in root.sliding_field)])
-    path = out or cfg.output.get("path")
-    if path is None:
-        raise ConfigError("no output path (config output.path or --out)")
-    write_table(path, header, rows, fmt or cfg.output.get("format", "csv"))
+    write_table(path, header, rows, fmt)
     return 0
 
 
-def cmd_equilibria(cfg: RunConfig, doc: dict, out: str | None, fmt: str | None) -> int:
-    sys_ = cfg.build_system()
-    box = doc.get("search_box")
-    if not box:
+def cmd_equilibria(cfg: RunConfig, out: str | None, fmt: str | None) -> int:
+    sys_ = cfg.system
+    if cfg.search_box is None:
         raise ConfigError('equilibria needs config search_box: [[lo, hi], ...]')
-    if len(box) != sys_.dim:
-        raise ConfigError(f"search_box must give {sys_.dim} (lam, x_rest) intervals")
-    t = float(doc.get("t", 0.0))
-    eqs = find_layer_equilibria(sys_, box, t)
+    if sys_.time_dependent:
+        raise ConfigError(f"equilibria needs an autonomous layer; scenario "
+                          f"{cfg.scenario!r} is time-dependent")
+    path, fmt = cfg.target(out, fmt)
+    eqs = find_layer_equilibria(sys_, cfg.search_box, cfg.t)
     header = (["lambda_e"] + [f"x{i+2}" for i in range(sys_.dim - 1)]
               + ["classification"]
               + [f"eig{i+1}_re" for i in range(sys_.dim)]
@@ -388,10 +372,7 @@ def cmd_equilibria(cfg: RunConfig, doc: dict, out: str | None, fmt: str | None) 
         rows.append([eq.lam_e, *(float(v) for v in eq.x_rest), eq.classification,
                      *(float(e.real) for e in eq.eigenvalues),
                      *(float(e.imag) for e in eq.eigenvalues)])
-    path = out or cfg.output.get("path")
-    if path is None:
-        raise ConfigError("no output path (config output.path or --out)")
-    write_table(path, header, rows, fmt or cfg.output.get("format", "csv"))
+    write_table(path, header, rows, fmt)
     return 0
 
 
@@ -416,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", default=None, choices=("csv", "json"))
+        p.add_argument("--format", default=None, choices=FORMATS)
 
     common(sub.add_parser("simulate", help="run one trajectory and write it out"))
 
@@ -459,8 +440,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "amplitude":
             return cmd_amplitude(cfg, tuple(args.window), args.out, args.average)
         if args.command == "sliding":
-            return cmd_sliding(cfg, doc, args.out, args.format)
-        return cmd_equilibria(cfg, doc, args.out, args.format)
+            return cmd_sliding(cfg, args.out, args.format)
+        return cmd_equilibria(cfg, args.out, args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

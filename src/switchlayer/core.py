@@ -50,6 +50,7 @@ class SwitchedField:
     combination.  The hidden form (f_plus, f_minus, hidden_g), hidden_g
     None for the linear (Filippov) combination, is still accepted: fused
     is then composed from it, exact at lam = +-1 without calling hidden_g.
+    A hidden_g next to a given fused is a TypeError: nothing would read it.
     ``eval_field`` wraps fused with validation and ``fast_field_eval`` with
     a clip of lam; the runs call it directly, clipping lam themselves, and
     also slightly past +-1 (|lam| <= 1.5), where sliding continuation
@@ -85,6 +86,9 @@ class SwitchedField:
                                 "f_plus(x, t) and f_minus(x, t)")
             object.__setattr__(self, "fused", _compose(*parts))
             return
+        if self.hidden_g is not None and not hasattr(fused, "parts"):
+            raise TypeError("hidden_g composes a field from f_plus and f_minus; "
+                            "a field given by fused takes none")
         for name, lam in (("f_plus", 1.0), ("f_minus", -1.0)):
             branch = getattr(self, name)
             if branch is None or getattr(branch, "source", fused) is not fused:

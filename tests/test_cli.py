@@ -27,15 +27,10 @@ def base_config(**overrides):
 
 
 class TestRunConfig:
-    def test_round_trip(self):
-        cfg = RunConfig.parse(base_config())
-        again = RunConfig.parse(cfg.to_dict())
-        assert again.to_dict() == cfg.to_dict()
-
     def test_scenario_shorthand(self):
         cfg = RunConfig.parse(base_config(scenario="example1"))
         assert cfg.scenario == "example1"
-        assert cfg.build_system().dim == 2
+        assert cfg.system.dim == 2
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -58,13 +53,44 @@ class TestRunConfig:
         doc.pop("initial_state")
         doc["initial_iv"] = [0.0, 0.0]
         cfg = RunConfig.parse(doc)
-        np.testing.assert_allclose(cfg.build_initial_state(), [6.0, 0.0])
+        np.testing.assert_allclose(cfg.x0, [6.0, 0.0])
 
     def test_initial_iv_only_for_circuit(self):
         doc = base_config()
         doc["initial_iv"] = [0.0, 0.0]
         with pytest.raises(ConfigError, match="initial_iv"):
-            RunConfig.parse(doc).build_initial_state()
+            RunConfig.parse(doc)
+
+    def test_unknown_output_format_rejected(self):
+        with pytest.raises(ConfigError, match="xml"):
+            RunConfig.parse(base_config(output={"path": "traj.xml", "format": "xml"}))
+
+
+# (subcommand, config entries over base_config): each a config mistake
+CONFIG_MISTAKES = {
+    "t_span-text": ("simulate", {"t_span": ["a", 1]}),
+    "integrator-list": ("simulate", {"integrator": [1]}),
+    "scenario-params-list": ("simulate", {"scenario": {"name": "example2", "params": [1]}}),
+    "initial_iv-short": ("simulate", {"scenario": "circuit", "initial_iv": [0]}),
+    "initial_state-text": ("simulate", {"initial_state": ["a", 1]}),
+    "eps_layer-text": ("simulate", {"eps_layer": "x"}),
+    "grid-no-count": ("sliding", {"grid": {"x_rest": [[-1, 1]]}}),
+    "grid-text-count": ("sliding", {"grid": {"x_rest": [[-1, 1, "a"]]}}),
+    "box-triple": ("equilibria", {"search_box": [[-1, 1, 5], [0, 6]]}),
+    "box-text": ("equilibria", {"search_box": [[-1, 1], ["a", 6]]}),
+    "box-time-dependent": ("equilibria", {"scenario": "duffing",
+                                          "search_box": [[-1, 1], [-1, 1]]}),
+}
+
+
+@pytest.mark.parametrize("command, entries", CONFIG_MISTAKES.values(),
+                         ids=CONFIG_MISTAKES.keys())
+def test_config_mistake_exits_2(tmp_path, capsys, command, entries):
+    cfg = write_config(tmp_path / "c.json", base_config(**entries))
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestSimulate:

@@ -88,6 +88,17 @@ class TestEvalField:
         with pytest.raises(TypeError):  # keywords only
             SwitchedField(lambda x, t: np.zeros(2), lambda x, t: np.zeros(2), 2)
 
+    def test_hidden_g_only_composes(self):
+        def g(x, t, lam):
+            return np.array([5.0, 5.0])
+
+        with pytest.raises(TypeError, match="hidden_g composes"):
+            SwitchedField(dim=2, fused=lambda x, t, lam: (0.0, 1.0), hidden_g=g)
+        sys = linear_system([1.0, 0.0], [0.0, 1.0], g=g)
+        with pytest.raises(TypeError, match="hidden_g composes"):
+            dataclasses.replace(sys, fused=lambda x, t, lam: (0.0, 1.0))
+        np.testing.assert_array_equal(hidden_term(sys, np.zeros(2), 0.0), [-5.0, -5.0])
+
     def test_state_vector_carries_time(self):
         seen = {}
 

@@ -34,8 +34,7 @@ def fold_field():
         return (x.item(1) + 0.75 + (lam * lam - 1.0), 1.0)
     return SwitchedField(f_plus=lambda x, t: np.array(fused(x, t, 1.0)),
                          f_minus=lambda x, t: np.array(fused(x, t, -1.0)),
-                         dim=2, hidden_g=lambda x, t, lam: np.array([1.0, 0.0]),
-                         fused=fused)
+                         dim=2, fused=fused)
 
 
 def as_array(sys):

@@ -317,7 +317,10 @@ class TestDuffing:
 
     def test_linear_variant_has_no_hidden_part(self):
         sys = make_duffing(DuffingParams(variant="linear"))
-        assert sys.hidden_g is None
+        for x in ([0.0, 0.0], [0.0, 0.37], [0.2, -1.3]):
+            for lam in (-0.9, -0.5, 0.0, 0.3, 0.77):
+                np.testing.assert_allclose(hidden_term(sys, np.array(x), lam, t=1.1),
+                                           0.0, atol=1e-12)
         f = eval_field(sys, np.array([0.0, 0.0]), 0.5, t=0.0)
         assert f[1] == pytest.approx(-0.5 + 0.15)
 

@@ -9,6 +9,7 @@ from switchlayer import (
     SeriesExpansion,
     eval_field,
     expand_from_midpoint,
+    hidden_term,
     match_alpha23,
     reconstruct,
     to_hidden_form,
@@ -107,7 +108,9 @@ class TestHiddenForm:
     def test_linear_truncation_has_no_hidden_part(self):
         e = SeriesExpansion((const([0.5, 0.0]), const([1.0, 0.0])))
         sys = to_hidden_form(e, dim=2)
-        assert sys.hidden_g is None
+        for lam in (-0.9, -0.5, 0.0, 0.3, 0.77):
+            np.testing.assert_allclose(hidden_term(sys, np.array([0.1, 0.2]), lam),
+                                       0.0, atol=1e-12)
 
     def test_dimension_inference(self):
         e = SeriesExpansion((const([1, 0, 0]), const([0, 1, 0]),
