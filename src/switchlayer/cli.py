@@ -6,8 +6,9 @@ timestamps), with numbers printed to 17 significant digits.
 
 ``RunConfig.parse`` is the one reader of the document: it converts and
 checks every entry present, used by the subcommand or not, before any
-computation starts.  ``sliding`` reads ``grid`` (``x_rest`` axes and its
-own ``t``); ``equilibria`` reads ``search_box`` and the top-level ``t``.
+computation starts.  A scenario's ``params`` are its constructor's
+parameters.  ``sliding`` reads ``grid`` (``x_rest`` axes and its ``t``);
+``equilibria`` reads ``search_box`` and takes no time (autonomous only).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -59,7 +60,7 @@ class ConfigError(ValueError):
 MODES = ("hybrid", "regularized", "layer_only")
 FORMATS = ("csv", "json")
 KEYS = {"scenario", "mode", "sigmoid", "t_span", "initial_state", "initial_iv",
-        "eps_layer", "integrator", "output", "grid", "search_box", "t"}
+        "eps_layer", "integrator", "output", "grid", "search_box"}
 
 
 def _entry(doc: dict, key: str, convert, default=None):
@@ -111,8 +112,7 @@ class RunConfig:
     x0: np.ndarray | None
     grid: list[np.ndarray] | None  # sliding: axes over x2..xn, at the grid's t
     grid_t: float
-    search_box: list[tuple[float, float]] | None  # equilibria: over lam, x2..xn, at t
-    t: float
+    search_box: list[tuple[float, float]] | None  # equilibria: over lam, x2..xn
     path: str | None
     format: str
 
@@ -133,6 +133,8 @@ class RunConfig:
         sigmoid = _entry(doc, "sigmoid", lambda spec: SigmoidSpec(**spec))
         if mode == "regularized" and sigmoid is None:
             raise ConfigError("regularized mode requires a sigmoid entry")
+        if mode == "regularized" and sigmoid.kind == "hill":
+            raise ConfigError("a hill sigmoid cannot regularize the surface x1 = 0")
         t_span = _entry(doc, "t_span", lambda ts: tuple(map(float, ts)), (0.0, 1.0))
         if len(t_span) != 2 or not t_span[1] > t_span[0]:
             raise ConfigError("t_span must be [t0, t1] with t1 > t0")
@@ -166,7 +168,7 @@ class RunConfig:
             integrator=_entry(doc, "integrator", lambda kw: IntegratorConfig(**kw),
                               IntegratorConfig()),
             sigmoid=sigmoid, x0=x0, grid=grid, grid_t=grid_t, search_box=box,
-            t=_entry(doc, "t", float, 0.0), path=path, format=fmt,
+            path=path, format=fmt,
         )
 
     def target(self, out: str | None, fmt: str | None) -> tuple[str, str]:
@@ -362,7 +364,7 @@ def cmd_equilibria(cfg: RunConfig, out: str | None, fmt: str | None) -> int:
         raise ConfigError(f"equilibria needs an autonomous layer; scenario "
                           f"{cfg.scenario!r} is time-dependent")
     path, fmt = cfg.target(out, fmt)
-    eqs = find_layer_equilibria(sys_, cfg.search_box, cfg.t)
+    eqs = find_layer_equilibria(sys_, cfg.search_box)
     header = (["lambda_e"] + [f"x{i+2}" for i in range(sys_.dim - 1)]
               + ["classification"]
               + [f"eig{i+1}_re" for i in range(sys_.dim)]

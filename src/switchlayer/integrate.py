@@ -81,21 +81,19 @@ class Event(NamedTuple):
 
     ``direction`` > 0 fires on upward zero crossings only, < 0 on downward
     ones, 0 on both.  A zero at the start of a step followed by motion in
-    that direction counts as a crossing at the step start.  A terminal
-    event ends the run at the located crossing.
+    that direction counts as a crossing at the step start.  Every event
+    ends the run at its located crossing.
     """
 
     fun: Callable[[float, np.ndarray], float]
     direction: float = 0.0
-    terminal: bool = True
 
 
 @dataclass
 class _Run:
     t: np.ndarray
     y: np.ndarray  # shape (len(t), n)
-    stopped_by: int | None  # index of the terminal event that ended the run
-    event_times: list[list[float]]
+    stopped_by: int | None  # index of the event that ended the run
 
 
 def _hermite(t0, y0, f0, t1, y1, f1):
@@ -120,11 +118,12 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, events=(), max_step=None,
 
     Every accepted step is recorded.  Events are tested at the step ends
     and a sign change is localized with ``brentq`` on the cubic Hermite
-    interpolant of that step, so the terminal sample satisfies the event
-    to rounding level.  Exceptions raised by the field or an event end the
-    run and are re-raised here; the step budget is ``max_steps`` (default
-    ``cfg.max_steps``) accepted steps.  DOPRI5 is not re-entrant, so no run
-    may be started from inside a field or an event function.
+    interpolant of that step; the run stops at the earliest located root
+    (the lower event index on a tie), so the last sample satisfies that
+    event to rounding level.  Exceptions raised by the field or an event
+    end the run and are re-raised here; the step budget is ``max_steps``
+    (default ``cfg.max_steps``) accepted steps.  DOPRI5 is not re-entrant,
+    so no run may be started from inside a field or an event function.
     """
     global _running
     if _running:
@@ -148,7 +147,6 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, events=(), max_step=None,
     funs = [ev.fun for ev in events]
     directions = [ev.direction for ev in events]
     g_prev = [fun(t0, y0) for fun in funs]
-    event_times: list[list[float]] = [[] for _ in events]
     stopped_by = None
 
     def locate(i, ta, tb, ga, gb, interp):
@@ -179,17 +177,12 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, events=(), max_step=None,
                 ta, ya = ts[-1], ys[-1]
                 interp = _hermite(ta, ya, np.asarray(field(ya, ta), dtype=float),
                                   t, y, np.asarray(field(y, t), dtype=float))
-                roots = sorted((locate(i, ta, t, g_prev[i], g_new[i], interp), i)
-                               for i in hit)
-                for tr, i in roots:
-                    event_times[i].append(tr)
-                    if not events[i].terminal:
-                        continue
-                    if tr > ta:
-                        ts.append(tr)
-                        ys.append(interp(tr))
-                    stopped_by = i
-                    return -1
+                tr, stopped_by = min((locate(i, ta, t, g_prev[i], g_new[i], interp), i)
+                                     for i in hit)
+                if tr > ta:
+                    ts.append(tr)
+                    ys.append(interp(tr))
+                return -1
             g_prev = g_new
             ts.append(t)
             ys.append(y)
@@ -231,7 +224,7 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, events=(), max_step=None,
     y = np.array(ys)
     if not np.all(np.isfinite(y)):
         raise IntegrationError("non-finite state encountered")
-    return _Run(np.array(ts), y, stopped_by, event_times)
+    return _Run(np.array(ts), y, stopped_by)
 
 
 def advance_to_surface(sys: SwitchedField, x0, t_span,
@@ -240,7 +233,10 @@ def advance_to_surface(sys: SwitchedField, x0, t_span,
     """Integrate the active branch until x1 changes sign or time runs out.
 
     Returns the free segment and, when the surface is reached, the hit
-    (t*, x*) localized inside the step so |x1*| is at rounding level.
+    (t*, x*) localized inside the step so |x1*| is at rounding level.  A
+    run that ends without crossing but has a sample inside the surface
+    tolerance band warns with a GrazeWarning naming the first such
+    sample's time.
     """
     cfg = cfg or IntegratorConfig()
     xv = np.asarray(x0, dtype=float)
@@ -248,24 +244,19 @@ def advance_to_surface(sys: SwitchedField, x0, t_span,
     if regime == "on_surface":
         raise ValueError("advance_to_surface requires a strictly off-surface start")
     fused, sgn = sys.fused, 1.0 if regime == "plus" else -1.0
-    tol = sys.surface_tolerance
 
-    # leaving the active side ends the segment; entering the tolerance
-    # band from the active side is only recorded
+    # leaving the active side ends the segment
     crossing = Event(lambda t, y: y.item(0), direction=-sgn)
-    graze = Event(lambda t, y: sgn * y.item(0) - tol, direction=-1.0,
-                  terminal=False)
-
-    run = _solve(lambda x, t: fused(x, t, sgn), xv, t_span, cfg, events=(crossing, graze))
-    hit = None
-    if run.stopped_by == 0:
-        hit = (float(run.t[-1]), run.y[-1].copy())
-    elif run.event_times[1]:
+    run = _solve(lambda x, t: fused(x, t, sgn), xv, t_span, cfg, events=(crossing,))
+    seg = TrajectorySegment(run.t, run.y, "free_plus" if regime == "plus" else "free_minus")
+    if run.stopped_by is not None:
+        return seg, (float(run.t[-1]), run.y[-1].copy())
+    grazed = np.flatnonzero(sgn * run.y[:, 0] <= sys.surface_tolerance)
+    if grazed.size:
         warnings.warn(
             f"trajectory grazed the surface tolerance band near "
-            f"t={run.event_times[1][0]:.6g} without crossing", GrazeWarning)
-    seg = TrajectorySegment(run.t, run.y, "free_plus" if regime == "plus" else "free_minus")
-    return seg, hit
+            f"t={run.t[grazed[0]]:.6g} without crossing", GrazeWarning)
+    return seg, None
 
 
 def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
@@ -274,8 +265,11 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
 
     Inside the transition band |x1| < eps the step size is capped at eps/4;
     outside it the configured max_step applies.  Band entry and exit are
-    localized with events so the cap switches at the right times.
+    localized with events so the cap switches at the right times.  A hill
+    sigmoid, whose transition is at v = theta > 0, is a ValueError.
     """
+    if sigmoid.kind == "hill":
+        raise ValueError("a hill sigmoid switches at theta > 0, not on the surface x1 = 0")
     cfg = cfg or IntegratorConfig()
     xv = sys._check_state(x0)
     eps = sigmoid.eps

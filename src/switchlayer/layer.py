@@ -264,14 +264,13 @@ def _numeric_jacobian(fun, z: np.ndarray, h: float = 1e-7) -> np.ndarray:
     return J
 
 
-def find_layer_equilibria(sys: SwitchedField, search_box, t: float = 0.0
-                          ) -> list[LayerEquilibrium]:
-    """Rest points of the coupled layer system inside a search box.
+def find_layer_equilibria(sys: SwitchedField, search_box) -> list[LayerEquilibrium]:
+    """Rest points of the autonomous coupled layer system inside a search box.
 
-    search_box is a sequence of (lo, hi) pairs for (lam, x2, ..., xn).
-    Newton iteration is seeded from a coarse grid; duplicates within 1e-6
-    are merged and each survivor is classified by the eigenvalues of the
-    layer Jacobian.
+    search_box is a sequence of (lo, hi) pairs for (lam, x2, ..., xn); the
+    field is evaluated at t = 0.  Newton iteration is seeded from a coarse
+    grid; duplicates within 1e-6 are merged and each survivor is
+    classified by the eigenvalues of the layer Jacobian.
     """
     if sys.time_dependent:
         raise ValueError("layer equilibria require an autonomous layer")
@@ -285,7 +284,7 @@ def find_layer_equilibria(sys: SwitchedField, search_box, t: float = 0.0
         # the state on the surface is (0, x_rest)
         x = z.copy()
         x[0] = 0.0
-        return np.asarray(feval(x, t, z[0]))
+        return np.asarray(feval(x, 0.0, z[0]))
 
     found: list[np.ndarray] = []
     axes = [np.linspace(lo, hi, EQUILIBRIA_GRID) for lo, hi in box]
@@ -470,8 +469,7 @@ def _integrate_layer(sys, lam0, x_rest0, t_span, cfg, eps_layer):
     exits = (Event(lambda t, z: z.item(0) - 1.0, direction=1.0),
              Event(lambda t, z: z.item(0) + 1.0, direction=-1.0))
     z0 = np.concatenate(([lam0], x_rest0))
-    run = _solve(rhs, z0, t_span, cfg, events=exits,
-                 max_step=min(cfg.max_step, 1.0))
+    run = _solve(rhs, z0, t_span, cfg, events=exits)
     x_arr = run.y.copy()
     x_arr[:, 0] = 0.0
     seg = TrajectorySegment(run.t, x_arr, "layer_transit", lam=run.y[:, 0])

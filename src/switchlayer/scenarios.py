@@ -3,6 +3,8 @@
 All are built in adapted coordinates (the first state component is the
 surface function), so every layer operation applies directly.  The relay
 circuit keeps its physical (I, V) variables behind a coordinate map.
+Each has the default surface tolerance; ``dataclasses.replace(system,
+surface_tolerance=...)`` sets another.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import numpy as np
 from .core import SwitchedField
 
 
-def make_example1(variant: str = "nonlinear",
-                  surface_tolerance: float = 1e-9) -> SwitchedField:
+def make_example1(variant: str = "nonlinear") -> SwitchedField:
     """Planar relay with outer fields (1, -1) / (-1, -1).
 
     The 'nonlinear' variant is (lam, 1 - 2 lam^2): the square of the
@@ -33,11 +34,10 @@ def make_example1(variant: str = "nonlinear",
         def fused(x, t, lam):
             return (lam, -1.0)
 
-    return SwitchedField(dim=2, fused=fused, surface_tolerance=surface_tolerance)
+    return SwitchedField(dim=2, fused=fused)
 
 
-def make_example2(variant: str = "nonlinear",
-                  surface_tolerance: float = 1e-9) -> SwitchedField:
+def make_example2(variant: str = "nonlinear") -> SwitchedField:
     """Apparently-continuous system (1, 1) on both sides.
 
     The 'nonlinear' variant is (2 lam^2 - 1, 1): two sliding modes at
@@ -54,7 +54,7 @@ def make_example2(variant: str = "nonlinear",
         def fused(x, t, lam):
             return (1.0, 1.0)
 
-    return SwitchedField(dim=2, fused=fused, surface_tolerance=surface_tolerance)
+    return SwitchedField(dim=2, fused=fused)
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,7 @@ class CircuitParams:
         return self.V0 / self.R, self.V0
 
 
-def make_circuit(p: CircuitParams | None = None,
-                 surface_tolerance: float = 1e-9) -> SwitchedField:
+def make_circuit(p: CircuitParams | None = None) -> SwitchedField:
     """DC relay circuit in adapted coordinates x = (Vb - V, I).
 
     The switch mu = step(Vb - V) maps to the multiplier by mu = (1+lam)/2,
@@ -112,7 +111,7 @@ def make_circuit(p: CircuitParams | None = None,
         V = Vb - x1
         return ((V - I * R * (mu - sg * (1.0 - mu) * mu)) / RC, (V0 - mu * V) / L)
 
-    return SwitchedField(dim=2, fused=fused, surface_tolerance=surface_tolerance)
+    return SwitchedField(dim=2, fused=fused)
 
 
 def circuit_state_to_iv(x: np.ndarray, p: CircuitParams) -> tuple[float, float]:
@@ -155,8 +154,8 @@ class DuffingParams:
             raise ValueError("tracker_mu must be positive")
 
 
-def make_duffing(p: DuffingParams | None = None, with_tracker: bool = False,
-                 surface_tolerance: float = 1e-9) -> SwitchedField:
+def make_duffing(p: DuffingParams | None = None, with_tracker: bool = False
+                 ) -> SwitchedField:
     """Forced oscillator (x2 - c x1, -lam^k - b x2 + a cos t), k = 3 or 1.
 
     The cubic uses -lam^3 = -lam - (lam^2 - 1) lam, i.e. hidden multiplier
@@ -176,5 +175,4 @@ def make_duffing(p: DuffingParams | None = None, with_tracker: bool = False,
             return (s[1] - c * s[0], f2, (lam - s[2]) / mu_tr)
         return (s[1] - c * s[0], f2)
 
-    return SwitchedField(dim=3 if with_tracker else 2, fused=fused, time_dependent=True,
-                         surface_tolerance=surface_tolerance)
+    return SwitchedField(dim=3 if with_tracker else 2, fused=fused, time_dependent=True)

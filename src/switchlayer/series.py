@@ -123,21 +123,20 @@ def _power_sum(coeffs, x: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
-def to_hidden_form(e: SeriesExpansion, surface_tolerance: float = 1e-9,
-                   time_dependent: bool = False, *, dim: int) -> SwitchedField:
-    """The SwitchedField whose ``fused`` evaluator is the series itself.
+def to_hidden_form(e: SeriesExpansion, *, dim: int) -> SwitchedField:
+    """The autonomous SwitchedField whose ``fused`` evaluator is the series.
 
     f_plus / f_minus are the series at lam = +-1 and its hidden term is the
     n >= 2 part of the series with its value at lam = +-1 taken out, both
-    derived from ``fused``; for N <= 1 it is zero up to rounding.
+    derived from ``fused``; for N <= 1 it is zero up to rounding.  The
+    coefficients are functions of x alone, so the field ignores t.
     """
     coeffs = e.coefficients
 
     def fused(x, t, lam):
         return _power_sum(coeffs, x, lam)
 
-    return SwitchedField(dim=dim, fused=fused, time_dependent=time_dependent,
-                         surface_tolerance=surface_tolerance)
+    return SwitchedField(dim=dim, fused=fused)
 
 
 def match_alpha23(f_plus: np.ndarray, f_minus: np.ndarray, a: AsymptoticData,

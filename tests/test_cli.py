@@ -80,6 +80,11 @@ CONFIG_MISTAKES = {
     "box-text": ("equilibria", {"search_box": [[-1, 1], ["a", 6]]}),
     "box-time-dependent": ("equilibria", {"scenario": "duffing",
                                           "search_box": [[-1, 1], [-1, 1]]}),
+    "equilibria-t": ("equilibria", {"search_box": [[-1, 1], [-5, 5]], "t": 0.5}),
+    "params-surface_tolerance": ("simulate", {"scenario": {
+        "name": "example2", "params": {"surface_tolerance": 1e-6}}}),
+    "regularized-hill": ("simulate", {"mode": "regularized",
+                                      "sigmoid": {"kind": "hill", "eps": 0.1}}),
 }
 
 
@@ -169,6 +174,14 @@ class TestSimulate:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "no.json")]) == 2
 
+    def test_step_budget_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", base_config(integrator={"max_steps": 3}))
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        assert ("numerical failure in simulate: step budget of 3 exceeded"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_unknown_scenario_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_config(scenario="lorenz"))
         assert main(["simulate", "--config", cfg]) == 2
@@ -254,8 +267,9 @@ class TestAmplitude:
         assert {k: raw[k] for k in ("n_samples", "lambda_min", "lambda_max")} == {
             k: report[k] for k in ("n_samples", "lambda_min", "lambda_max")}
 
-    @pytest.mark.parametrize("span", ["0", "-0.3"])
-    def test_non_positive_average_exits_2(self, tmp_path, span):
+    # not positive, or longer than the window (0.4, 1.0)
+    @pytest.mark.parametrize("span", ["0", "-0.3", "0.7"])
+    def test_unusable_average_exits_2(self, tmp_path, span):
         cfg = write_config(tmp_path / "c.json", base_config())
         assert main(["amplitude", "--config", cfg, "--window", "0.4", "1.0",
                      "--average", span]) == 2

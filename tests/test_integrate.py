@@ -165,6 +165,18 @@ class TestAdvanceToSurface:
             seg, hit = advance_to_surface(sys, x0, (0.0, 2.0))
         assert hit is None
 
+    def test_graze_warning_names_first_sample_in_band(self):
+        tol = 1e-3
+
+        def fp(x, t):
+            return np.array([2.0 * (t - 1.0), 1.0])
+
+        sys = SwitchedField(f_plus=fp, f_minus=fp, dim=2, surface_tolerance=tol)
+        with pytest.warns(GrazeWarning) as record:
+            seg, hit = advance_to_surface(sys, np.array([1.0 + tol / 2, 0.0]), (0.0, 2.0))
+        first = seg.t[np.argmax(seg.x[:, 0] <= tol)]
+        assert f"near t={first:.6g} " in str(record[0].message)
+
 
 class TestIntegrateRegularized:
     def test_attracting_switch_settles_on_surface(self):
@@ -191,6 +203,13 @@ class TestIntegrateRegularized:
         steps = np.diff(seg.t)[inside[:-1] & inside[1:]]
         assert steps.size > 0
         assert steps.max() <= sig.eps / 4 + 1e-12
+
+    @pytest.mark.parametrize("x1", [0.5, -0.5])
+    def test_hill_rejected(self, x1):
+        # hill switches at v = theta > 0, not on the surface x1 = 0
+        with pytest.raises(ValueError, match="x1 = 0"):
+            integrate_regularized(make_circuit(), SigmoidSpec("hill", eps=0.1),
+                                  np.array([x1, 3.0]), (0.0, 1.0))
 
     def test_unit_range_sigmoid_equivalent_to_symmetric(self):
         sys = linear_system([-1.0, 1.0], [1.0, 1.0])

@@ -370,6 +370,18 @@ class TestFindLayerEquilibria:
         sys = SwitchedField(f_plus=fp, f_minus=fm, dim=2)
         assert find_layer_equilibria(sys, [(-1, 1), (-5, 5)]) == []
 
+    @pytest.mark.parametrize("fused, classification, eigenvalues", [
+        (lambda x, t, lam: (-lam - x[1], lam - x[1]), "focus", [-1 - 1j, -1 + 1j]),
+        (lambda x, t, lam: (-x[1], lam), "nonhyperbolic", [-1j, 1j]),
+    ], ids=["focus", "nonhyperbolic"])
+    def test_classification(self, fused, classification, eigenvalues):
+        # one rest point at (lam, x2) = (0, 0)
+        (eq,) = find_layer_equilibria(SwitchedField(dim=2, fused=fused), [(-1, 1), (-5, 5)])
+        assert eq.lam_e == pytest.approx(0.0, abs=1e-9)
+        assert eq.x_rest[0] == pytest.approx(0.0, abs=1e-9)
+        assert eq.classification == classification
+        np.testing.assert_allclose(np.sort_complex(eq.eigenvalues), eigenvalues, atol=1e-6)
+
     def test_time_dependent_rejected(self):
         with pytest.raises(ValueError):
             find_layer_equilibria(make_duffing(), [(-1, 1), (-5, 5)])
