@@ -78,6 +78,14 @@ def _entry(doc: dict, key: str, convert, default=None):
         raise ConfigError(f"bad {key} entry: {type(exc).__name__}: {exc}") from exc
 
 
+def _only(entry: dict, keys: tuple[str, ...]) -> dict:
+    """The entry itself, or a ValueError naming its keys outside ``keys``."""
+    unknown = set(entry) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}, expected some of {list(keys)}")
+    return entry
+
+
 def _scenario(scen) -> tuple[str, dict, SwitchedField]:
     """(name, params, system) of a scenario entry: a name or {name, params}."""
     if isinstance(scen, str):
@@ -151,15 +159,16 @@ class RunConfig:
         x0 = _entry(doc, "initial_iv",
                     lambda iv: circuit_iv_to_state(*iv, p=CircuitParams(**params)), x0)
         grid, grid_t = _entry(doc, "grid", lambda g: (
-            [np.linspace(float(lo), float(hi), int(n)) for lo, hi, n in g["x_rest"]],
+            [np.linspace(float(lo), float(hi), int(n))
+             for lo, hi, n in _only(g, ("x_rest", "t"))["x_rest"]],
             float(g.get("t", 0.0))), (None, 0.0))
         if grid is not None and len(grid) != dim - 1:
             raise ConfigError(f"grid must span {dim - 1} tangential coordinates")
         box = _entry(doc, "search_box", lambda b: [(float(lo), float(hi)) for lo, hi in b])
         if box is not None and len(box) != dim:
             raise ConfigError(f"search_box must give {dim} (lam, x_rest) intervals")
-        path, fmt = _entry(doc, "output", lambda o: (o.get("path"), o.get("format", "csv")),
-                           (None, "csv"))
+        path, fmt = _entry(doc, "output", lambda o: (
+            _only(o, ("path", "format")).get("path"), o.get("format", "csv")), (None, "csv"))
         if not isinstance(path, (str, type(None))) or fmt not in FORMATS:
             raise ConfigError(f"output needs a path string and a format in {FORMATS}, "
                               f"got {path!r} and {fmt!r}")

@@ -1,14 +1,19 @@
 """Adaptive integration with switching-surface event detection.
 
-All flows run on one core: Hairer's Dormand-Prince 4(5) code DOPRI5,
-whose compiled step loop scipy exposes as ``ode(...).set_integrator(
-"dopri5")``.  Each accepted step is handed to a callback that records the
-sample and tests the event functions; crossings are localized inside the
-step on its cubic Hermite interpolant (Hairer, Norsett & Wanner, *Solving
-ODEs I*, sec. II.6).  Regularized systems replace the discontinuous
-multiplier by a sigmoid of the surface function and are integrated as a
-single smooth system, with the step size capped at eps/4 inside the
-transition band.
+All flows run on one core, ``_solve``, around one of Hairer's compiled
+Dormand-Prince step loops that scipy exposes as ``ode(...).set_integrator``:
+the 4(5) code DOPRI5 for free flight, sliding and regularized runs, and
+the 8(5,3) code DOP853 for layer transits.  A layer run resolves a weakly
+damped fast ripple, so its step count is set by the method's order and
+the higher order takes about a third of the steps.  Where ``max_step`` or
+the eps/4 band cap binds, the step count is fixed and DOP853 would only
+double the evaluations per step (Hairer, Norsett & Wanner, *Solving ODEs
+I*, sec. II.5 and II.10).  Each accepted step is handed to a callback that
+records the sample and tests the event functions; crossings are localized
+inside the step on its cubic Hermite interpolant (ibid., sec. II.6).
+Regularized systems replace the discontinuous multiplier by a sigmoid of
+the surface function and are integrated as a single smooth system, with
+the step size capped at eps/4 inside the transition band.
 """
 
 from __future__ import annotations
@@ -113,8 +118,8 @@ _running = False
 
 
 def _solve(field, x0, t_span, cfg: IntegratorConfig, events=(), max_step=None,
-           max_steps=None) -> _Run:
-    """Integrate dx/dt = field(x, t) on Hairer's compiled DOPRI5 step loop.
+           max_steps=None, method="dopri5") -> _Run:
+    """Integrate dx/dt = field(x, t) on Hairer's compiled DOPRI5 or DOP853.
 
     Every accepted step is recorded.  Events are tested at the step ends
     and a sign change is localized with ``brentq`` on the cubic Hermite
@@ -122,12 +127,14 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, events=(), max_step=None,
     (the lower event index on a tie), so the last sample satisfies that
     event to rounding level.  Exceptions raised by the field or an event
     end the run and are re-raised here; the step budget is ``max_steps``
-    (default ``cfg.max_steps``) accepted steps.  DOPRI5 is not re-entrant,
-    so no run may be started from inside a field or an event function.
+    (default ``cfg.max_steps``) accepted steps.  ``method`` names the step
+    loop, ``"dopri5"`` or ``"dop853"``; both take the same tolerances,
+    ``max_step`` and budget.  Neither code is re-entrant, so no run may be
+    started from inside a field or an event function.
     """
     global _running
     if _running:
-        raise RuntimeError("the DOPRI5 core is not re-entrant")
+        raise RuntimeError("the Dormand-Prince core is not re-entrant")
     t0, t1 = float(t_span[0]), float(t_span[1])
     y0 = np.array(x0, dtype=float)
     budget = cfg.max_steps if max_steps is None else max_steps
@@ -139,7 +146,7 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, events=(), max_step=None,
             return nan
         try:
             return field(y, t)
-        except Exception as exc:  # re-raised once DOPRI5 has returned
+        except Exception as exc:  # re-raised once the solver has returned
             failure.append(exc)
             return nan
 
@@ -161,7 +168,7 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, events=(), max_step=None,
     def solout(t, y):
         nonlocal g_prev, stopped_by
         if t == t0 and len(ts) == 1:
-            return 0  # DOPRI5 reports the initial point first
+            return 0  # the solver reports the initial point first
         try:
             y = y.copy()
             g_new = [fun(t, y) for fun in funs]
@@ -194,19 +201,19 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, events=(), max_step=None,
             return -1
 
     solver = ode(fcn).set_integrator(
-        "dopri5", rtol=cfg.rel_tol, atol=cfg.abs_tol,
+        method, rtol=cfg.rel_tol, atol=cfg.abs_tol,
         max_step=cfg.max_step if max_step is None else max_step,
         nsteps=min(budget + 1, 2**31 - 1))
     solver.set_solout(solout)
     solver.set_initial_value(y0, t0)
-    # IWORK(4) < 0 switches off DOPRI5's stiffness interrupt: the layer
+    # IWORK(4) < 0 switches off the stiffness interrupt: the layer
     # systems are stiff by construction and are integrated on purpose
     solver._integrator.iwork[3] = -1
     _running = True
     try:
         with warnings.catch_warnings():
             # failures are reported below from the return code
-            warnings.filterwarnings("ignore", "dopri5: ", UserWarning)
+            warnings.filterwarnings("ignore", method + ": ", UserWarning)
             solver.integrate(t1)
     finally:
         _running = False

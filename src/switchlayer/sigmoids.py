@@ -29,7 +29,7 @@ class SigmoidSpec:
 
     kind:  one of piecewise_linear | arctan_unit | arctan_01 | tanh | erf | hill
     eps:   stiffness scale (> 0)
-    theta: threshold for the hill kind (ignored otherwise)
+    theta: threshold for the hill kind (other kinds take only the default)
     """
 
     kind: str
@@ -44,6 +44,8 @@ class SigmoidSpec:
             raise ValueError("eps must be positive")
         if self.kind == "hill" and self.theta <= 0:
             raise ValueError("hill threshold theta must be positive")
+        if self.kind != "hill" and self.theta != 1.0:
+            raise ValueError(f"theta is the hill threshold; {self.kind} takes none")
         object.__setattr__(self, "range", _UNIT_RANGE.get(self.kind, (-1.0, 1.0)))
 
     # -- evaluation -----------------------------------------------------

@@ -85,6 +85,11 @@ CONFIG_MISTAKES = {
         "name": "example2", "params": {"surface_tolerance": 1e-6}}}),
     "regularized-hill": ("simulate", {"mode": "regularized",
                                       "sigmoid": {"kind": "hill", "eps": 0.1}}),
+    "grid-unknown-key": ("sliding", {"scenario": "duffing", "grid": {
+        "x_rest": [[-1, 1, 3]], "time": 0.7}}),
+    "output-unknown-key": ("simulate", {"output": {"path": "g.csv", "fromat": "json"}}),
+    "sigmoid-theta-not-hill": ("simulate", {"sigmoid": {"kind": "tanh", "eps": 0.1,
+                                                        "theta": -5}}),
 }
 
 

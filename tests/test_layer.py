@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -597,6 +598,40 @@ class TestIntegrateLayerOnly:
         with pytest.raises(ValueError, match="eps_layer"):
             integrate_layer_only(make_duffing(), 0.0, np.array([0.0]), (0.0, 2.0),
                                  eps_layer=eps_layer)
+
+    def test_step_budget_leaks_no_solver_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError):
+                integrate_layer_only(make_duffing(), 0.5, np.array([0.0]), (0.0, 1.0),
+                                     IntegratorConfig(max_steps=3))
+
+    @pytest.mark.parametrize("lam0, x2", [(0.01, -0.004), (-0.2, 0.05),
+                                          (0.3, -0.16), (0.0, 0.001)])
+    def test_exit_time_matches_tight_reference(self, lam0, x2):
+        # exits are located on the step's cubic Hermite interpolant, also
+        # on the long steps of the layer's 8th-order method
+        eps_layer = 1e-3
+        sys = SwitchedField(dim=2, time_dependent=True, fused=lambda x, t, lam: (
+            x[1] + 0.5 * lam * math.cos(t), -lam))
+
+        def rhs(t, z):
+            return [(z[1] + 0.5 * z[0] * math.cos(t)) / eps_layer, -z[0]]
+
+        def boundary(side):
+            def g(t, z):
+                return z[0] - side
+            g.terminal, g.direction = True, side
+            return g
+
+        ref = solve_ivp(rhs, (0.0, 1.0), [lam0, x2], method="DOP853", rtol=1e-12,
+                        atol=1e-14, events=(boundary(1.0), boundary(-1.0)))
+        assert ref.status == 1
+        side = 1.0 if ref.t_events[0].size else -1.0
+        seg = integrate_layer_only(sys, lam0, np.array([x2]), (0.0, 1.0),
+                                   eps_layer=eps_layer)
+        assert abs(seg.t_final - ref.t[-1]) < 1e-9
+        assert seg.lam[-1] == pytest.approx(side, abs=1e-12)
 
 
 # returned as is by a composed field's fused at lam = +-1

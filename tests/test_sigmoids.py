@@ -31,6 +31,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SigmoidSpec("hill", eps=0.1, theta=-1.0)
 
+    @pytest.mark.parametrize("theta", [-5.0, 2.0])
+    def test_theta_only_for_hill(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            SigmoidSpec("tanh", eps=0.1, theta=theta)
+
     def test_range_fixed_by_kind(self):
         for kind in SYMMETRIC:
             assert spec_for(kind).range == (-1.0, 1.0)
