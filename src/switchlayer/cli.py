@@ -2,7 +2,9 @@
 
 Subcommands: simulate, sweep, amplitude, sliding, equilibria.  All take a
 JSON config document; outputs are deterministic CSV or JSON (no
-timestamps), with numbers printed to 17 significant digits.
+timestamps), with numbers printed to 17 significant digits.  Sweep member
+k goes to the output path with ``_k`` before the file name's extension (the
+format's when it has none).  A missing output directory is a ConfigError.
 
 ``RunConfig.parse`` is the one reader of the document: it converts and
 checks every entry present, used by the subcommand or not, before any
@@ -19,8 +21,10 @@ import argparse
 import copy
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -185,6 +189,9 @@ class RunConfig:
         path = out or self.path
         if path is None:
             raise ConfigError("no output path (config output.path or --out)")
+        folder = os.path.dirname(path)
+        if folder and not os.path.isdir(folder):
+            raise ConfigError(f"output directory {folder!r} does not exist")
         return path, fmt or self.format
 
 
@@ -197,31 +204,34 @@ def _segments_of(result) -> list[TrajectorySegment]:
     return [result]
 
 
-def trajectory_table(result) -> tuple[list[str], list[list]]:
-    """Flatten segments to rows [t, regime, x1..xn, lambda]."""
+def trajectory_table(result) -> tuple[list[str], list[tuple]]:
+    """Flatten segments to rows (t, regime, x1..xn, lambda), lambda nan if untracked."""
     segs = _segments_of(result)
     n = segs[0].x.shape[1]
     header = ["t", "regime"] + [f"x{i+1}" for i in range(n)] + ["lambda"]
     rows = []
     for seg in segs:
-        lam = seg.lam
-        for k in range(seg.t.size):
-            lam_k = float(lam[k]) if lam is not None else math.nan
-            rows.append([float(seg.t[k]), seg.regime,
-                         *(float(v) for v in seg.x[k]), lam_k])
+        lam = seg.lam.tolist() if seg.lam is not None else repeat(math.nan)
+        rows += zip(seg.t.tolist(), repeat(seg.regime), *seg.x.T.tolist(), lam)
     return header, rows
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    return format(value, ".17g")
+def write_table(path: str, header: list[str], rows: list, fmt: str) -> None:
+    """Write rows as CSV or JSON.
 
-
-def write_table(path: str, header: list[str], rows: list[list], fmt: str) -> None:
+    A CSV row is formatted by one ``%`` template per sequence of value
+    types: ``%s`` for a str (or a subclass), ``%.17g`` for anything else.
+    """
     if fmt == "csv":
+        templates = {}
         lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        for row in rows:
+            kinds = tuple(map(type, row))
+            template = templates.get(kinds)
+            if template is None:
+                template = templates[kinds] = ",".join(
+                    "%s" if issubclass(kind, str) else "%.17g" for kind in kinds)
+            lines.append(template % tuple(row))
         text = "\n".join(lines) + "\n"
     else:  # json; RunConfig.parse and --format admit only FORMATS
         text = json.dumps({"columns": header, "rows": rows}, indent=1,
@@ -291,9 +301,8 @@ def cmd_sweep(doc: dict, parameter: str, values: list, out: str | None,
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
     base, fmt = RunConfig.parse(doc).target(out, fmt)
-    stem, dot, ext = base.rpartition(".")
-    if not dot:
-        stem, ext = base, fmt
+    stem, ext = os.path.splitext(base)  # the file name's extension only
+    ext = ext or "." + fmt
     members = []
     for value in values:
         member = copy.deepcopy(doc)
@@ -302,7 +311,7 @@ def cmd_sweep(doc: dict, parameter: str, values: list, out: str | None,
     summary = []
     for k, (value, cfg) in enumerate(zip(values, members)):
         result = run_simulation(cfg)
-        path = f"{stem}_{k}.{ext}"
+        path = f"{stem}_{k}{ext}"
         header, rows = trajectory_table(result)
         write_table(path, header, rows, fmt)
         t0, t1 = cfg.t_span
@@ -334,6 +343,8 @@ def cmd_amplitude(cfg: RunConfig, window: tuple[float, float],
                   out: str | None, average: float | None = None) -> int:
     if average is not None and not average > 0:
         raise ConfigError("--average must be a positive span")
+    if out:
+        cfg.target(out, None)  # its directory exists
     report = amplitude_of(run_simulation(cfg), window, average or 0.0)
     text = json.dumps(report, indent=1, sort_keys=True) + "\n"
     if out:

@@ -121,11 +121,13 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, events=(), max_step=None,
            max_steps=None, method="dopri5") -> _Run:
     """Integrate dx/dt = field(x, t) on Hairer's compiled DOPRI5 or DOP853.
 
-    Every accepted step is recorded.  Events are tested at the step ends
-    and a sign change is localized with ``brentq`` on the cubic Hermite
-    interpolant of that step; the run stops at the earliest located root
-    (the lower event index on a tie), so the last sample satisfies that
-    event to rounding level.  Exceptions raised by the field or an event
+    Every accepted step is recorded.  Events are evaluated once at each
+    step end; a step whose two values have a positive product keeps one
+    strict sign and needs no further test (a NaN or an underflowed product
+    takes the full test).  A sign change is localized with ``brentq`` on
+    the cubic Hermite interpolant of that step; the run stops at the
+    earliest located root (the lower event index on a tie), so the last
+    sample satisfies that event to rounding level.  Exceptions raised by the field or an event
     end the run and are re-raised here; the step budget is ``max_steps``
     (default ``cfg.max_steps``) accepted steps.  ``method`` names the step
     loop, ``"dopri5"`` or ``"dop853"``; both take the same tolerances,
@@ -166,31 +168,33 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, events=(), max_step=None,
                       xtol=4 * _EPS, rtol=4 * _EPS)
 
     def solout(t, y):
-        nonlocal g_prev, stopped_by
+        nonlocal stopped_by
         if t == t0 and len(ts) == 1:
             return 0  # the solver reports the initial point first
         try:
             y = y.copy()
-            g_new = [fun(t, y) for fun in funs]
             hit = None
-            for i, d in enumerate(directions):
-                g0, g1 = g_prev[i], g_new[i]
+            for i, fun in enumerate(funs):
+                g0 = g_prev[i]
+                g_prev[i] = g1 = fun(t, y)
+                if g0 * g1 > 0.0:
+                    continue  # one strict sign at both ends
+                d = directions[i]
                 # a sign change (or a zero at either end) in direction d;
                 # a pair of exact zeros is no crossing
                 if ((g0 <= 0.0 <= g1 and d >= 0 or g0 >= 0.0 >= g1 and d <= 0)
                         and (g0 != 0.0 or g1 != 0.0)):
-                    hit = (hit or []) + [i]
+                    hit = (hit or []) + [(i, g0, g1)]
             if hit:
                 ta, ya = ts[-1], ys[-1]
                 interp = _hermite(ta, ya, np.asarray(field(ya, ta), dtype=float),
                                   t, y, np.asarray(field(y, t), dtype=float))
-                tr, stopped_by = min((locate(i, ta, t, g_prev[i], g_new[i], interp), i)
-                                     for i in hit)
+                tr, stopped_by = min((locate(i, ta, t, g0, g1, interp), i)
+                                     for i, g0, g1 in hit)
                 if tr > ta:
                     ts.append(tr)
                     ys.append(interp(tr))
                 return -1
-            g_prev = g_new
             ts.append(t)
             ys.append(y)
             if len(ts) - 1 > budget:
@@ -281,14 +285,17 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
     xv = sys._check_state(x0)
     eps = sigmoid.eps
     fused = sys.fused
+    # lam = phi(x1), a [0, 1] kind shifted onto [-1, 1]; every admitted kind
+    # stays inside [-1, 1] in floating point, so nothing is clamped
     phi = sigmoid.scalar_fn()
-    shifted = sigmoid.range == (0.0, 1.0)
+    if sigmoid.range == (0.0, 1.0):
+        def lam_of(v):
+            return 2.0 * phi(v) - 1.0
+    else:
+        lam_of = phi
 
     def field(x, t):
-        lam = phi(x.item(0))
-        if shifted:
-            lam = 2.0 * lam - 1.0
-        return fused(x, t, -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam))
+        return fused(x, t, lam_of(x.item(0)))
 
     def edge(sign):
         return lambda t, y: y.item(0) - sign * eps
@@ -333,8 +340,5 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
 
     t_all = np.concatenate(t_parts)
     x_all = np.vstack(x_parts)
-    # each sample's lam as the callback computes it; np.clip clips alike
-    lam_all = np.array([phi(x1) for x1 in x_all[:, 0].tolist()])
-    if shifted:
-        lam_all = 2.0 * lam_all - 1.0
-    return TrajectorySegment(t_all, x_all, "regularized", lam=np.clip(lam_all, -1.0, 1.0))
+    lam_all = np.array([lam_of(x1) for x1 in x_all[:, 0].tolist()])
+    return TrajectorySegment(t_all, x_all, "regularized", lam=lam_all)

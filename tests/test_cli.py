@@ -1,12 +1,20 @@
 """Command-line interface: configs, outputs, determinism, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from switchlayer import DUFFING_RIPPLE_WINDOW, layer_amplitude
-from switchlayer.cli import ConfigError, RunConfig, main, run_simulation
+from switchlayer import DUFFING_RIPPLE_WINDOW, cli, layer_amplitude
+from switchlayer.cli import (
+    ConfigError,
+    RunConfig,
+    main,
+    run_simulation,
+    trajectory_table,
+    write_table,
+)
 
 
 def write_config(path, doc):
@@ -101,6 +109,85 @@ def test_config_mistake_exits_2(tmp_path, capsys, command, entries):
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+class Tag(str):
+    pass
+
+
+class TestWriteTable:
+    HEADER = ["a", "b", "c", "d", "e", "f"]
+    ROWS = [
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308],
+        [0, -7, 2**70, np.float64(0.1), np.float64(-2.5e-300), np.float64(math.nan)],
+        ("free_plus", Tag("sliding"), 1e-310, -1, 0.30000000000000004, "x,y"),
+        [0.5, "attracting", 3],  # another type signature and length
+        [math.nan, "set_valued", math.nan, math.nan, "saddle", 2.0],
+    ]
+
+    def test_csv_matches_per_value_format(self, tmp_path):
+        out = tmp_path / "t.csv"
+        write_table(str(out), self.HEADER, self.ROWS, "csv")
+        want = [",".join(self.HEADER)] + [
+            ",".join(v if isinstance(v, str) else format(v, ".17g") for v in row)
+            for row in self.ROWS]
+        assert out.read_text() == "\n".join(want) + "\n"
+
+    def test_json_unchanged(self, tmp_path):
+        out = tmp_path / "t.json"
+        write_table(str(out), self.HEADER, self.ROWS, "json")
+        assert out.read_text() == json.dumps(
+            {"columns": self.HEADER, "rows": self.ROWS}, indent=1, sort_keys=True,
+            allow_nan=True) + "\n"
+
+    def test_trajectory_rows_match_per_element_floats(self):
+        result = run_simulation(RunConfig.parse(base_config()))
+        header, rows = trajectory_table(result)
+        want = []
+        for seg in result.segments:  # free flight (no lam) and sliding
+            for k in range(seg.t.size):
+                lam = float(seg.lam[k]) if seg.lam is not None else math.nan
+                want.append([float(seg.t[k]), seg.regime, *map(float, seg.x[k]), lam])
+        assert {seg.lam is None for seg in result.segments} == {True, False}
+        assert header == ["t", "regime", "x1", "x2", "lambda"]
+        assert len(rows) == len(want)
+        for got, row in zip(rows, want):
+            assert [type(v) for v in got] == [type(v) for v in row]
+            assert [v if isinstance(v, str) else float(v).hex() for v in got] == \
+                [v if isinstance(v, str) else v.hex() for v in row]
+
+
+def _not_called(*args, **kwargs):
+    raise AssertionError("computation started before the output was checked")
+
+
+# (subcommand, config entries over base_config, arguments, computations)
+MISSING_DIRECTORY = {
+    "simulate": ({}, ["--out", "{d}/x.csv"], ["run_simulation"]),
+    "sweep": ({}, ["--out", "{d}/sw.csv", "--parameter", "t_span", "--values", "[[0, 1]]"],
+              ["run_simulation"]),
+    "amplitude": ({}, ["--out", "{d}/a.json", "--window", "0.4", "1.0"],
+                  ["run_simulation"]),
+    "sliding": ({"grid": {"x_rest": [[0.0, 1.0, 3]]}}, ["--out", "{d}/s.csv"],
+                ["find_sliding_modes"]),
+    "equilibria": ({"search_box": [[-1, 1], [-5, 5]]}, ["--out", "{d}/e.csv"],
+                   ["find_layer_equilibria"]),
+}
+
+
+@pytest.mark.parametrize("command, entries, args, computations",
+                         [(k, *v) for k, v in MISSING_DIRECTORY.items()],
+                         ids=MISSING_DIRECTORY.keys())
+def test_missing_output_directory_exits_2(tmp_path, capsys, monkeypatch, command,
+                                          entries, args, computations):
+    for name in computations:
+        monkeypatch.setattr(cli, name, _not_called)
+    cfg = write_config(tmp_path / "c.json", base_config(**entries))
+    missing = tmp_path / "nodir"
+    argv = [command, "--config", cfg, *(a.format(d=missing) for a in args)]
+    assert main(argv) == 2
+    assert "output directory" in capsys.readouterr().err
+    assert not missing.exists()
 
 
 class TestSimulate:
@@ -224,6 +311,19 @@ class TestSweep:
         summary = json.loads((tmp_path / "sw_summary.json").read_text())
         assert summary[0]["stick_count"] == 1
         assert summary[0]["cross_count"] == 0
+
+    def test_dotted_directory_and_extensionless_name(self, tmp_path):
+        folder = tmp_path / "results.v2"
+        folder.mkdir()
+        doc = base_config(output={"path": str(folder / "traj"), "format": "json"})
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["sweep", "--config", cfg, "--parameter", "t_span",
+                     "--values", "[[0.0, 1.0], [0.0, 0.5]]"]) == 0
+        assert sorted(p.name for p in folder.iterdir()) == [
+            "traj_0.json", "traj_1.json", "traj_summary.json"]
+        summary = json.loads((folder / "traj_summary.json").read_text())
+        assert [e["file"] for e in summary] == [str(folder / "traj_0.json"),
+                                                 str(folder / "traj_1.json")]
 
     def test_empty_value_list_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_config())

@@ -18,7 +18,7 @@ from switchlayer import (
     integrate_regularized,
     make_circuit,
 )
-from switchlayer.integrate import IntegrationError, _solve
+from switchlayer.integrate import Event, IntegrationError, _solve
 
 
 def linear_system(fp, fm, dim=2, g=None, tol=1e-9):
@@ -127,6 +127,35 @@ class TestIntegrateSmooth:
         assert retained < 1e6, f"{retained / 1e6:.1f} MB retained after 10 runs"
 
 
+class TestEvents:
+    """Sign tests at the step ends on event values near 1e-200."""
+
+    CFG = IntegratorConfig(max_step=0.01)
+
+    @pytest.mark.parametrize("direction", [0.0, -1.0])
+    def test_crossing_located_where_the_product_underflows(self, direction):
+        # x1 = 1e-200 (1 - t): each step's two values multiply to 0.0 or -0.0
+        def field(x, t):
+            return np.array([-1e-200])
+
+        run = _solve(field, np.array([1e-200]), (0.0, 2.0), self.CFG,
+                     events=(Event(lambda t, y: y.item(0), direction),))
+        assert run.stopped_by == 0
+        assert run.t[-1] == pytest.approx(1.0, abs=1e-12)
+        assert abs(run.y[-1, 0]) < 1e-210
+
+    def test_crossing_in_the_other_direction_ignored(self):
+        run = _solve(lambda x, t: np.array([-1e-200]), np.array([1e-200]), (0.0, 2.0),
+                     self.CFG, events=(Event(lambda t, y: y.item(0), 1.0),))
+        assert run.stopped_by is None and run.t[-1] == 2.0
+
+    def test_tiny_positive_ends_do_not_fire(self):
+        run = _solve(lambda x, t: -x, np.array([1e-200]), (0.0, 1.0), self.CFG,
+                     events=(Event(lambda t, y: y.item(0)),))
+        assert run.stopped_by is None and run.t[-1] == 1.0
+        assert np.all(run.y[:, 0] > 0)
+
+
 class TestAdvanceToSurface:
     def test_hit_time_and_localization(self):
         sys = linear_system([1.0, 0.0], [1.0, 0.5])
@@ -194,6 +223,16 @@ class TestIntegrateRegularized:
         sig = SigmoidSpec("arctan_unit", eps=1e-2)
         seg = integrate_regularized(sys, sig, np.array([0.3, 0.0]), (0.0, 1.0))
         np.testing.assert_allclose(seg.lam, sig(seg.x[:, 0]), atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["piecewise_linear", "arctan_unit", "arctan_01",
+                                      "tanh", "erf"])
+    def test_multiplier_saturates_inside_unit_range(self, kind):
+        # far outside the band each kind gives lam = +-1 exactly, unclamped
+        sys = linear_system([1.0, 0.0], [-1.0, 0.0])  # x1 moves away from 0
+        sig = SigmoidSpec(kind, eps=1e-300)
+        for x1 in (0.5, -0.5):
+            seg = integrate_regularized(sys, sig, np.array([x1, 0.0]), (0.0, 1.0))
+            assert np.all(seg.lam == np.sign(x1))
 
     def test_step_cap_inside_band(self):
         sys = linear_system([-1.0, 1.0], [1.0, 1.0])
