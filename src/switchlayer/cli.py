@@ -4,7 +4,9 @@ Subcommands: simulate, sweep, amplitude, sliding, equilibria.  All take a
 JSON config document; outputs are deterministic CSV or JSON (no
 timestamps), with numbers printed to 17 significant digits.  Sweep member
 k goes to the output path with ``_k`` before the file name's extension (the
-format's when it has none).  A missing output directory is a ConfigError.
+format's when it has none).  A missing output directory, an empty output
+path and an output path that is a directory (except a sweep's base) are
+ConfigErrors.
 
 ``RunConfig.parse`` is the one reader of the document: it converts and
 checks every entry present, used by the subcommand or not, before any
@@ -184,14 +186,22 @@ class RunConfig:
             path=path, format=fmt,
         )
 
-    def target(self, out: str | None, fmt: str | None) -> tuple[str, str]:
-        """The output path and format: --out / --format over the config's."""
+    def target(self, out: str | None, fmt: str | None,
+               base: bool = False) -> tuple[str, str]:
+        """The output path and format: --out / --format over the config's.
+
+        The path names a file to write, so it may not be an existing
+        directory, unless it is a sweep's base (``base``): the members
+        are written beside it.
+        """
         path = out or self.path
-        if path is None:
+        if not path:
             raise ConfigError("no output path (config output.path or --out)")
         folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
             raise ConfigError(f"output directory {folder!r} does not exist")
+        if not base and os.path.isdir(path):
+            raise ConfigError(f"output path {path!r} is a directory")
         return path, fmt or self.format
 
 
@@ -300,7 +310,7 @@ def cmd_sweep(doc: dict, parameter: str, values: list, out: str | None,
               fmt: str | None) -> int:
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
-    base, fmt = RunConfig.parse(doc).target(out, fmt)
+    base, fmt = RunConfig.parse(doc).target(out, fmt, base=True)
     stem, ext = os.path.splitext(base)  # the file name's extension only
     ext = ext or "." + fmt
     members = []

@@ -254,13 +254,14 @@ def classify_surface_point(sys: SwitchedField, x_rest, t: float,
     return "cross", None
 
 
-def _numeric_jacobian(fun, z: np.ndarray, h: float = 1e-7) -> np.ndarray:
-    n = z.size
-    J = np.empty((n, n))
+def _layer_jacobians(F, Z: np.ndarray, h: float = 1e-7) -> np.ndarray:
+    """Central-difference Jacobians of F at each row of Z, shape (m, n, n)."""
+    m, n = Z.shape
+    J = np.empty((m, n, n))
     for j in range(n):
         e = np.zeros(n)
         e[j] = h
-        J[:, j] = (fun(z + e) - fun(z - e)) / (2 * h)
+        J[:, :, j] = (F(Z + e) - F(Z - e)) / (2 * h)
     return J
 
 
@@ -269,8 +270,13 @@ def find_layer_equilibria(sys: SwitchedField, search_box) -> list[LayerEquilibri
 
     search_box is a sequence of (lo, hi) pairs for (lam, x2, ..., xn); the
     field is evaluated at t = 0.  Newton iteration is seeded from a coarse
-    grid; duplicates within 1e-6 are merged and each survivor is
-    classified by the eigenvalues of the layer Jacobian.
+    grid and runs on all seeds at once: each sweep evaluates the field on
+    the stacked seeds still active and solves their steps in one stacked
+    solve.  A seed whose Jacobian is singular, or whose step is not finite
+    or longer than 1e6, is dropped; the rest go on.  After the sweeps,
+    the converged seeds are filtered to the box and merged within 1e-6 in
+    seed order, and each survivor is classified by the eigenvalues of the
+    layer Jacobian.
     """
     if sys.time_dependent:
         raise ValueError("layer equilibria require an autonomous layer")
@@ -280,35 +286,45 @@ def find_layer_equilibria(sys: SwitchedField, search_box) -> list[LayerEquilibri
 
     feval = fast_field_eval(sys)
 
-    def F(z):
-        # the state on the surface is (0, x_rest)
-        x = z.copy()
-        x[0] = 0.0
-        return np.asarray(feval(x, 0.0, z[0]))
+    def F(Z):
+        # row by row: the state on the surface is (0, x_rest), at the row's lam
+        X = Z.copy()
+        X[:, 0] = 0.0
+        return np.array([feval(x, 0.0, lam) for x, lam in zip(X, Z[:, 0].tolist())])
 
-    found: list[np.ndarray] = []
     axes = [np.linspace(lo, hi, EQUILIBRIA_GRID) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
-    seeds = np.stack([m.ravel() for m in mesh], axis=1)
-    for seed in seeds:
-        z = seed.copy()
-        ok = False
-        for _ in range(60):
-            Fz = F(z)
-            if np.linalg.norm(Fz, ord=np.inf) < ROOT_TOL:
-                ok = True
-                break
-            J = _numeric_jacobian(F, z)
-            _check_finite(np.append(Fz, J), z[1:], z[0])
-            try:
-                step = np.linalg.solve(J, Fz)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 1e6:
-                break
-            z = z - step
-        if not ok:
-            continue
+    Z = np.stack([m.ravel() for m in mesh], axis=1)
+    seed = np.arange(len(Z))  # the seed each row of Z started from
+    roots = {}
+    for _ in range(60):
+        if not seed.size:
+            break
+        Fz = F(Z)
+        done = np.max(np.abs(Fz), axis=1) < ROOT_TOL
+        roots.update(zip(seed[done].tolist(), Z[done]))
+        Z, Fz, seed = Z[~done], Fz[~done], seed[~done]
+        if not seed.size:
+            break
+        J = _layer_jacobians(F, Z)
+        finite = np.isfinite(Fz).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
+        if not finite.all():
+            k = np.flatnonzero(~finite)[0]
+            _check_finite(np.append(Fz[k], J[k]), Z[k, 1:], Z[k, 0])
+        try:
+            step = np.linalg.solve(J, Fz[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # solve seed by seed; a singular one gets nan
+            step = np.full_like(Fz, np.nan)
+            for k in range(len(Z)):
+                try:
+                    step[k] = np.linalg.solve(J[k], Fz[k])
+                except np.linalg.LinAlgError:
+                    pass
+        keep = np.isfinite(step).all(axis=1) & (np.linalg.norm(step, axis=1) <= 1e6)
+        Z, seed = (Z - step)[keep], seed[keep]
+
+    found: list[np.ndarray] = []
+    for z in (roots[k] for k in sorted(roots)):
         if not (-1.0 - 1e-9 <= z[0] <= 1.0 + 1e-9):
             continue
         if any(z[i] < lo - 1e-6 or z[i] > hi + 1e-6
@@ -318,8 +334,7 @@ def find_layer_equilibria(sys: SwitchedField, search_box) -> list[LayerEquilibri
             found.append(z)
 
     out = []
-    for z in found:
-        J = _numeric_jacobian(F, z)
+    for z, J in zip(found, _layer_jacobians(F, np.array(found)) if found else ()):
         eigs = np.linalg.eigvals(J)
         re = eigs.real
         if np.any(np.abs(re) <= 1e-8):
@@ -370,6 +385,7 @@ def _integrate_sliding(sys, x_surface, t_span, cfg, root: SlidingSolution):
     boundary the fast flow leaves by; root is where a fold's flow sticks again.
     """
     fused, dim, tol = sys.fused, sys.dim, 10 * ROOT_TOL
+    reach, secant_reach, secant_steps = LAM_REACH, SECANT_REACH, SECANT_STEPS
     t0, y0 = float(t_span[0]), np.array(x_surface[1:], dtype=float)
     x0, lam0 = _full_state(y0, dim), root.lam_s
     h = -SLOPE_STEP if lam0 > 0 else SLOPE_STEP
@@ -377,19 +393,24 @@ def _integrate_sliding(sys, x_surface, t_span, cfg, root: SlidingSolution):
     branch = -1.0 if slope < 0 else 1.0  # sign of d f1/d lam along the branch
     anchor = (t0, lam0, 0.0, slope, 0.0, y0)  # t, lam, d lam/dt, s = d f1/d lam, ds/dt, x_rest
     last, lams = None, []  # last: [t, x, lam, F, found, fold value] of a solve
+    # the surface state (0, x_rest), filled element-wise by each field call;
+    # `last` holds this buffer, and every reader of last[1] (at, the fallback
+    # below, the end-of-run re-solve) reads it before the next field call
+    x, rest = np.zeros(dim), range(1, dim)
 
     def rhs(y, t):
         # d x_rest/dt at lam_s(t, y); the solve is kept in `last`
         nonlocal last
-        x = np.zeros(dim)
-        x[1:] = y
+        for i in rest:
+            x[i] = y.item(i - 1)
         ta, lam, rate, slope, srate, _ = anchor
-        lam = start = lam + rate * (t - ta)
-        if not -LAM_REACH <= lam <= LAM_REACH:
-            lam = start = math.copysign(LAM_REACH, lam)
-        slope += srate * (t - ta)
+        dt = t - ta
+        lam = start = lam + rate * dt
+        if not -reach <= lam <= reach:
+            lam = start = math.copysign(reach, lam)
+        slope += srate * dt
         F = fused(x, t, lam)
-        for _ in range(SECANT_STEPS):
+        for _ in range(secant_steps):
             f = F[0]
             if not slope * branch > 0.0:  # not the branch's sign: past a fold
                 break
@@ -397,7 +418,7 @@ def _integrate_sliding(sys, x_surface, t_span, cfg, root: SlidingSolution):
                 last = [t, x, lam, F, True, None]
                 return F[1:]
             nxt = lam - f / slope
-            if not (abs(nxt - start) <= SECANT_REACH and abs(nxt) <= LAM_REACH):
+            if not (abs(nxt - start) <= secant_reach and abs(nxt) <= reach):
                 break
             F = fused(x, t, nxt)
             lam, slope = nxt, (F[0] - f) / (nxt - lam)
@@ -445,9 +466,9 @@ def _integrate_sliding(sys, x_surface, t_span, cfg, root: SlidingSolution):
         return seg, None if run.stopped_by is None else math.copysign(1.0, lams[-1]), None
     # a fold: past it f1 keeps one sign near lam, the way the fast flow goes;
     # it sticks at the nearest root beyond FOLD_GAP that way, or leaves the layer
-    t, x, lam = seg.t_final, seg.x_final, lams[-1]
-    side = math.copysign(1.0, fused(x, t, lam + FOLD_GAP)[0] + fused(x, t, lam - FOLD_GAP)[0])
-    ahead = [r for r in find_sliding_modes(sys, x[1:], t) if (r.lam_s - lam) * side > FOLD_GAP]
+    te, xe, lam = seg.t_final, seg.x_final, lams[-1]
+    side = math.copysign(1.0, fused(xe, te, lam + FOLD_GAP)[0] + fused(xe, te, lam - FOLD_GAP)[0])
+    ahead = [r for r in find_sliding_modes(sys, xe[1:], te) if (r.lam_s - lam) * side > FOLD_GAP]
     return seg, side, min(ahead, key=lambda r: abs(r.lam_s - lam), default=None)
 
 

@@ -190,6 +190,45 @@ def test_missing_output_directory_exits_2(tmp_path, capsys, monkeypatch, command
     assert not missing.exists()
 
 
+# (subcommand, config entries over base_config, arguments, computations):
+# {d} is an existing directory, which only a sweep may take as its path
+OUTPUT_MISTAKES = {
+    "simulate-directory": ({}, ["--out", "{d}"], ["run_simulation"]),
+    "amplitude-directory": ({}, ["--out", "{d}", "--window", "0.4", "1.0"],
+                            ["run_simulation"]),
+    "sliding-directory": ({"grid": {"x_rest": [[0.0, 1.0, 3]]}}, ["--out", "{d}"],
+                          ["find_sliding_modes"]),
+    "equilibria-directory": ({"search_box": [[-1, 1], [-5, 5]]}, ["--out", "{d}"],
+                             ["find_layer_equilibria"]),
+    "simulate-empty-path": ({"output": {"path": ""}}, [], ["run_simulation"]),
+    "sweep-empty-path": ({"output": {"path": ""}},
+                         ["--parameter", "t_span", "--values", "[[0, 1]]"],
+                         ["run_simulation"]),
+    "sliding-empty-path": ({"grid": {"x_rest": [[0.0, 1.0, 3]]}, "output": {"path": ""}},
+                           [], ["find_sliding_modes"]),
+    "equilibria-empty-path": ({"search_box": [[-1, 1], [-5, 5]], "output": {"path": ""}},
+                              [], ["find_layer_equilibria"]),
+}
+
+
+@pytest.mark.parametrize("command, entries, args, computations",
+                         [(k.split("-")[0], *v) for k, v in OUTPUT_MISTAKES.items()],
+                         ids=OUTPUT_MISTAKES.keys())
+def test_output_path_mistake_exits_2(tmp_path, monkeypatch, capsys, command,
+                                     entries, args, computations):
+    for name in computations:
+        monkeypatch.setattr(cli, name, _not_called)
+    folder = tmp_path / "adir"
+    folder.mkdir()
+    cfg = write_config(tmp_path / "c.json", base_config(**entries))
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--config", cfg, *(a.format(d=folder) for a in args)]
+    assert main(argv) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "c.json"]
+    assert not any(folder.iterdir())
+
+
 class TestSimulate:
     def test_csv_output(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -324,6 +363,16 @@ class TestSweep:
         summary = json.loads((folder / "traj_summary.json").read_text())
         assert [e["file"] for e in summary] == [str(folder / "traj_0.json"),
                                                  str(folder / "traj_1.json")]
+
+    def test_directory_base_writes_beside(self, tmp_path):
+        folder = tmp_path / "adir"
+        folder.mkdir()
+        cfg = write_config(tmp_path / "c.json", base_config())
+        assert main(["sweep", "--config", cfg, "--out", str(folder), "--parameter",
+                     "t_span", "--values", "[[0.0, 1.0]]"]) == 0
+        assert not any(folder.iterdir())
+        assert (tmp_path / "adir_0.csv").exists()
+        assert (tmp_path / "adir_summary.json").exists()
 
     def test_empty_value_list_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_config())

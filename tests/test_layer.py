@@ -383,6 +383,79 @@ class TestFindLayerEquilibria:
         assert eq.classification == classification
         np.testing.assert_allclose(np.sort_complex(eq.eigenvalues), eigenvalues, atol=1e-6)
 
+    def test_singular_seeds_are_dropped_alone(self):
+        # J = [[x2, lam], [0, 1]] is singular on the seed row x2 = 0; the
+        # other seeds still converge to the one rest point (0.25, 2)
+        sys = SwitchedField(dim=2, fused=lambda x, t, lam: (x[1] * lam - 0.5, x[1] - 2.0))
+        (eq,) = find_layer_equilibria(sys, [(-1, 1), (0, 7)])
+        assert (eq.lam_e, eq.x_rest.tolist()) == (0.25, [2.0])
+        assert eq.classification == "node"
+
+    @staticmethod
+    def bilinear_roots(a, c, z0):
+        """Rest points of F = A u + c u1 u2, u = z - z0, with their classes.
+
+        c2 F1 - c1 F2 = 0 is linear in u, so besides u = 0 there is at
+        most one more root, on the line u2 = k u1.
+        """
+        roots = [np.zeros(2)]
+        m = c[1] * a[0] - c[0] * a[1]
+        if abs(m[1]) > 1e-3:
+            k = -m[0] / m[1]
+            if abs(c[0] * k) > 1e-3:
+                u1 = -(a[0, 0] + a[0, 1] * k) / (c[0] * k)
+                roots.append(np.array([u1, k * u1]))
+        out = []
+        for u in roots:
+            J = a + np.outer(c, [u[1], u[0]])
+            eigs = np.linalg.eigvals(J)
+            disc = np.trace(J) ** 2 - 4 * np.linalg.det(J)
+            if np.abs(eigs.real).min() < 0.05 or abs(disc) < 0.05:
+                return None  # too close to a class boundary to test
+            cls = ("focus" if disc < 0 else
+                   "saddle" if eigs.real.min() < 0 < eigs.real.max() else "node")
+            out.append((z0 + u, cls))
+        return out
+
+    def test_bilinear_fields_against_closed_form(self):
+        rng = np.random.default_rng(11)
+        box = [(-1.0, 1.0), (-3.0, 3.0)]
+        tested = 0
+        while tested < 25:
+            a, c = rng.normal(size=(2, 2)), rng.normal(size=2)
+            z0 = np.array([rng.uniform(-0.8, 0.8), rng.uniform(-2.5, 2.5)])
+            expected = self.bilinear_roots(a, c, z0)
+            if expected is None:
+                continue
+            # keep the draw if no root lies near the box's edge
+            inside = []
+            for z, cls in expected:
+                gap = min(min(z[i] - lo, hi - z[i]) for i, (lo, hi) in enumerate(box))
+                if abs(gap) < 0.1:
+                    break
+                if gap > 0:
+                    inside.append((z, cls))
+            else:
+                def fused(x, t, lam, a=a, c=c, z0=z0):
+                    u = (lam - z0[0], x[1] - z0[1])
+                    return tuple(a[i, 0] * u[0] + a[i, 1] * u[1] + c[i] * u[0] * u[1]
+                                 for i in range(2))
+
+                eqs = find_layer_equilibria(SwitchedField(dim=2, fused=fused), box)
+                got = sorted(((eq.lam_e, eq.x_rest[0]), eq.classification) for eq in eqs)
+                want = sorted(((z[0], z[1]), cls) for z, cls in inside)
+                assert [cls for _, cls in got] == [cls for _, cls in want]
+                np.testing.assert_allclose([z for z, _ in got], [z for z, _ in want],
+                                           atol=1e-9)
+                tested += 1
+
+    def test_non_finite_on_some_seeds_raises(self):
+        # the field is finite on the seeds with x2 < 2.5 only
+        sys = SwitchedField(dim=2, fused=lambda x, t, lam: (
+            lam - 0.3 if x[1] < 2.5 else math.nan, x[1] - 1.0))
+        with pytest.raises(NonFiniteFieldError):
+            find_layer_equilibria(sys, [(-1, 1), (0, 3)])
+
     def test_time_dependent_rejected(self):
         with pytest.raises(ValueError):
             find_layer_equilibria(make_duffing(), [(-1, 1), (-5, 5)])
@@ -429,6 +502,24 @@ class TestIntegrateHybrid:
         assert t_stick == pytest.approx(0.5, abs=1e-7)
         assert t_exit == pytest.approx(1.0, abs=1e-6)  # lam_s = 1 at x2 = 1
         assert traj.segments[-1].regime == "free_plus"
+
+    def test_three_dimensional_slide_against_closed_form(self):
+        # from x1 = 0.1 on the plus side, x1 = 0.1 - t + t^2/4 and x2 = x3 = t
+        # until the hit at t_hit = 2 - sqrt(3.6); there the slide lam_s = x2/2
+        # carries x3 = t_hit + (t^2 - t_hit^2)/4 until lam_s = 1 at t = 2
+        sys = SwitchedField(dim=3, fused=lambda x, t, lam: (0.5 * x[1] - lam, 1.0, lam))
+        traj = integrate_hybrid(sys, np.array([0.1, 0.0, 0.0]), (0.0, 3.0))
+        (t_stick, stick), (t_exit, leave) = traj.transitions[:2]
+        assert (stick, leave) == ("stick", "exit_slide")
+        t_hit = 2.0 - math.sqrt(3.6)
+        assert abs(t_stick - t_hit) < 1e-9
+        assert abs(t_exit - 2.0) < 1e-9
+        slide = traj.segments[1]
+        assert slide.regime == "sliding"
+        t = slide.t
+        assert np.abs(slide.x[:, 1] - t).max() < 1e-9
+        assert np.abs(slide.lam - 0.5 * slide.x[:, 1]).max() < 1e-9
+        assert np.abs(slide.x[:, 2] - (t_hit + (t ** 2 - t_hit ** 2) / 4)).max() < 1e-9
 
     def test_layer_transit_crossing(self):
         sys = linear_system([1.0, 0.0], [1.0, 0.0], time_dependent=True)
