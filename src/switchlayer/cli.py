@@ -147,8 +147,6 @@ class RunConfig:
         sigmoid = _entry(doc, "sigmoid", lambda spec: SigmoidSpec(**spec))
         if mode == "regularized" and sigmoid is None:
             raise ConfigError("regularized mode requires a sigmoid entry")
-        if mode == "regularized" and sigmoid.kind == "hill":
-            raise ConfigError("a hill sigmoid cannot regularize the surface x1 = 0")
         t_span = _entry(doc, "t_span", lambda ts: tuple(map(float, ts)), (0.0, 1.0))
         if len(t_span) != 2 or not t_span[1] > t_span[0]:
             raise ConfigError("t_span must be [t0, t1] with t1 > t0")

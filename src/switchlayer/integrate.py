@@ -276,16 +276,14 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
 
     Inside the transition band |x1| < eps the step size is capped at eps/4;
     outside it the configured max_step applies.  Band entry and exit are
-    localized with events so the cap switches at the right times.  A hill
-    sigmoid, whose transition is at v = theta > 0, is a ValueError.
+    localized with events so the cap switches at the right times.  Every
+    sigmoid kind switches at v = 0, so phi_eps(x1) switches on the surface.
     """
-    if sigmoid.kind == "hill":
-        raise ValueError("a hill sigmoid switches at theta > 0, not on the surface x1 = 0")
     cfg = cfg or IntegratorConfig()
     xv = sys._check_state(x0)
     eps = sigmoid.eps
     fused = sys.fused
-    # lam = phi(x1), a [0, 1] kind shifted onto [-1, 1]; every admitted kind
+    # lam = phi(x1), a [0, 1] kind shifted onto [-1, 1]; every kind
     # stays inside [-1, 1] in floating point, so nothing is clamped
     phi = sigmoid.scalar_fn()
     if sigmoid.range == (0.0, 1.0):

@@ -265,6 +265,14 @@ def _layer_jacobians(F, Z: np.ndarray, h: float = 1e-7) -> np.ndarray:
     return J
 
 
+def _check_rows_finite(values: np.ndarray, Z: np.ndarray) -> None:
+    """NonFiniteFieldError at the first row of Z whose values are not all finite."""
+    bad = ~np.isfinite(values.reshape(len(Z), -1)).all(axis=1)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        _check_finite(values[k], Z[k, 1:], Z[k, 0])
+
+
 def find_layer_equilibria(sys: SwitchedField, search_box) -> list[LayerEquilibrium]:
     """Rest points of the autonomous coupled layer system inside a search box.
 
@@ -306,11 +314,10 @@ def find_layer_equilibria(sys: SwitchedField, search_box) -> list[LayerEquilibri
         Z, Fz, seed = Z[~done], Fz[~done], seed[~done]
         if not seed.size:
             break
+        # F first: a non-finite F would poison the differences in J
+        _check_rows_finite(Fz, Z)
         J = _layer_jacobians(F, Z)
-        finite = np.isfinite(Fz).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
-        if not finite.all():
-            k = np.flatnonzero(~finite)[0]
-            _check_finite(np.append(Fz[k], J[k]), Z[k, 1:], Z[k, 0])
+        _check_rows_finite(J, Z)
         try:
             step = np.linalg.solve(J, Fz[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:  # solve seed by seed; a singular one gets nan

@@ -162,14 +162,3 @@ def match_alpha23(f_plus: np.ndarray, f_minus: np.ndarray, a: AsymptoticData,
     alpha3 = (gp - gm) / (4.0 * a.c0) - 0.25 * (f_plus - f_minus) - to
     return alpha2, alpha3
 
-
-def boundary_residuals(e: SeriesExpansion, x) -> tuple[np.ndarray, np.ndarray]:
-    """(sum alpha_n - f(+1), sum (-1)^n alpha_n - f(-1)); zero by construction
-    for expansions built here, exposed for property checks on hand-built ones."""
-    xv = np.asarray(x, dtype=float)
-    plus = reconstruct(e, xv, 1.0)
-    minus = reconstruct(e, xv, -1.0)
-    direct_plus = sum(np.asarray(a(xv), dtype=float) for a in e.coefficients)
-    direct_minus = sum(((-1.0) ** n) * np.asarray(a(xv), dtype=float)
-                       for n, a in enumerate(e.coefficients))
-    return direct_plus - plus, direct_minus - minus

@@ -11,12 +11,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfinv
 
-KINDS = ("piecewise_linear", "arctan_unit", "arctan_01", "tanh", "erf", "hill")
-
-# ranges are fixed per kind, not free parameters
-_UNIT_RANGE = {"arctan_01": (0.0, 1.0), "hill": (0.0, 1.0)}
+KINDS = ("piecewise_linear", "arctan_unit", "arctan_01", "tanh", "erf")
 
 
 class UnsupportedExpansionError(ValueError):
@@ -27,14 +23,13 @@ class UnsupportedExpansionError(ValueError):
 class SigmoidSpec:
     """A transition function phi_eps(v) of a given kind and stiffness.
 
-    kind:  one of piecewise_linear | arctan_unit | arctan_01 | tanh | erf | hill
+    kind:  one of piecewise_linear | arctan_unit | arctan_01 | tanh | erf
     eps:   stiffness scale (> 0)
-    theta: threshold for the hill kind (other kinds take only the default)
+    range: (0, 1) for arctan_01, (-1, 1) for every other kind
     """
 
     kind: str
     eps: float
-    theta: float = 1.0
     range: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
@@ -42,20 +37,13 @@ class SigmoidSpec:
             raise ValueError(f"unknown sigmoid kind {self.kind!r}")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.kind == "hill" and self.theta <= 0:
-            raise ValueError("hill threshold theta must be positive")
-        if self.kind != "hill" and self.theta != 1.0:
-            raise ValueError(f"theta is the hill threshold; {self.kind} takes none")
-        object.__setattr__(self, "range", _UNIT_RANGE.get(self.kind, (-1.0, 1.0)))
+        unit = self.kind == "arctan_01"
+        object.__setattr__(self, "range", (0.0, 1.0) if unit else (-1.0, 1.0))
 
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, v):
-        """phi_eps(v), vectorized over v: ``scalar_fn()`` elementwise.
-
-        For the hill kind v is the raw (positive) Hill argument; the value
-        is computed in log space so small eps does not overflow.
-        """
+        """phi_eps(v), vectorized over v: ``scalar_fn()`` elementwise."""
         out = np.vectorize(self.scalar_fn(), otypes=[float])(np.asarray(v, dtype=float))
         return out if out.ndim else float(out)
 
@@ -82,39 +70,10 @@ class SigmoidSpec:
         elif self.kind == "tanh":
             def f(v):
                 return math.tanh(v / e)
-        elif self.kind == "erf":
+        else:  # erf
             def f(v):
                 return math.erf(v / e)
-        else:  # hill
-            log_theta = math.log(self.theta)
-
-            def f(v):
-                if v <= 0:
-                    raise ValueError("hill sigmoid requires a positive argument")
-                u = (math.log(v) - log_theta) / e
-                return 0.5 * (1.0 + math.tanh(0.5 * u))
         return f
-
-    def inverse(self, y):
-        """The value v with phi_eps(v) = y, for y strictly inside the range."""
-        y = np.asarray(y, dtype=float)
-        lo, hi = self.range
-        if np.any(y <= lo) or np.any(y >= hi):
-            raise ValueError(f"inverse defined only on the open range ({lo}, {hi})")
-        e = self.eps
-        if self.kind == "piecewise_linear":
-            out = e * y
-        elif self.kind == "arctan_unit":
-            out = e * np.tan(0.5 * np.pi * y)
-        elif self.kind == "arctan_01":
-            out = e * np.tan(np.pi * (y - 0.5))
-        elif self.kind == "tanh":
-            out = e * np.arctanh(y)
-        elif self.kind == "erf":
-            out = e * erfinv(y)
-        else:  # hill
-            out = self.theta * np.exp(e * np.log(y / (1.0 - y)))
-        return out if out.ndim else float(out)
 
     # -- tail asymptotics ----------------------------------------------
 
@@ -129,13 +88,6 @@ class SigmoidSpec:
         e = self.eps
         if order < 0 or order > 3:
             raise UnsupportedExpansionError(f"order must be in 0..3, got {order}")
-        if self.kind == "hill":
-            if order > 0:
-                raise UnsupportedExpansionError("hill tail supports order 0 only")
-            if v <= 0:
-                raise ValueError("hill sigmoid requires a positive argument")
-            s = math.copysign(1.0, v - self.theta)
-            return 0.5 + s * (0.5 - math.exp(-abs(math.log(v / self.theta)) / e))
         if abs(v) < 3 * e:
             raise ValueError("tail expansion requires |v| >= 3 eps")
         s = math.copysign(1.0, v)

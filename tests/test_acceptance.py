@@ -21,7 +21,6 @@ from switchlayer import (
     DUFFING_RIPPLE_WINDOW,
     CircuitParams,
     DuffingParams,
-    SwitchedField,
     circuit_iv_to_state,
     eval_field,
     find_layer_equilibria,
@@ -39,6 +38,8 @@ from switchlayer import (
     reconstruct,
     to_hidden_form,
 )
+
+from fields import tautology
 
 
 class Criterion:
@@ -271,9 +272,7 @@ def test_criterion_5_property_suites():
     sign_bad = 0
     for _ in range(100):
         fp, fm = rng.normal(size=2), rng.normal(size=2)
-        sys = SwitchedField(
-            f_plus=lambda x, t, v=fp: v, f_minus=lambda x, t, v=fm: v,
-            dim=2)
+        sys = tautology(fp, fm)
         roots = find_sliding_modes(sys, np.array([0.0]))
         if fp[0] * fm[0] < 0:
             ok = (len(roots) == 1 and roots[0].stability

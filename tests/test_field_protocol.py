@@ -1,7 +1,7 @@
 """The evaluator contract: a tuple of floats and a float64 array run alike.
 
-Every built-in ``fused`` returns a tuple of Python floats; a composed or
-user field returns a float64 array.  Each run kind must give the same
+Every built-in ``fused`` returns a tuple of Python floats; a user field
+may return a float64 array.  Each run kind must give the same
 samples, lambda columns, transitions and roots, bit for bit, with either.
 """
 
@@ -32,9 +32,7 @@ def fold_field():
     """f1 = lam^2 + x2 - 1/4: a slide from (-0.1, 0) leaves at a fold, t = 1/4."""
     def fused(x, t, lam):
         return (x.item(1) + 0.75 + (lam * lam - 1.0), 1.0)
-    return SwitchedField(f_plus=lambda x, t: np.array(fused(x, t, 1.0)),
-                         f_minus=lambda x, t: np.array(fused(x, t, -1.0)),
-                         dim=2, fused=fused)
+    return SwitchedField(dim=2, fused=fused)
 
 
 def as_array(sys):

@@ -11,7 +11,6 @@ from switchlayer import (
     GrazeWarning,
     IntegratorConfig,
     SigmoidSpec,
-    SwitchedField,
     TrajectorySegment,
     advance_to_surface,
     circuit_iv_to_state,
@@ -20,17 +19,7 @@ from switchlayer import (
 )
 from switchlayer.integrate import Event, IntegrationError, _solve
 
-
-def linear_system(fp, fm, dim=2, g=None, tol=1e-9):
-    fp = np.asarray(fp, dtype=float)
-    fm = np.asarray(fm, dtype=float)
-    return SwitchedField(
-        f_plus=lambda x, t: fp,
-        f_minus=lambda x, t: fm,
-        dim=dim,
-        surface_tolerance=tol,
-        hidden_g=g,
-    )
+from fields import tautology
 
 
 class TestIntegratorConfig:
@@ -158,7 +147,7 @@ class TestEvents:
 
 class TestAdvanceToSurface:
     def test_hit_time_and_localization(self):
-        sys = linear_system([1.0, 0.0], [1.0, 0.5])
+        sys = tautology([1.0, 0.0], [1.0, 0.5])
         # from x1 = -0.4 moving up at speed 1: hit at t = 0.4
         seg, hit = advance_to_surface(sys, np.array([-0.4, 0.0]), (0.0, 2.0))
         assert hit is not None
@@ -169,14 +158,14 @@ class TestAdvanceToSurface:
         assert seg.regime == "free_minus"
 
     def test_no_hit_runs_to_end(self):
-        sys = linear_system([1.0, 0.0], [-1.0, 0.0])
+        sys = tautology([1.0, 0.0], [-1.0, 0.0])
         seg, hit = advance_to_surface(sys, np.array([0.5, 0.0]), (0.0, 1.0))
         assert hit is None
         assert seg.t_final == pytest.approx(1.0)
         assert seg.x_final[0] == pytest.approx(1.5, rel=1e-8)
 
     def test_on_surface_start_rejected(self):
-        sys = linear_system([1.0, 0.0], [-1.0, 0.0])
+        sys = tautology([1.0, 0.0], [-1.0, 0.0])
         with pytest.raises(ValueError):
             advance_to_surface(sys, np.array([0.0, 0.0]), (0.0, 1.0))
 
@@ -187,7 +176,7 @@ class TestAdvanceToSurface:
         def fp(x, t):
             return np.array([2.0 * (t - 1.0), 1.0])
 
-        sys = SwitchedField(f_plus=fp, f_minus=fp, dim=2, surface_tolerance=tol)
+        sys = tautology(fp, fp, surface_tolerance=tol)
         # x1(t) = (t-1)^2 + tol/2 dips into the band but never crosses
         x0 = np.array([1.0 + tol / 2, 0.0])
         with pytest.warns(GrazeWarning):
@@ -200,7 +189,7 @@ class TestAdvanceToSurface:
         def fp(x, t):
             return np.array([2.0 * (t - 1.0), 1.0])
 
-        sys = SwitchedField(f_plus=fp, f_minus=fp, dim=2, surface_tolerance=tol)
+        sys = tautology(fp, fp, surface_tolerance=tol)
         with pytest.warns(GrazeWarning) as record:
             seg, hit = advance_to_surface(sys, np.array([1.0 + tol / 2, 0.0]), (0.0, 2.0))
         first = seg.t[np.argmax(seg.x[:, 0] <= tol)]
@@ -209,7 +198,7 @@ class TestAdvanceToSurface:
 
 class TestIntegrateRegularized:
     def test_attracting_switch_settles_on_surface(self):
-        sys = linear_system([-1.0, 1.0], [1.0, 1.0])
+        sys = tautology([-1.0, 1.0], [1.0, 1.0])
         sig = SigmoidSpec("tanh", eps=1e-3)
         seg = integrate_regularized(sys, sig, np.array([0.5, 0.0]), (0.0, 2.0))
         assert abs(seg.x_final[0]) < 10 * sig.eps
@@ -219,7 +208,7 @@ class TestIntegrateRegularized:
         assert np.all(np.abs(seg.lam) <= 1.0)
 
     def test_multiplier_samples_match_sigmoid_of_surface(self):
-        sys = linear_system([-1.0, 1.0], [1.0, 1.0])
+        sys = tautology([-1.0, 1.0], [1.0, 1.0])
         sig = SigmoidSpec("arctan_unit", eps=1e-2)
         seg = integrate_regularized(sys, sig, np.array([0.3, 0.0]), (0.0, 1.0))
         np.testing.assert_allclose(seg.lam, sig(seg.x[:, 0]), atol=1e-12)
@@ -228,14 +217,14 @@ class TestIntegrateRegularized:
                                       "tanh", "erf"])
     def test_multiplier_saturates_inside_unit_range(self, kind):
         # far outside the band each kind gives lam = +-1 exactly, unclamped
-        sys = linear_system([1.0, 0.0], [-1.0, 0.0])  # x1 moves away from 0
+        sys = tautology([1.0, 0.0], [-1.0, 0.0])  # x1 moves away from 0
         sig = SigmoidSpec(kind, eps=1e-300)
         for x1 in (0.5, -0.5):
             seg = integrate_regularized(sys, sig, np.array([x1, 0.0]), (0.0, 1.0))
             assert np.all(seg.lam == np.sign(x1))
 
     def test_step_cap_inside_band(self):
-        sys = linear_system([-1.0, 1.0], [1.0, 1.0])
+        sys = tautology([-1.0, 1.0], [1.0, 1.0])
         sig = SigmoidSpec("piecewise_linear", eps=4e-3)
         seg = integrate_regularized(sys, sig, np.array([0.05, 0.0]), (0.0, 0.5))
         inside = np.abs(seg.x[:, 0]) < sig.eps * 0.999
@@ -243,15 +232,8 @@ class TestIntegrateRegularized:
         assert steps.size > 0
         assert steps.max() <= sig.eps / 4 + 1e-12
 
-    @pytest.mark.parametrize("x1", [0.5, -0.5])
-    def test_hill_rejected(self, x1):
-        # hill switches at v = theta > 0, not on the surface x1 = 0
-        with pytest.raises(ValueError, match="x1 = 0"):
-            integrate_regularized(make_circuit(), SigmoidSpec("hill", eps=0.1),
-                                  np.array([x1, 3.0]), (0.0, 1.0))
-
     def test_unit_range_sigmoid_equivalent_to_symmetric(self):
-        sys = linear_system([-1.0, 1.0], [1.0, 1.0])
+        sys = tautology([-1.0, 1.0], [1.0, 1.0])
         a01 = SigmoidSpec("arctan_01", eps=1e-2)
         asym = SigmoidSpec("arctan_unit", eps=1e-2)
         x0 = np.array([0.2, 0.0])
@@ -261,7 +243,7 @@ class TestIntegrateRegularized:
 
     def test_band_crossing_transversal(self):
         # flow pushing straight through the band: must emerge on the far side
-        sys = linear_system([1.0, 0.0], [1.0, 0.0])
+        sys = tautology([1.0, 0.0], [1.0, 0.0])
         sig = SigmoidSpec("tanh", eps=1e-3)
         seg = integrate_regularized(sys, sig, np.array([-0.5, 0.0]), (0.0, 1.0))
         assert seg.x_final[0] == pytest.approx(0.5, rel=1e-6)
@@ -277,7 +259,7 @@ class TestIntegrateRegularized:
         def g(x, t, lam):
             return np.array([2.0, 0.0])
 
-        sys = linear_system([1.0, 1.0], [1.0, 1.0], g=g)
+        sys = tautology([1.0, 1.0], [1.0, 1.0], g=g)
         sig = SigmoidSpec("piecewise_linear", eps=1e-2)
         seg = integrate_regularized(sys, sig, np.array([0.0, 0.0]), (0.0, 1.0))
         # the stable balance sits at lam = -1/sqrt(2), i.e. v = -eps/sqrt(2)

@@ -37,18 +37,7 @@ from switchlayer import (
 )
 from switchlayer.core import fast_field_eval
 
-
-def linear_system(fp, fm, dim=2, g=None, tol=1e-9, time_dependent=False):
-    fp = np.asarray(fp, dtype=float)
-    fm = np.asarray(fm, dtype=float)
-    return SwitchedField(
-        f_plus=lambda x, t: fp,
-        f_minus=lambda x, t: fm,
-        dim=dim,
-        surface_tolerance=tol,
-        hidden_g=g,
-        time_dependent=time_dependent,
-    )
+from fields import tautology
 
 
 def polynomial_system(coeffs):
@@ -74,7 +63,7 @@ class TestFindSlidingModes:
         assert find_sliding_modes(make_example2("continuous"), np.array([0.0])) == []
 
     def test_classic_attracting_root(self):
-        sys = linear_system([-1.0, 2.0], [3.0, 5.0])
+        sys = tautology([-1.0, 2.0], [3.0, 5.0])
         (root,) = find_sliding_modes(sys, np.array([0.0]))
         # f1 = 1 + (-2) lam = 0 at lam = 1/2
         assert root.lam_s == pytest.approx(0.5, abs=1e-10)
@@ -109,7 +98,7 @@ class TestFindSlidingModes:
         for _ in range(100):
             fp = rng.normal(size=2)
             fm = rng.normal(size=2)
-            sys = linear_system(fp, fm)
+            sys = tautology(fp, fm)
             roots = find_sliding_modes(sys, np.array([0.0]))
             if fp[0] * fm[0] < 0:
                 assert len(roots) == 1
@@ -121,7 +110,7 @@ class TestFindSlidingModes:
                     assert abs(roots[0].lam_s) <= 1.0
 
     def test_degenerate_inclusion_detected(self):
-        sys = linear_system([0.0, 1.0], [0.0, -1.0])  # f1 == 0 for all lam
+        sys = tautology([0.0, 1.0], [0.0, -1.0])  # f1 == 0 for all lam
         with pytest.raises(DegenerateInclusionError):
             find_sliding_modes(sys, np.array([0.0]))
 
@@ -132,8 +121,7 @@ def product_system(roots):
     def fused(x, t, lam):
         return np.array([math.prod(lam - r for r in roots), 1.0 + x[1]])
 
-    return SwitchedField(f_plus=lambda x, t: fused(x, t, 1.0),
-                         f_minus=lambda x, t: fused(x, t, -1.0), dim=2, fused=fused)
+    return SwitchedField(dim=2, fused=fused)
 
 
 def grid_scan_modes(sys, x_rest, t=0.0):
@@ -260,8 +248,7 @@ class TestChebyshevRoots:
         def fused(x, t, lam):
             return np.array([abs(lam - 0.2) - 0.1, 1.0])
 
-        sys = SwitchedField(f_plus=lambda x, t: fused(x, t, 1.0),
-                            f_minus=lambda x, t: fused(x, t, -1.0), dim=2, fused=fused)
+        sys = SwitchedField(dim=2, fused=fused)
         got = find_sliding_modes(sys, np.array([0.0]))
         assert [r.lam_s for r in got] == pytest.approx([0.1, 0.3], abs=1e-9)
         assert_same_as_grid_scan(sys, [0.0])
@@ -270,8 +257,7 @@ class TestChebyshevRoots:
         def fused(x, t, lam):
             return np.array([max(lam, 0.0), 1.0])
 
-        sys = SwitchedField(f_plus=lambda x, t: fused(x, t, 1.0),
-                            f_minus=lambda x, t: fused(x, t, -1.0), dim=2, fused=fused)
+        sys = SwitchedField(dim=2, fused=fused)
         with pytest.raises(DegenerateInclusionError):
             find_sliding_modes(sys, np.array([0.0]))
 
@@ -281,16 +267,19 @@ class TestNonFiniteField:
 
     @staticmethod
     def infinite_inside_layer():
-        return linear_system([-1.0, 0.0], [1.0, 0.0],
-                             g=lambda x, t, lam: np.array([np.inf, 0.0]))
+        return tautology([-1.0, 0.0], [1.0, 0.0],
+                         g=lambda x, t, lam: np.array([np.inf, 0.0]))
 
     def test_sliding_modes_raise(self):
         with pytest.raises(NonFiniteFieldError):
             find_sliding_modes(self.infinite_inside_layer(), np.array([0.0]))
 
     def test_layer_equilibria_raise(self):
-        with pytest.raises(NonFiniteFieldError):
-            find_layer_equilibria(self.infinite_inside_layer(), [(-1, 1), (-5, 5)])
+        # the typed error comes alone, without a numpy warning before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteFieldError):
+                find_layer_equilibria(self.infinite_inside_layer(), [(-1, 1), (-5, 5)])
 
 
 class TestRestShape:
@@ -313,13 +302,13 @@ class TestRestShape:
 
 class TestClassifySurfacePoint:
     def test_attracting_sliding_detected(self):
-        sys = linear_system([-1.0, 1.0], [1.0, 1.0])
+        sys = tautology([-1.0, 1.0], [1.0, 1.0])
         kind, sol = classify_surface_point(sys, np.array([0.0]), 0.0, "minus")
         assert kind == "stick"
         assert sol.lam_s == pytest.approx(0.0, abs=1e-10)
 
     def test_crossing_detected(self):
-        sys = linear_system([1.0, 1.0], [1.0, -1.0])
+        sys = tautology([1.0, 1.0], [1.0, -1.0])
         kind, sol = classify_surface_point(sys, np.array([0.0]), 0.0, "minus")
         assert kind == "cross"
         assert sol is None
@@ -351,7 +340,7 @@ class TestFindLayerEquilibria:
         def fm(x, t):
             return np.array([1.3, 2.0 - x[1]])
 
-        sys = SwitchedField(f_plus=fp, f_minus=fm, dim=2)
+        sys = tautology(fp, fm)
         eqs = find_layer_equilibria(sys, [(-1, 1), (-5, 5)])
         assert len(eqs) == 1
         eq = eqs[0]
@@ -368,7 +357,7 @@ class TestFindLayerEquilibria:
         def fm(x, t):
             return np.array([1.3, 1.0])
 
-        sys = SwitchedField(f_plus=fp, f_minus=fm, dim=2)
+        sys = tautology(fp, fm)
         assert find_layer_equilibria(sys, [(-1, 1), (-5, 5)]) == []
 
     @pytest.mark.parametrize("fused, classification, eigenvalues", [
@@ -480,7 +469,7 @@ class TestIntegrateHybrid:
         np.testing.assert_allclose(lam, -1 / np.sqrt(2), atol=1e-8)
 
     def test_crossing(self):
-        sys = linear_system([1.0, 1.0], [1.0, -1.0])
+        sys = tautology([1.0, 1.0], [1.0, -1.0])
         traj = integrate_hybrid(sys, np.array([-0.3, 0.0]), (0.0, 1.0))
         assert [kind for _, kind in traj.transitions] == ["cross_up"]
         assert traj.segments[-1].regime == "free_plus"
@@ -494,7 +483,7 @@ class TestIntegrateHybrid:
         def fm(x, t):
             return np.array([1.0, 1.0])
 
-        sys = SwitchedField(f_plus=fp, f_minus=fm, dim=2)
+        sys = tautology(fp, fm)
         traj = integrate_hybrid(sys, np.array([-0.5, 0.0]), (0.0, 2.0))
         kinds = [kind for _, kind in traj.transitions]
         assert kinds[:2] == ["stick", "exit_slide"]
@@ -522,7 +511,7 @@ class TestIntegrateHybrid:
         assert np.abs(slide.x[:, 2] - (t_hit + (t ** 2 - t_hit ** 2) / 4)).max() < 1e-9
 
     def test_layer_transit_crossing(self):
-        sys = linear_system([1.0, 0.0], [1.0, 0.0], time_dependent=True)
+        sys = tautology([1.0, 0.0], [1.0, 0.0], time_dependent=True)
         eps_layer = 1e-4
         traj = integrate_hybrid(sys, np.array([-0.2, 0.0]), (0.0, 1.0),
                                 eps_layer=eps_layer)
@@ -534,7 +523,7 @@ class TestIntegrateHybrid:
 
     def test_layer_capture(self):
         # attracting layer with an interior rest point: lam settles at 0
-        sys = linear_system([-1.0, 0.5], [1.0, 0.5], time_dependent=True)
+        sys = tautology([-1.0, 0.5], [1.0, 0.5], time_dependent=True)
         traj = integrate_hybrid(sys, np.array([-0.2, 0.0]), (0.0, 1.0),
                                 eps_layer=1e-4)
         assert [kind for _, kind in traj.transitions] == ["layer_enter"]
@@ -547,7 +536,7 @@ class TestIntegrateHybrid:
         tol = 1e-9
         configs = [
             (make_example2("nonlinear"), np.array([-0.3, 0.0])),
-            (linear_system([1.0, 1.0], [1.0, -1.0], tol=tol),
+            (tautology([1.0, 1.0], [1.0, -1.0], surface_tolerance=tol),
              np.array([-0.3, 0.0])),
         ]
         for sys, x0 in configs:
@@ -567,8 +556,8 @@ def _fuzz_system(rng, hidden):
     Ap, Am = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
     bp, bm = rng.normal(size=2), rng.normal(size=2)
     h = rng.normal(size=2) if hidden else None
-    return SwitchedField(f_plus=lambda x, t: Ap @ x + bp, f_minus=lambda x, t: Am @ x + bm,
-                         dim=2, hidden_g=None if h is None else lambda x, t, lam: h * (1.0 + lam))
+    return tautology(lambda x, t: Ap @ x + bp, lambda x, t: Am @ x + bm,
+                     None if h is None else lambda x, t, lam: h * (1.0 + lam))
 
 
 def assert_complete(traj, t_end):
@@ -592,8 +581,7 @@ class TestSlidingRobustness:
         # f1 = lam^2 + x2 - 1/4: the attracting root -sqrt(1/4 - x2) meets
         # the repelling one at x2 = 1/4 (t = 1/4); past it f1 > 0 pushes lam up
         f = lambda x, t: np.array([x[1] + 0.75, 1.0])  # noqa: E731
-        sys = SwitchedField(f_plus=f, f_minus=f, dim=2,
-                            hidden_g=lambda x, t, lam: np.array([1.0, 0.0]))
+        sys = tautology(f, f, lambda x, t, lam: np.array([1.0, 0.0]))
         traj = integrate_hybrid(sys, np.array([-0.1, 0.0]), (0.0, 1.0))
         assert [k for _, k in traj.transitions] == ["stick", "exit_slide"]
         assert traj.transitions[1][0] == pytest.approx(0.25, abs=1e-6)
@@ -606,9 +594,9 @@ class TestSlidingRobustness:
     def test_fold_exit_sticks_on_the_root_ahead(self):
         # f1 = -(lam^2 + x2 - 1/4)(lam - 1/2): past the fold f1 = lam^2/2
         # near lam = 0, so the fast flow runs up to the root lam = 1/2
-        sys = SwitchedField(f_plus=lambda x, t: np.array([-0.5 * x[1] - 0.375, 1.0]),
-                            f_minus=lambda x, t: np.array([1.5 * x[1] + 1.125, 1.0]),
-                            dim=2, hidden_g=lambda x, t, lam: np.array([0.5 - lam, 0.0]))
+        sys = tautology(lambda x, t: np.array([-0.5 * x[1] - 0.375, 1.0]),
+                        lambda x, t: np.array([1.5 * x[1] + 1.125, 1.0]),
+                        lambda x, t, lam: np.array([0.5 - lam, 0.0]))
         for lam in (-0.7, -0.2, 0.3, 0.9):
             want = -(lam * lam + 0.1 - 0.25) * (lam - 0.5)
             assert sys.fused(np.array([0.0, 0.1]), 0.0, lam)[0] == pytest.approx(want)
@@ -650,8 +638,8 @@ class TestSlidingRobustness:
         rng = np.random.default_rng(seed)
         Ap, Am, G = rng.normal(size=(3, 2, 2))
         bp, bm, h0, h1 = rng.normal(size=(4, 2)) * [[1], [1], [1], [cubic]]
-        sys = SwitchedField(f_plus=lambda x, t: Ap @ x + bp, f_minus=lambda x, t: Am @ x + bm,
-                            dim=2, hidden_g=lambda x, t, lam: G @ x + h0 + h1 * lam)
+        sys = tautology(lambda x, t: Ap @ x + bp, lambda x, t: Am @ x + bm,
+                        lambda x, t, lam: G @ x + h0 + h1 * lam)
         traj = integrate_hybrid(sys, np.array(x0), (0.0, 2.0), IntegratorConfig(max_step=0.05))
         assert_complete(traj, 2.0)
 
@@ -666,7 +654,7 @@ class TestSlidingRobustness:
 
 class TestIntegrateLayerOnly:
     def test_relaxation_inside_layer(self):
-        sys = linear_system([-2.0, 0.0], [2.0, 0.0])
+        sys = tautology([-2.0, 0.0], [2.0, 0.0])
         eps_layer = 1e-3
         seg = integrate_layer_only(sys, -0.9, np.array([0.0]), (0.0, 0.1),
                                    eps_layer=eps_layer)
@@ -725,14 +713,16 @@ class TestIntegrateLayerOnly:
         assert seg.lam[-1] == pytest.approx(side, abs=1e-12)
 
 
-# returned as is by a composed field's fused at lam = +-1
+# returned as is by the field's fused at lam = +-1
 F_PLUS = np.array([-1.0, 1.0])
 F_MINUS = np.array([1.0, 0.5])
 
 
 def test_runs_never_write_into_field_arrays():
     before = F_PLUS.copy(), F_MINUS.copy()
-    sys = SwitchedField(f_plus=lambda x, t: F_PLUS, f_minus=lambda x, t: F_MINUS, dim=2)
+    sys = tautology(F_PLUS, F_MINUS)
+    assert sys.fused(np.zeros(2), 0.0, 1.0) is F_PLUS
+    assert sys.fused(np.zeros(2), 0.0, -1.0) is F_MINUS
     x0 = np.array([0.5, 0.0])
     integrate_layer_only(sys, 1.0, np.array([0.0]), (0.0, 1.0), eps_layer=1e-3)
     integrate_regularized(sys, SigmoidSpec("piecewise_linear", eps=1e-2), x0, (0.0, 1.0))

@@ -10,7 +10,6 @@ from switchlayer import (
     CircuitParams,
     DuffingParams,
     SeriesExpansion,
-    SwitchedField,
     circuit_iv_to_state,
     circuit_state_to_iv,
     eval_field,
@@ -22,6 +21,8 @@ from switchlayer import (
     mu_of_lambda,
     to_hidden_form,
 )
+
+from fields import tautology
 
 ALL_FACTORIES = [
     lambda: make_example1("filippov"),
@@ -97,17 +98,15 @@ class TestStructuralInvariants:
         def series_g(x, t, lam):  # the factored alpha_2..alpha_4 part
             return alphas[2](x) + lam * alphas[3](x) + (1.0 + lam * lam) * alphas[4](x)
 
-        def composed_g(x, t, lam):
+        def written_g(x, t, lam):
             return np.array([lam * x[1], 2.0 + lam * lam])
 
-        def composed():
-            return SwitchedField(
-                f_plus=lambda x, t: np.array([1.0 - x[1], np.sin(t)]),
-                f_minus=lambda x, t: np.array([-1.0, x[0] * x[1]]),
-                dim=2, hidden_g=composed_g)
+        def written():
+            return tautology(lambda x, t: np.array([1.0 - x[1], np.sin(t)]),
+                             lambda x, t: np.array([-1.0, x[0] * x[1]]), written_g)
 
-        for factory, g in zip(ALL_FACTORIES + [series_field, composed],
-                              HIDDEN_G + [series_g, composed_g]):
+        for factory, g in zip(ALL_FACTORIES + [series_field, written],
+                              HIDDEN_G + [series_g, written_g]):
             sys = factory()
             for _ in range(50):
                 x = rng.normal(size=sys.dim)

@@ -14,7 +14,6 @@ from switchlayer import (
     reconstruct,
     to_hidden_form,
 )
-from switchlayer.series import boundary_residuals
 
 
 def const(vec):
@@ -83,10 +82,14 @@ class TestExpandFromMidpoint:
         slope = (reconstruct(e, x, h) - reconstruct(e, x, -h)) / (2 * h)
         np.testing.assert_allclose(slope, d0(x), atol=1e-8)
 
-    def test_boundary_residuals_vanish(self):
+    def test_boundary_values_are_alternating_sums(self):
+        # f(+1) and f(-1) are the plain and the alternating sums of alpha_n
         rng = np.random.default_rng(9)
         e = random_expansion(rng, dim=2, order=4)
-        rp, rm = boundary_residuals(e, rng.normal(size=2))
+        x = rng.normal(size=2)
+        alphas = [a(x) for a in e.coefficients]
+        rp = sum(alphas) - reconstruct(e, x, 1.0)
+        rm = sum((-1.0) ** n * a for n, a in enumerate(alphas)) - reconstruct(e, x, -1.0)
         np.testing.assert_allclose(rp, 0.0, atol=1e-13)
         np.testing.assert_allclose(rm, 0.0, atol=1e-13)
 

@@ -1,4 +1,4 @@
-"""Transition function families: values, inverses, tail asymptotics."""
+"""Transition function families: construction, values, tail asymptotics."""
 
 import math
 
@@ -11,7 +11,7 @@ from switchlayer import SigmoidSpec, UnsupportedExpansionError
 from switchlayer.sigmoids import KINDS
 
 SYMMETRIC = ("piecewise_linear", "arctan_unit", "tanh", "erf")
-UNIT = ("arctan_01", "hill")
+UNIT = ("arctan_01",)
 
 
 def spec_for(kind, eps=0.1):
@@ -20,20 +20,17 @@ def spec_for(kind, eps=0.1):
 
 class TestConstruction:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            SigmoidSpec("logit", eps=0.1)
+        for kind in ("logit", "hill"):
+            with pytest.raises(ValueError, match="kind"):
+                SigmoidSpec(kind, eps=0.1)
 
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
             SigmoidSpec("tanh", eps=0.0)
 
-    def test_hill_theta_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SigmoidSpec("hill", eps=0.1, theta=-1.0)
-
     @pytest.mark.parametrize("theta", [-5.0, 2.0])
-    def test_theta_only_for_hill(self, theta):
-        with pytest.raises(ValueError, match="theta"):
+    def test_theta_keyword_rejected(self, theta):
+        with pytest.raises(TypeError, match="theta"):
             SigmoidSpec("tanh", eps=0.1, theta=theta)
 
     def test_range_fixed_by_kind(self):
@@ -48,7 +45,6 @@ class TestEvaluation:
         for kind in SYMMETRIC:
             assert spec_for(kind)(0.0) == 0.0
         assert spec_for("arctan_01")(0.0) == 0.5
-        assert spec_for("hill")(1.0) == 0.5  # theta = 1
 
     def test_piecewise_linear_is_clipped_ramp(self):
         s = SigmoidSpec("piecewise_linear", eps=0.5)
@@ -66,21 +62,16 @@ class TestEvaluation:
         for kind in KINDS:
             s = spec_for(kind)
             f = s.scalar_fn()
-            vs = np.linspace(0.001, 5.0, 47) if kind == "hill" \
-                else np.linspace(-5.0, 5.0, 47)
-            for v in vs:
+            for v in np.linspace(-5.0, 5.0, 47):
                 assert f(float(v)) == pytest.approx(s(float(v)),
                                                     abs=1e-15, rel=1e-15)
-        with pytest.raises(ValueError):
-            spec_for("hill").scalar_fn()(-1.0)
 
     def test_evaluate_is_scalar_fn_elementwise(self):
         # one statement of each formula: the vectorized and scalar paths agree bit for bit
         for kind in KINDS:
             s = SigmoidSpec(kind, eps=0.3)
             f = s.scalar_fn()
-            vs = np.linspace(0.001, 5.0, 2001) if kind == "hill" \
-                else np.linspace(-5.0, 5.0, 2001)
+            vs = np.linspace(-5.0, 5.0, 2001)
             ref = np.array([f(v) for v in vs.tolist()])
             np.testing.assert_array_equal(s(vs), ref, strict=True)
             np.testing.assert_array_equal(s(vs.reshape(3, 667)), ref.reshape(3, 667),
@@ -94,49 +85,13 @@ class TestEvaluation:
     @settings(max_examples=300, deadline=None)
     def test_monotone_nondecreasing(self, kind, a, b):
         s = spec_for(kind)
-        if kind == "hill":
-            a, b = math.exp(a / 4), math.exp(b / 4)
         lo, hi = min(a, b), max(a, b)
         assert s(lo) <= s(hi) + 1e-15
-
-    def test_hill_matches_power_law_oracle(self):
-        s = SigmoidSpec("hill", eps=0.5, theta=2.0)
-        for v in (0.3, 1.0, 2.0, 5.0):
-            n = 1.0 / s.eps
-            expected = v**n / (v**n + s.theta**n)
-            assert s(v) == pytest.approx(expected, rel=1e-12)
-
-    def test_hill_stable_for_tiny_eps(self):
-        s = SigmoidSpec("hill", eps=1e-4, theta=1.0)
-        assert s(2.0) == pytest.approx(1.0)
-        assert s(0.5) == pytest.approx(0.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            s(-1.0)
 
     def test_vectorized_evaluation(self):
         s = spec_for("tanh")
         out = s(np.linspace(-1, 1, 7))
         assert out.shape == (7,)
-
-
-class TestInverse:
-    @given(y=st.floats(-0.999, 0.999), kind=st.sampled_from(SYMMETRIC))
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip_symmetric(self, y, kind):
-        s = spec_for(kind)
-        assert s(s.inverse(y)) == pytest.approx(y, abs=1e-9)
-
-    @given(y=st.floats(0.001, 0.999), kind=st.sampled_from(UNIT))
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip_unit(self, y, kind):
-        s = spec_for(kind)
-        assert s(s.inverse(y)) == pytest.approx(y, abs=1e-9)
-
-    def test_inverse_rejects_range_boundary(self):
-        with pytest.raises(ValueError):
-            spec_for("tanh").inverse(1.0)
-        with pytest.raises(ValueError):
-            spec_for("arctan_01").inverse(0.0)
 
 
 class TestTailAsymptotics:
@@ -155,7 +110,7 @@ class TestTailAsymptotics:
         assert c[3] == pytest.approx(0.5 / sp)
 
     def test_no_exponential_tail_for_algebraic_kinds(self):
-        for kind in ("piecewise_linear", "arctan_unit", "arctan_01", "hill"):
+        for kind in ("piecewise_linear", "arctan_unit", "arctan_01"):
             with pytest.raises(UnsupportedExpansionError):
                 spec_for(kind).tail_coefficients()
 
