@@ -5,15 +5,14 @@ Dormand-Prince step loops that scipy exposes as ``ode(...).set_integrator``:
 the 4(5) code DOPRI5 for free flight, sliding and regularized runs, and
 the 8(5,3) code DOP853 for layer transits.  A layer run resolves a weakly
 damped fast ripple, so its step count is set by the method's order and
-the higher order takes about a third of the steps.  Where ``max_step`` or
-the eps/4 band cap binds, the step count is fixed and DOP853 would only
-double the evaluations per step (Hairer, Norsett & Wanner, *Solving ODEs
-I*, sec. II.5 and II.10).  Each accepted step is handed to a callback that
-records the sample and tests the event functions; crossings are localized
-inside the step on its cubic Hermite interpolant (ibid., sec. II.6).
-Regularized systems replace the discontinuous multiplier by a sigmoid of
-the surface function and are integrated as a single smooth system, with
-the step size capped at eps/4 inside the transition band.
+the higher order takes about a third of the steps (Hairer, Norsett &
+Wanner, *Solving ODEs I*, sec. II.5 and II.10).  Each accepted step is
+handed to a callback that records the sample and tests the run's one
+event; its crossing is localized inside the step on the cubic Hermite
+interpolant (ibid., sec. II.6) and ends the run.  Regularized systems
+replace the discontinuous multiplier by a sigmoid of the surface function
+and are integrated as a single smooth system, with the step size capped
+at eps/4 inside the transition band.
 """
 
 from __future__ import annotations
@@ -86,8 +85,9 @@ class Event(NamedTuple):
 
     ``direction`` > 0 fires on upward zero crossings only, < 0 on downward
     ones, 0 on both.  A zero at the start of a step followed by motion in
-    that direction counts as a crossing at the step start.  Every event
-    ends the run at its located crossing.
+    that direction counts as a crossing at the step start.  The event ends
+    the run at its located crossing.  ``fun`` may get the solver's own
+    state array, which is valid only during the call.
     """
 
     fun: Callable[[float, np.ndarray], float]
@@ -98,7 +98,7 @@ class Event(NamedTuple):
 class _Run:
     t: np.ndarray
     y: np.ndarray  # shape (len(t), n)
-    stopped_by: int | None  # index of the event that ended the run
+    stopped: bool  # the event ended the run at its located crossing
 
 
 def _hermite(t0, y0, f0, t1, y1, f1):
@@ -117,31 +117,33 @@ def _hermite(t0, y0, f0, t1, y1, f1):
 _running = False
 
 
-def _solve(field, x0, t_span, cfg: IntegratorConfig, events=(), max_step=None,
-           max_steps=None, method="dopri5") -> _Run:
+def _solve(field, x0, t_span, cfg: IntegratorConfig, event: Event | None = None,
+           max_step=None, max_steps=None, method="dopri5") -> _Run:
     """Integrate dx/dt = field(x, t) on Hairer's compiled DOPRI5 or DOP853.
 
-    Every accepted step is recorded.  Events are evaluated once at each
-    step end; a step whose two values have a positive product keeps one
-    strict sign and needs no further test (a NaN or an underflowed product
-    takes the full test).  A sign change is localized with ``brentq`` on
-    the cubic Hermite interpolant of that step; the run stops at the
-    earliest located root (the lower event index on a tie), so the last
-    sample satisfies that event to rounding level.  Exceptions raised by the field or an event
-    end the run and are re-raised here; the step budget is ``max_steps``
-    (default ``cfg.max_steps``) accepted steps.  ``method`` names the step
-    loop, ``"dopri5"`` or ``"dop853"``; both take the same tolerances,
-    ``max_step`` and budget.  Neither code is re-entrant, so no run may be
-    started from inside a field or an event function.
+    Every accepted step is recorded, as a list extension without a copy of
+    the solver's state; the sample array is built once at the end.  The
+    event, if any, is evaluated once at each step end; a step whose two
+    values have a positive product keeps one strict sign and needs no
+    further test (a NaN or an underflowed product takes the full test).  A
+    sign change is localized with ``brentq`` on the cubic Hermite
+    interpolant of that step, and the run stops there, so the last sample
+    satisfies the event to rounding level.  Exceptions raised by the field
+    or the event end the run and are re-raised here; the step budget is
+    ``max_steps`` (default ``cfg.max_steps``) accepted steps.  ``method``
+    names the step loop, ``"dopri5"`` or ``"dop853"``; both take the same
+    tolerances, ``max_step`` and budget.  Neither code is re-entrant, so no
+    run may be started from inside a field or an event function.
     """
     global _running
     if _running:
         raise RuntimeError("the Dormand-Prince core is not re-entrant")
     t0, t1 = float(t_span[0]), float(t_span[1])
     y0 = np.array(x0, dtype=float)
+    n = y0.size
     budget = cfg.max_steps if max_steps is None else max_steps
     failure: list[BaseException] = []
-    nan = np.full(y0.size, np.nan)
+    nan = np.full(n, np.nan)
 
     def fcn(t, y):
         if failure:
@@ -152,51 +154,37 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, events=(), max_step=None,
             failure.append(exc)
             return nan
 
-    ts, ys = [t0], [y0]
-    funs = [ev.fun for ev in events]
-    directions = [ev.direction for ev in events]
-    g_prev = [fun(t0, y0) for fun in funs]
-    stopped_by = None
-
-    def locate(i, ta, tb, ga, gb, interp):
-        if ga == 0.0:
-            return ta
-        if gb == 0.0:
-            return tb
-        fun = events[i].fun
-        return brentq(lambda s: fun(s, interp(s)), ta, tb,
-                      xtol=4 * _EPS, rtol=4 * _EPS)
+    ts, flat = [t0], y0.tolist()
+    fun, d = event if event is not None else (None, 0.0)
+    g_prev = fun(t0, y0) if fun is not None else None
+    stopped = False
 
     def solout(t, y):
-        nonlocal stopped_by
+        nonlocal g_prev, stopped
         if t == t0 and len(ts) == 1:
             return 0  # the solver reports the initial point first
         try:
-            y = y.copy()
-            hit = None
-            for i, fun in enumerate(funs):
-                g0 = g_prev[i]
-                g_prev[i] = g1 = fun(t, y)
-                if g0 * g1 > 0.0:
-                    continue  # one strict sign at both ends
-                d = directions[i]
+            if fun is not None:
+                g0 = g_prev
+                g_prev = g1 = fun(t, y)
                 # a sign change (or a zero at either end) in direction d;
-                # a pair of exact zeros is no crossing
-                if ((g0 <= 0.0 <= g1 and d >= 0 or g0 >= 0.0 >= g1 and d <= 0)
+                # one strict sign at both ends, or a pair of exact zeros,
+                # is no crossing
+                if (not g0 * g1 > 0.0
+                        and (g0 <= 0.0 <= g1 and d >= 0 or g0 >= 0.0 >= g1 and d <= 0)
                         and (g0 != 0.0 or g1 != 0.0)):
-                    hit = (hit or []) + [(i, g0, g1)]
-            if hit:
-                ta, ya = ts[-1], ys[-1]
-                interp = _hermite(ta, ya, np.asarray(field(ya, ta), dtype=float),
-                                  t, y, np.asarray(field(y, t), dtype=float))
-                tr, stopped_by = min((locate(i, ta, t, g0, g1, interp), i)
-                                     for i, g0, g1 in hit)
-                if tr > ta:
-                    ts.append(tr)
-                    ys.append(interp(tr))
-                return -1
+                    ta, ya, y = ts[-1], np.array(flat[-n:]), y.copy()
+                    interp = _hermite(ta, ya, np.asarray(field(ya, ta), dtype=float),
+                                      t, y, np.asarray(field(y, t), dtype=float))
+                    tr = ta if g0 == 0.0 else t if g1 == 0.0 else brentq(
+                        lambda s: fun(s, interp(s)), ta, t, xtol=4 * _EPS, rtol=4 * _EPS)
+                    if tr > ta:
+                        ts.append(tr)
+                        flat.extend(interp(tr).tolist())
+                    stopped = True
+                    return -1
             ts.append(t)
-            ys.append(y)
+            flat.extend(y.tolist())
             if len(ts) - 1 > budget:
                 raise IntegrationError(f"step budget of {budget} exceeded")
             return 0
@@ -232,10 +220,10 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, events=(), max_step=None,
         raise IntegrationError(
             f"integration failed near t={ts[-1]:.6g}: "
             f"{solver._integrator.messages.get(code, f'return code {code}')}")
-    y = np.array(ys)
+    y = np.array(flat).reshape(-1, n)
     if not np.all(np.isfinite(y)):
         raise IntegrationError("non-finite state encountered")
-    return _Run(np.array(ts), y, stopped_by)
+    return _Run(np.array(ts), y, stopped)
 
 
 def advance_to_surface(sys: SwitchedField, x0, t_span,
@@ -258,9 +246,9 @@ def advance_to_surface(sys: SwitchedField, x0, t_span,
 
     # leaving the active side ends the segment
     crossing = Event(lambda t, y: y.item(0), direction=-sgn)
-    run = _solve(lambda x, t: fused(x, t, sgn), xv, t_span, cfg, events=(crossing,))
+    run = _solve(lambda x, t: fused(x, t, sgn), xv, t_span, cfg, crossing)
     seg = TrajectorySegment(run.t, run.y, "free_plus" if regime == "plus" else "free_minus")
-    if run.stopped_by is not None:
+    if run.stopped:
         return seg, (float(run.t[-1]), run.y[-1].copy())
     grazed = np.flatnonzero(sgn * run.y[:, 0] <= sys.surface_tolerance)
     if grazed.size:
@@ -295,13 +283,11 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
     def field(x, t):
         return fused(x, t, lam_of(x.item(0)))
 
-    def edge(sign):
-        return lambda t, y: y.item(0) - sign * eps
-
-    # each run ends where the trajectory passes a band edge outward
-    # (inside) or inward (outside); crossings back are not events
-    leave = (Event(edge(1.0), direction=1.0), Event(edge(-1.0), direction=-1.0))
-    enter = (Event(edge(1.0), direction=-1.0), Event(edge(-1.0), direction=1.0))
+    # a run inside ends where |x1| reaches eps; a run outside where x1
+    # passes the edge on its starting side, since one step may leap the
+    # whole band and |x1| - eps would miss that
+    leave = Event(lambda t, y: eps - abs(y.item(0)), -1.0)
+    enter = Event(lambda t, y: side * y.item(0) - eps, -1.0)
 
     def in_band(x, t):
         v0 = x[0]
@@ -318,22 +304,22 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
     steps_left = cfg.max_steps
     inside = in_band(x_now, t_now)
     while True:
-        run = _solve(field, x_now, (t_now, t_end), cfg,
-                     events=leave if inside else enter,
+        side = 1.0 if x_now[0] > 0.0 else -1.0
+        run = _solve(field, x_now, (t_now, t_end), cfg, leave if inside else enter,
                      max_step=min(cfg.max_step, eps / 4.0) if inside else cfg.max_step,
                      max_steps=steps_left)
         steps_left -= run.t.size - 1
         keep = slice(0, None) if not t_parts else slice(1, None)
         t_parts.append(run.t[keep])
         x_parts.append(run.y[keep])
-        if run.stopped_by is None or run.t[-1] >= t_end:
+        if not run.stopped or run.t[-1] >= t_end:
             break
         if run.t.size == 1:
             raise IntegrationError(
                 f"no progress past a transition-band edge at t={t_now:.6g}")
         t_now, x_now = float(run.t[-1]), run.y[-1]
-        # x1 may lie a few ulp past the edge, so the event that stopped the
-        # run tells the side: a leave stop is outside, an enter stop inside
+        # x1 may lie a few ulp past the edge, so the run's event tells the
+        # side: a leave stop is outside, an enter stop inside
         inside = not inside
 
     t_all = np.concatenate(t_parts)

@@ -398,7 +398,7 @@ def _integrate_sliding(sys, x_surface, t_span, cfg, root: SlidingSolution):
     h = -SLOPE_STEP if lam0 > 0 else SLOPE_STEP
     slope = (fused(x0, t0, lam0 + h)[0] - fused(x0, t0, lam0)[0]) / h
     branch = -1.0 if slope < 0 else 1.0  # sign of d f1/d lam along the branch
-    anchor = (t0, lam0, 0.0, slope, 0.0, y0)  # t, lam, d lam/dt, s = d f1/d lam, ds/dt, x_rest
+    anchor = (t0, lam0, 0.0, slope, 0.0, y0.tolist())  # t, lam, d lam/dt, s = d f1/d lam, ds/dt, x_rest
     last, lams = None, []  # last: [t, x, lam, F, found, fold value] of a solve
     # the surface state (0, x_rest), filled element-wise by each field call;
     # `last` holds this buffer, and every reader of last[1] (at, the fallback
@@ -438,9 +438,11 @@ def _integrate_sliding(sys, x_surface, t_span, cfg, root: SlidingSolution):
 
     def at(t, y):
         # the solve at (t, y), the FSAL stage's at an accepted sample, with its
-        # fold value: branch-signed d f1/d lam, or -|f1| past a fold
+        # fold value: branch-signed d f1/d lam, or -|f1| past a fold; y may be
+        # the solver's own array, so the anchor keeps its values as a list
         nonlocal anchor
-        if not (last and last[0] == t and last[1][1:].tolist() == y.tolist()):
+        rest_now = y.tolist()
+        if not (last and last[0] == t and last[1][1:].tolist() == rest_now):
             rhs(y, t)
         _, x, lam, F, found, fold = last
         if fold is None:
@@ -449,28 +451,31 @@ def _integrate_sliding(sys, x_surface, t_span, cfg, root: SlidingSolution):
             last[5] = branch * slope if found else -abs(F[0])
             if t > anchor[0]:  # accepted: record lam, move the anchor
                 dt = t - anchor[0]
-                anchor = (t, lam, (lam - anchor[1]) / dt, slope, (slope - anchor[3]) / dt, y)
+                anchor = (t, lam, (lam - anchor[1]) / dt, slope, (slope - anchor[3]) / dt,
+                          rest_now)
                 lams.append(lam)
         return last
 
-    events = (Event(lambda t, y: 1.0 - abs(at(t, y)[2]), direction=-1.0),
-              Event(lambda t, y: at(t, y)[5], direction=-1.0))
+    def edge(t, y):
+        # the nearer end of the slide, both read from one solve: |lam_s| = 1 or a fold
+        _, _, lam, _, _, fold = at(t, y)
+        return min(1.0 - abs(lam), fold)
+
     try:
         lams.append(at(t0, y0)[2])
-        run = _solve(rhs, y0, t_span, cfg, events=events)
+        run = _solve(rhs, y0, t_span, cfg, Event(edge, -1.0))
     except IntegrationError as exc:
         t, lam, _, _, _, y = anchor
-        raise IntegrationError(f"sliding phase at t={t:.6g}, x_rest={y.tolist()}, "
+        raise IntegrationError(f"sliding phase at t={t:.6g}, x_rest={y}, "
                                f"lam={lam:.6g}: {exc}") from exc
     lams = lams[:run.t.size]
-    if run.stopped_by is not None:  # the located event, inside the last step
-        rhs(run.y[-1], run.t[-1])
-        lams[-1] = last[2]
+    if run.stopped:  # the located crossing, inside the last step
+        _, _, lams[-1], _, _, fold = at(run.t[-1], run.y[-1])
     x_arr = np.zeros((run.t.size, dim))
     x_arr[:, 1:] = run.y
     seg = TrajectorySegment(run.t, x_arr, "sliding", lam=np.clip(lams, -1, 1))
-    if run.stopped_by != 1:
-        return seg, None if run.stopped_by is None else math.copysign(1.0, lams[-1]), None
+    if not run.stopped or 1.0 - abs(lams[-1]) <= fold:  # t_end, or a boundary exit
+        return seg, math.copysign(1.0, lams[-1]) if run.stopped else None, None
     # a fold: past it f1 keeps one sign near lam, the way the fast flow goes;
     # it sticks at the nearest root beyond FOLD_GAP that way, or leaves the layer
     te, xe, lam = seg.t_final, seg.x_final, lams[-1]
@@ -499,14 +504,13 @@ def _integrate_layer(sys, lam0, x_rest0, t_span, cfg, eps_layer):
         F = fused(x, t, -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam))
         return (F[0] / eps_layer, *F[1:])
 
-    exits = (Event(lambda t, z: z.item(0) - 1.0, direction=1.0),
-             Event(lambda t, z: z.item(0) + 1.0, direction=-1.0))
     z0 = np.concatenate(([lam0], x_rest0))
-    run = _solve(rhs, z0, t_span, cfg, events=exits, method="dop853")
+    run = _solve(rhs, z0, t_span, cfg, Event(lambda t, z: 1.0 - abs(z.item(0)), -1.0),
+                 method="dop853")
     x_arr = run.y.copy()
     x_arr[:, 0] = 0.0
     seg = TrajectorySegment(run.t, x_arr, "layer_transit", lam=run.y[:, 0])
-    return seg, None if run.stopped_by is None else 1.0 - 2.0 * run.stopped_by
+    return seg, math.copysign(1.0, run.y[-1, 0]) if run.stopped else None
 
 
 def integrate_layer_only(sys: SwitchedField, lam0: float, x_rest0, t_span,

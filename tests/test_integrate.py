@@ -128,21 +128,33 @@ class TestEvents:
             return np.array([-1e-200])
 
         run = _solve(field, np.array([1e-200]), (0.0, 2.0), self.CFG,
-                     events=(Event(lambda t, y: y.item(0), direction),))
-        assert run.stopped_by == 0
+                     Event(lambda t, y: y.item(0), direction))
+        assert run.stopped
         assert run.t[-1] == pytest.approx(1.0, abs=1e-12)
         assert abs(run.y[-1, 0]) < 1e-210
 
     def test_crossing_in_the_other_direction_ignored(self):
         run = _solve(lambda x, t: np.array([-1e-200]), np.array([1e-200]), (0.0, 2.0),
-                     self.CFG, events=(Event(lambda t, y: y.item(0), 1.0),))
-        assert run.stopped_by is None and run.t[-1] == 2.0
+                     self.CFG, Event(lambda t, y: y.item(0), 1.0))
+        assert not run.stopped and run.t[-1] == 2.0
 
     def test_tiny_positive_ends_do_not_fire(self):
         run = _solve(lambda x, t: -x, np.array([1e-200]), (0.0, 1.0), self.CFG,
-                     events=(Event(lambda t, y: y.item(0)),))
-        assert run.stopped_by is None and run.t[-1] == 1.0
+                     Event(lambda t, y: y.item(0)))
+        assert not run.stopped and run.t[-1] == 1.0
         assert np.all(run.y[:, 0] > 0)
+
+    def test_event_evaluated_once_per_sample(self):
+        # no crossing: one call at the start and one at each accepted step end
+        calls = []
+
+        def fun(t, y):
+            calls.append(t)
+            return 1.0 + y.item(0)
+
+        run = _solve(lambda x, t: -x, np.array([1.0]), (0.0, 1.0), self.CFG, Event(fun))
+        assert not run.stopped and run.t.size > 100
+        assert calls == run.t.tolist()
 
 
 class TestAdvanceToSurface:
@@ -252,6 +264,19 @@ class TestIntegrateRegularized:
         inside = np.abs(seg.x[:, 0]) < sig.eps * 0.999
         assert np.diff(seg.t)[inside[:-1] & inside[1:]].max() <= sig.eps / 4 + 1e-12
         assert np.diff(seg.t).max() > sig.eps
+
+    @pytest.mark.parametrize("x0, flow", [(-0.5, 1.0), (0.5, -1.0)])
+    def test_band_leaped_from_either_side(self, x0, flow):
+        # a step outside is longer than the band is wide: the run that enters
+        # must stop at the near edge, upward and downward alike
+        sys = tautology([flow, 0.0], [flow, 0.0])
+        sig = SigmoidSpec("tanh", eps=1e-3)
+        seg = integrate_regularized(sys, sig, np.array([x0, 0.0]), (0.0, 1.0))
+        assert seg.x_final[0] == pytest.approx(-x0, rel=1e-6)
+        for edge in (-sig.eps, sig.eps):
+            assert np.min(np.abs(seg.x[:, 0] - edge)) <= 1e-12 * sig.eps
+        inside = np.abs(seg.x[:, 0]) < sig.eps * 0.999
+        assert np.diff(seg.t)[inside[:-1] & inside[1:]].max() <= sig.eps / 4 + 1e-12
 
     def test_hidden_term_active_inside_band(self):
         # f = (1, 1) both sides with hidden (2, 0): at lam = 0 the surface

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -647,9 +648,13 @@ class TestSlidingRobustness:
         sys = make_example2("nonlinear")
         with pytest.raises(IntegrationError,
                            match=r"sliding phase at t=0\.\d+, x_rest=\[0\.\d+\], "
-                                 r"lam=-0\.707107: step budget of 5 exceeded"):
+                                 r"lam=-0\.707107: step budget of 5 exceeded") as err:
             integrate_hybrid(sys, np.array([-0.01, 0.0]), (0.0, 1.0),
                              IntegratorConfig(max_steps=5))
+        # x1 and x2 both rise at rate 1 to the stick point (0, 0.01) at
+        # t = 0.01, then x2 slides on at rate 1: x_rest = t at the printed t
+        t, x_rest = re.search(r"t=(\S+), x_rest=\[(\S+)\]", str(err.value)).groups()
+        assert float(x_rest) == pytest.approx(float(t), abs=1e-5)
 
 
 class TestIntegrateLayerOnly:
