@@ -17,7 +17,9 @@ at eps/4 inside the transition band.
 
 from __future__ import annotations
 
+import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -48,26 +50,36 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "max_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:  # False for NaN
+                raise ValueError(f"{name} must be finite and positive")
+        m = self.max_steps
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError(f"max_steps must be an integer of at least 1, got {m!r}")
 
 
 @dataclass
 class TrajectorySegment:
-    """Sampled solution piece with a single dynamical regime label."""
+    """Sampled solution piece with a single dynamical regime label.
+
+    ``t``, ``x`` and ``lam`` are float64 arrays, taken without a copy when
+    they already are.  In a segment built by this package each array owns
+    its memory: no other array of any result shares it.
+    """
 
     t: np.ndarray
     x: np.ndarray  # shape (len(t), n)
     regime: str
-    lam: np.ndarray | None = None
+    lam: np.ndarray | None = None  # shape (len(t),)
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
         self.x = np.asarray(self.x, dtype=float)
         if self.x.shape[0] != self.t.size:
             raise ValueError("t and x sample counts differ")
+        if self.lam is not None:
+            self.lam = np.asarray(self.lam, dtype=float)
+            if self.lam.shape != (self.t.size,):
+                raise ValueError("t and lam sample counts differ")
         if self.t.size > 1 and not np.all(np.diff(self.t) > 0):
             raise ValueError("sample times must be strictly increasing")
 
@@ -121,19 +133,20 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, event: Event | None = None,
            max_step=None, max_steps=None, method="dopri5") -> _Run:
     """Integrate dx/dt = field(x, t) on Hairer's compiled DOPRI5 or DOP853.
 
-    Every accepted step is recorded, as a list extension without a copy of
-    the solver's state; the sample array is built once at the end.  The
-    event, if any, is evaluated once at each step end; a step whose two
-    values have a positive product keeps one strict sign and needs no
-    further test (a NaN or an underflowed product takes the full test).  A
-    sign change is localized with ``brentq`` on the cubic Hermite
-    interpolant of that step, and the run stops there, so the last sample
-    satisfies the event to rounding level.  Exceptions raised by the field
-    or the event end the run and are re-raised here; the step budget is
-    ``max_steps`` (default ``cfg.max_steps``) accepted steps.  ``method``
-    names the step loop, ``"dopri5"`` or ``"dop853"``; both take the same
-    tolerances, ``max_step`` and budget.  Neither code is re-entrant, so no
-    run may be started from inside a field or an event function.
+    Every accepted step is recorded into float64 buffers (``array("d")``),
+    8 bytes a value, which numpy takes at the end without a copy, so each
+    returned array owns its memory.  The event, if any, is evaluated once
+    at each step end; a step whose two values have a positive product
+    keeps one strict sign and needs no further test (a NaN or an
+    underflowed product takes the full test).  A sign change is localized
+    with ``brentq`` on the cubic Hermite interpolant of that step, and the
+    run stops there, so the last sample satisfies the event to rounding
+    level.  Exceptions raised by the field or the event end the run and
+    are re-raised here; the step budget is ``max_steps`` (default
+    ``cfg.max_steps``) accepted steps.  ``method`` names the step loop,
+    ``"dopri5"`` or ``"dop853"``; both take the same tolerances,
+    ``max_step`` and budget.  Neither code is re-entrant, so no run may be
+    started from inside a field or an event function.
     """
     global _running
     if _running:
@@ -154,7 +167,7 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, event: Event | None = None,
             failure.append(exc)
             return nan
 
-    ts, flat = [t0], y0.tolist()
+    ts, flat = array("d", [t0]), array("d", y0.tobytes())
     fun, d = event if event is not None else (None, 0.0)
     g_prev = fun(t0, y0) if fun is not None else None
     stopped = False
@@ -173,18 +186,18 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, event: Event | None = None,
                 if (not g0 * g1 > 0.0
                         and (g0 <= 0.0 <= g1 and d >= 0 or g0 >= 0.0 >= g1 and d <= 0)
                         and (g0 != 0.0 or g1 != 0.0)):
-                    ta, ya, y = ts[-1], np.array(flat[-n:]), y.copy()
+                    ta, ya, y = ts[-1], np.frombuffer(flat[-n:]), y.copy()
                     interp = _hermite(ta, ya, np.asarray(field(ya, ta), dtype=float),
                                       t, y, np.asarray(field(y, t), dtype=float))
                     tr = ta if g0 == 0.0 else t if g1 == 0.0 else brentq(
                         lambda s: fun(s, interp(s)), ta, t, xtol=4 * _EPS, rtol=4 * _EPS)
                     if tr > ta:
                         ts.append(tr)
-                        flat.extend(interp(tr).tolist())
+                        flat.frombytes(interp(tr).tobytes())
                     stopped = True
                     return -1
             ts.append(t)
-            flat.extend(y.tolist())
+            flat.frombytes(y.tobytes())
             if len(ts) - 1 > budget:
                 raise IntegrationError(f"step budget of {budget} exceeded")
             return 0
@@ -210,7 +223,7 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, event: Event | None = None,
     finally:
         _running = False
         # the compiled wrapper keeps its last callback alive past the run,
-        # and through it the integrator and this run's sample lists
+        # and through it the integrator and this run's sample buffers
         solver._integrator.solout = None
         solver._integrator.call_args = None
     if failure:
@@ -220,10 +233,10 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, event: Event | None = None,
         raise IntegrationError(
             f"integration failed near t={ts[-1]:.6g}: "
             f"{solver._integrator.messages.get(code, f'return code {code}')}")
-    y = np.array(flat).reshape(-1, n)
+    y = np.frombuffer(flat).reshape(-1, n)
     if not np.all(np.isfinite(y)):
         raise IntegrationError("non-finite state encountered")
-    return _Run(np.array(ts), y, stopped)
+    return _Run(np.frombuffer(ts), y, stopped)
 
 
 def advance_to_surface(sys: SwitchedField, x0, t_span,
@@ -322,7 +335,8 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
         # side: a leave stop is outside, an enter stop inside
         inside = not inside
 
-    t_all = np.concatenate(t_parts)
-    x_all = np.vstack(x_parts)
-    lam_all = np.array([lam_of(x1) for x1 in x_all[:, 0].tolist()])
+    t_all, x_all = ((t_parts[0], x_parts[0]) if len(t_parts) == 1
+                    else (np.concatenate(t_parts), np.vstack(x_parts)))
+    del run, t_parts, x_parts  # a split run's parts go before the lam column comes
+    lam_all = np.fromiter(map(lam_of, memoryview(x_all[:, 0])), float, len(x_all))
     return TrajectorySegment(t_all, x_all, "regularized", lam=lam_all)

@@ -10,6 +10,7 @@ alternate free flight, crossing, sliding and layer transit.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -399,7 +400,7 @@ def _integrate_sliding(sys, x_surface, t_span, cfg, root: SlidingSolution):
     slope = (fused(x0, t0, lam0 + h)[0] - fused(x0, t0, lam0)[0]) / h
     branch = -1.0 if slope < 0 else 1.0  # sign of d f1/d lam along the branch
     anchor = (t0, lam0, 0.0, slope, 0.0, y0.tolist())  # t, lam, d lam/dt, s = d f1/d lam, ds/dt, x_rest
-    last, lams = None, []  # last: [t, x, lam, F, found, fold value] of a solve
+    last, lams = None, array("d")  # last: [t, x, lam, F, found, fold value] of a solve
     # the surface state (0, x_rest), filled element-wise by each field call;
     # `last` holds this buffer, and every reader of last[1] (at, the fallback
     # below, the end-of-run re-solve) reads it before the next field call
@@ -468,7 +469,7 @@ def _integrate_sliding(sys, x_surface, t_span, cfg, root: SlidingSolution):
         t, lam, _, _, _, y = anchor
         raise IntegrationError(f"sliding phase at t={t:.6g}, x_rest={y}, "
                                f"lam={lam:.6g}: {exc}") from exc
-    lams = lams[:run.t.size]
+    del lams[run.t.size:]
     if run.stopped:  # the located crossing, inside the last step
         _, _, lams[-1], _, _, fold = at(run.t[-1], run.y[-1])
     x_arr = np.zeros((run.t.size, dim))
@@ -507,10 +508,11 @@ def _integrate_layer(sys, lam0, x_rest0, t_span, cfg, eps_layer):
     z0 = np.concatenate(([lam0], x_rest0))
     run = _solve(rhs, z0, t_span, cfg, Event(lambda t, z: 1.0 - abs(z.item(0)), -1.0),
                  method="dop853")
-    x_arr = run.y.copy()
-    x_arr[:, 0] = 0.0
-    seg = TrajectorySegment(run.t, x_arr, "layer_transit", lam=run.y[:, 0])
-    return seg, math.copysign(1.0, run.y[-1, 0]) if run.stopped else None
+    # lam is copied out; the run's own array, its column 0 zeroed, is x
+    lam = run.y[:, 0].copy()
+    run.y[:, 0] = 0.0
+    seg = TrajectorySegment(run.t, run.y, "layer_transit", lam=lam)
+    return seg, math.copysign(1.0, lam[-1]) if run.stopped else None
 
 
 def integrate_layer_only(sys: SwitchedField, lam0: float, x_rest0, t_span,

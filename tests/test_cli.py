@@ -98,6 +98,9 @@ CONFIG_MISTAKES = {
     "output-unknown-key": ("simulate", {"output": {"path": "g.csv", "fromat": "json"}}),
     "sigmoid-theta-not-hill": ("simulate", {"sigmoid": {"kind": "tanh", "eps": 0.1,
                                                         "theta": -5}}),
+    "integrator-max_step-nan": ("simulate", {"integrator": {"max_step": math.nan}}),
+    "integrator-rel_tol-nan": ("simulate", {"integrator": {"rel_tol": math.nan}}),
+    "integrator-max_steps-fraction": ("simulate", {"integrator": {"max_steps": 2.5}}),
 }
 
 

@@ -8,15 +8,21 @@ import pytest
 
 from switchlayer import (
     CircuitParams,
+    DuffingParams,
     GrazeWarning,
     IntegratorConfig,
     SigmoidSpec,
     TrajectorySegment,
     advance_to_surface,
     circuit_iv_to_state,
+    integrate_hybrid,
+    integrate_layer_only,
     integrate_regularized,
     make_circuit,
+    make_duffing,
+    make_example2,
 )
+from switchlayer.cli import trajectory_table
 from switchlayer.integrate import Event, IntegrationError, _solve
 
 from fields import tautology
@@ -30,11 +36,17 @@ class TestIntegratorConfig:
         assert cfg.max_step == 1e-2
         assert cfg.max_steps == 10_000_000
 
-    def test_validation(self):
+    @pytest.mark.parametrize("bad", [
+        {"rel_tol": -1.0}, {"rel_tol": float("nan")}, {"abs_tol": 0.0},
+        {"abs_tol": float("inf")}, {"max_step": float("nan")}, {"max_step": float("inf")},
+        {"max_steps": 0}, {"max_steps": 2.5}, {"max_steps": True}, {"max_steps": 1e6},
+    ], ids=repr)
+    def test_validation(self, bad):
         with pytest.raises(ValueError):
-            IntegratorConfig(rel_tol=-1.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(max_steps=0)
+            IntegratorConfig(**bad)
+
+    def test_numpy_integer_step_budget_accepted(self):
+        assert IntegratorConfig(max_steps=np.int64(5)).max_steps == 5
 
 
 class TestTrajectorySegment:
@@ -45,6 +57,16 @@ class TestTrajectorySegment:
     def test_shape_consistency_required(self):
         with pytest.raises(ValueError):
             TrajectorySegment(np.array([0.0, 1.0]), np.zeros((3, 2)), "free_plus")
+
+    def test_lam_length_checked(self):
+        with pytest.raises(ValueError, match="lam"):
+            TrajectorySegment([0, 1, 2], [[0], [1], [2]], "free_plus", lam=np.array([0.1]))
+
+    def test_list_lam_converted(self):
+        seg = TrajectorySegment([0, 1, 2], [[0], [1], [2]], "free_plus", lam=[0.1, 0, 1])
+        assert seg.lam.dtype == np.float64
+        _, rows = trajectory_table(seg)
+        assert [row[-1] for row in rows] == [0.1, 0.0, 1.0]
 
     def test_final_accessors(self):
         seg = TrajectorySegment(np.array([0.0, 1.0]),
@@ -305,3 +327,72 @@ class TestIntegrateRegularized:
         assert 4.8 < seg.t[entered] < 4.82
         # capped from the entry on: the band is left only through its edges
         assert np.diff(seg.t[entered:]).max() <= sig.eps / 4 + 1e-12
+
+
+_DUFFING = make_duffing(DuffingParams())
+_BAND_CFG = IntegratorConfig(rel_tol=1e-5, abs_tol=1e-8, max_step=0.05)
+_FINE_CFG = IntegratorConfig(max_step=1e-4)
+
+# one run of each kind with at least 20k samples, returning its segments
+RUN_KINDS = {
+    "advance_to_surface": lambda: [
+        advance_to_surface(make_example2(), [-3.0, 0.0], (0.0, 2.5), _FINE_CFG)[0]],
+    "integrate_regularized": lambda: [integrate_regularized(
+        _DUFFING, SigmoidSpec("piecewise_linear", eps=1e-2), [0.0, 0.0], (0.0, 50.0),
+        _BAND_CFG)],
+    "regularized_band_crossing": lambda: [integrate_regularized(
+        tautology([1.0, 1.0], [1.0, 1.0]), SigmoidSpec("tanh", eps=0.1), [-0.5, 0.0],
+        (0.0, 1.0), IntegratorConfig(max_step=5e-5))],
+    "integrate_layer_only": lambda: [integrate_layer_only(
+        _DUFFING, 0.0, [0.0], (0.0, 100.0), _BAND_CFG, eps_layer=1e-5)],
+    "integrate_hybrid_slide": lambda: integrate_hybrid(
+        make_example2(), [-0.3, 0.0], (0.0, 2.3), _FINE_CFG).segments,
+}
+
+
+def _result_arrays(segments):
+    return [a for seg in segments for a in (seg.t, seg.x, seg.lam) if a is not None]
+
+
+@pytest.fixture(scope="module")
+def traced_runs():
+    """Each run kind's segments and the peak of traced memory it raised."""
+    runs = {}
+    for kind, run in RUN_KINDS.items():
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            segments = run()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        runs[kind] = segments, peak
+    return runs
+
+
+class TestRecordedMemory:
+    """Samples are stored once, as float64, in buffers no result shares."""
+
+    @pytest.mark.parametrize("kind", RUN_KINDS)
+    def test_peak_below_twice_the_result(self, traced_runs, kind):
+        segments, peak = traced_runs[kind]
+        assert sum(seg.t.size for seg in segments) >= 20_000
+        result = sum(a.nbytes for a in _result_arrays(segments))
+        assert peak < 2 * result, f"peak {peak / 1e6:.2f} MB for {result / 1e6:.2f} MB of results"
+
+    @pytest.mark.parametrize("kind", [*RUN_KINDS, "hybrid_layer_transits"])
+    def test_result_arrays_share_no_memory(self, traced_runs, kind):
+        if kind in traced_runs:
+            segments = traced_runs[kind][0]
+        else:  # free flight and layer transits entered at lam = +-1
+            segments = integrate_hybrid(_DUFFING, [0.3, 0.0], (0.0, 3.0), _BAND_CFG).segments
+            layers = [seg for seg in segments if seg.regime == "layer_transit"]
+            assert len(layers) == 2
+            for seg in layers:  # lam is not the zeroed x1 column
+                assert abs(seg.lam[0]) == 1.0 and not seg.x[:, 0].any()
+        arrays = _result_arrays(segments)
+        assert all(a.flags.writeable for a in arrays)
+        for i, a in enumerate(arrays):
+            for b in arrays[:i]:
+                assert not np.shares_memory(a, b)
