@@ -36,12 +36,18 @@ class TestIntegratorConfig:
         assert cfg.max_step == 1e-2
         assert cfg.max_steps == 10_000_000
 
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            IntegratorConfig(rel_tol=-1.0)
+        with pytest.raises(ValueError):
+            IntegratorConfig(max_steps=0)
+
     @pytest.mark.parametrize("bad", [
         {"rel_tol": -1.0}, {"rel_tol": float("nan")}, {"abs_tol": 0.0},
         {"abs_tol": float("inf")}, {"max_step": float("nan")}, {"max_step": float("inf")},
         {"max_steps": 0}, {"max_steps": 2.5}, {"max_steps": True}, {"max_steps": 1e6},
     ], ids=repr)
-    def test_validation(self, bad):
+    def test_bad_value_rejected(self, bad):
         with pytest.raises(ValueError):
             IntegratorConfig(**bad)
 
