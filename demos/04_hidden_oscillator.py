@@ -5,8 +5,8 @@ switch between -1 and +1.  Inside the layer the cubic model obeys a
 forced stiff oscillator whose multiplier amplitude follows the cube root
 of the forcing, roughly a^(1/3), while the linear model responds with
 amplitude a.  The attractor lives entirely inside the layer -- invisible
-in the off-surface state space, but exposed by the layer simulation or by
-a fast tracker variable riding on the multiplier.
+in the off-surface state space, but exposed by the layer simulation,
+whose segments record the multiplier.
 
 The raw amplitude includes a fast ripple of the stiff layer; averaging
 the multiplier over DUFFING_RIPPLE_WINDOW time units removes it, as

@@ -38,8 +38,7 @@ def main():
     c0 = -2.0  # leading tail coefficient of tanh
     gp = 2 * c0 * (a2 + a3) + 0.5 * c0 * (fp - fm)
     gm = 2 * c0 * (a2 - a3) - 0.5 * c0 * (fp - fm)
-    data = AsymptoticData(g_plus=gp, g_minus=gm, b0_plus=1.0, b0_minus=1.0,
-                          c0=c0, kappa=2.0, p=1.0)
+    data = AsymptoticData(g_plus=gp, g_minus=gm, b0_plus=1.0, b0_minus=1.0, c0=c0)
     got2, got3 = match_alpha23(fp, fm, data)
     print("\nhidden-coefficient recovery from departure asymptotics:")
     print(f"  alpha_2: true {a2}, recovered {got2}")

@@ -108,8 +108,7 @@ def _scenario(scen) -> tuple[str, dict, SwitchedField]:
     if name == "circuit":
         return name, params, make_circuit(CircuitParams(**kw))
     if name == "duffing":
-        tracker = kw.pop("with_tracker", False)
-        return name, params, make_duffing(DuffingParams(**kw), with_tracker=tracker)
+        return name, params, make_duffing(DuffingParams(**kw))
     raise ValueError(f"unknown scenario {name!r}")
 
 
@@ -152,8 +151,8 @@ class RunConfig:
         if len(t_span) != 2 or not t_span[1] > t_span[0]:
             raise ConfigError("t_span must be [t0, t1] with t1 > t0")
         eps_layer = _entry(doc, "eps_layer", float, 1e-5)
-        if not eps_layer > 0:
-            raise ConfigError("eps_layer must be positive")
+        if not 0.0 < eps_layer < math.inf:  # False for NaN
+            raise ConfigError("eps_layer must be finite and positive")
         x0 = _entry(doc, "initial_state", lambda x: np.asarray(x, dtype=float))
         if x0 is not None and x0.shape != (dim,):
             what = "(lam0, x2..xn)" if mode == "layer_only" else "(x1..xn)"

@@ -138,10 +138,12 @@ def hidden_term(sys: SwitchedField, x, lam: float, t: float = 0.0) -> np.ndarray
     lam = _check_lambda(lam)
     if abs(lam) == 1.0:
         return np.zeros(sys.dim)
-    t = float(t)
-    fp = np.asarray(sys.f_plus(xv, t), dtype=float)
-    fm = np.asarray(sys.f_minus(xv, t), dtype=float)
-    out = (np.asarray(sys.fused(xv, t, lam), dtype=float)
+    t, fused = float(t), sys.fused
+    # f+- from fused itself, so a branch passed through dataclasses.replace
+    # cannot disagree with the field
+    fp = np.asarray(fused(xv, t, 1.0), dtype=float)
+    fm = np.asarray(fused(xv, t, -1.0), dtype=float)
+    out = (np.asarray(fused(xv, t, lam), dtype=float)
            - 0.5 * (fp + fm) - (0.5 * lam) * (fp - fm))
     _check_finite(out, xv, lam, what="hidden term")
     return out

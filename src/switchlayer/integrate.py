@@ -8,11 +8,11 @@ damped fast ripple, so its step count is set by the method's order and
 the higher order takes about a third of the steps (Hairer, Norsett &
 Wanner, *Solving ODEs I*, sec. II.5 and II.10).  Each accepted step is
 handed to a callback that records the sample and tests the run's one
-event; its crossing is localized inside the step on the cubic Hermite
-interpolant (ibid., sec. II.6) and ends the run.  Regularized systems
-replace the discontinuous multiplier by a sigmoid of the surface function
-and are integrated as a single smooth system, with the step size capped
-at eps/4 inside the transition band.
+event, a function whose fall through zero ends the run; the crossing is
+localized inside the step on the cubic Hermite interpolant (ibid.,
+sec. II.6).  Regularized systems replace the discontinuous multiplier by
+a sigmoid of the surface function and are integrated as a single smooth
+system, with the step size capped at eps/4 inside the transition band.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import ode
@@ -80,7 +80,7 @@ class TrajectorySegment:
             self.lam = np.asarray(self.lam, dtype=float)
             if self.lam.shape != (self.t.size,):
                 raise ValueError("t and lam sample counts differ")
-        if self.t.size > 1 and not np.all(np.diff(self.t) > 0):
+        if self.t.size > 1 and not (self.t[1:] > self.t[:-1]).all():
             raise ValueError("sample times must be strictly increasing")
 
     @property
@@ -90,20 +90,6 @@ class TrajectorySegment:
     @property
     def x_final(self) -> np.ndarray:
         return self.x[-1]
-
-
-class Event(NamedTuple):
-    """A zero of ``fun(t, y)`` watched along a run.
-
-    ``direction`` > 0 fires on upward zero crossings only, < 0 on downward
-    ones, 0 on both.  A zero at the start of a step followed by motion in
-    that direction counts as a crossing at the step start.  The event ends
-    the run at its located crossing.  ``fun`` may get the solver's own
-    state array, which is valid only during the call.
-    """
-
-    fun: Callable[[float, np.ndarray], float]
-    direction: float = 0.0
 
 
 @dataclass
@@ -129,19 +115,23 @@ def _hermite(t0, y0, f0, t1, y1, f1):
 _running = False
 
 
-def _solve(field, x0, t_span, cfg: IntegratorConfig, event: Event | None = None,
+def _solve(field, x0, t_span, cfg: IntegratorConfig,
+           event: Callable[[float, np.ndarray], float] | None = None,
            max_step=None, max_steps=None, method="dopri5") -> _Run:
     """Integrate dx/dt = field(x, t) on Hairer's compiled DOPRI5 or DOP853.
 
     Every accepted step is recorded into float64 buffers (``array("d")``),
     8 bytes a value, which numpy takes at the end without a copy, so each
-    returned array owns its memory.  The event, if any, is evaluated once
-    at each step end; a step whose two values have a positive product
-    keeps one strict sign and needs no further test (a NaN or an
-    underflowed product takes the full test).  A sign change is localized
-    with ``brentq`` on the cubic Hermite interpolant of that step, and the
-    run stops there, so the last sample satisfies the event to rounding
-    level.  Exceptions raised by the field or the event end the run and
+    returned array owns its memory.  The event, if any, is a function
+    ``event(t, y)`` evaluated once at each step end.  A step whose value
+    falls through zero (``g1 <= 0 <= g0`` and ``g0 != g1``) ends the run,
+    so a zero at the step start followed by a fall counts as a crossing
+    there; a rise, one strict sign at both ends, two equal values or a
+    NaN is no crossing.  The crossing is localized with ``brentq`` on the
+    cubic Hermite interpolant of that step, and the run stops there, so
+    the last sample satisfies the event to rounding level.  ``event`` may
+    get the solver's own state array, which is valid only during the
+    call.  Exceptions raised by the field or the event end the run and
     are re-raised here; the step budget is ``max_steps`` (default
     ``cfg.max_steps``) accepted steps.  ``method`` names the step loop,
     ``"dopri5"`` or ``"dop853"``; both take the same tolerances,
@@ -168,8 +158,7 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, event: Event | None = None,
             return nan
 
     ts, flat = array("d", [t0]), array("d", y0.tobytes())
-    fun, d = event if event is not None else (None, 0.0)
-    g_prev = fun(t0, y0) if fun is not None else None
+    g_prev = event(t0, y0) if event is not None else None
     stopped = False
 
     def solout(t, y):
@@ -177,20 +166,15 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig, event: Event | None = None,
         if t == t0 and len(ts) == 1:
             return 0  # the solver reports the initial point first
         try:
-            if fun is not None:
+            if event is not None:
                 g0 = g_prev
-                g_prev = g1 = fun(t, y)
-                # a sign change (or a zero at either end) in direction d;
-                # one strict sign at both ends, or a pair of exact zeros,
-                # is no crossing
-                if (not g0 * g1 > 0.0
-                        and (g0 <= 0.0 <= g1 and d >= 0 or g0 >= 0.0 >= g1 and d <= 0)
-                        and (g0 != 0.0 or g1 != 0.0)):
+                g_prev = g1 = event(t, y)
+                if g1 <= 0.0 <= g0 and g0 != g1:  # a fall through zero
                     ta, ya, y = ts[-1], np.frombuffer(flat[-n:]), y.copy()
                     interp = _hermite(ta, ya, np.asarray(field(ya, ta), dtype=float),
                                       t, y, np.asarray(field(y, t), dtype=float))
                     tr = ta if g0 == 0.0 else t if g1 == 0.0 else brentq(
-                        lambda s: fun(s, interp(s)), ta, t, xtol=4 * _EPS, rtol=4 * _EPS)
+                        lambda s: event(s, interp(s)), ta, t, xtol=4 * _EPS, rtol=4 * _EPS)
                     if tr > ta:
                         ts.append(tr)
                         flat.frombytes(interp(tr).tobytes())
@@ -257,9 +241,9 @@ def advance_to_surface(sys: SwitchedField, x0, t_span,
         raise ValueError("advance_to_surface requires a strictly off-surface start")
     fused, sgn = sys.fused, 1.0 if regime == "plus" else -1.0
 
-    # leaving the active side ends the segment
-    crossing = Event(lambda t, y: y.item(0), direction=-sgn)
-    run = _solve(lambda x, t: fused(x, t, sgn), xv, t_span, cfg, crossing)
+    # leaving the active side, sgn * x1 falling through zero, ends the segment
+    run = _solve(lambda x, t: fused(x, t, sgn), xv, t_span, cfg,
+                 lambda t, y: sgn * y.item(0))
     seg = TrajectorySegment(run.t, run.y, "free_plus" if regime == "plus" else "free_minus")
     if run.stopped:
         return seg, (float(run.t[-1]), run.y[-1].copy())
@@ -284,14 +268,9 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
     xv = sys._check_state(x0)
     eps = sigmoid.eps
     fused = sys.fused
-    # lam = phi(x1), a [0, 1] kind shifted onto [-1, 1]; every kind
-    # stays inside [-1, 1] in floating point, so nothing is clamped
-    phi = sigmoid.scalar_fn()
-    if sigmoid.range == (0.0, 1.0):
-        def lam_of(v):
-            return 2.0 * phi(v) - 1.0
-    else:
-        lam_of = phi
+    # lam = phi(x1); every kind stays inside [-1, 1] in floating point,
+    # so nothing is clamped
+    lam_of = sigmoid.scalar_fn()
 
     def field(x, t):
         return fused(x, t, lam_of(x.item(0)))
@@ -299,8 +278,11 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
     # a run inside ends where |x1| reaches eps; a run outside where x1
     # passes the edge on its starting side, since one step may leap the
     # whole band and |x1| - eps would miss that
-    leave = Event(lambda t, y: eps - abs(y.item(0)), -1.0)
-    enter = Event(lambda t, y: side * y.item(0) - eps, -1.0)
+    def leave(t, y):
+        return eps - abs(y.item(0))
+
+    def enter(t, y):
+        return side * y.item(0) - eps
 
     def in_band(x, t):
         v0 = x[0]

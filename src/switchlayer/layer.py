@@ -25,7 +25,6 @@ from .core import (
     _check_finite,
 )
 from .integrate import (
-    Event,
     IntegratorConfig,
     IntegrationError,
     TrajectorySegment,
@@ -464,7 +463,7 @@ def _integrate_sliding(sys, x_surface, t_span, cfg, root: SlidingSolution):
 
     try:
         lams.append(at(t0, y0)[2])
-        run = _solve(rhs, y0, t_span, cfg, Event(edge, -1.0))
+        run = _solve(rhs, y0, t_span, cfg, edge)
     except IntegrationError as exc:
         t, lam, _, _, _, y = anchor
         raise IntegrationError(f"sliding phase at t={t:.6g}, x_rest={y}, "
@@ -506,8 +505,7 @@ def _integrate_layer(sys, lam0, x_rest0, t_span, cfg, eps_layer):
         return (F[0] / eps_layer, *F[1:])
 
     z0 = np.concatenate(([lam0], x_rest0))
-    run = _solve(rhs, z0, t_span, cfg, Event(lambda t, z: 1.0 - abs(z.item(0)), -1.0),
-                 method="dop853")
+    run = _solve(rhs, z0, t_span, cfg, lambda t, z: 1.0 - abs(z.item(0)), method="dop853")
     # lam is copied out; the run's own array, its column 0 zeroed, is x
     lam = run.y[:, 0].copy()
     run.y[:, 0] = 0.0
@@ -520,8 +518,8 @@ def integrate_layer_only(sys: SwitchedField, lam0: float, x_rest0, t_span,
                          eps_layer: float = 1e-5) -> TrajectorySegment:
     """Simulate the layer subsystem alone from (lam0, x_rest0) on x1 = 0."""
     cfg = cfg or IntegratorConfig()
-    if not eps_layer > 0:
-        raise ValueError("eps_layer must be positive")
+    if not 0.0 < eps_layer < math.inf:  # False for NaN
+        raise ValueError("eps_layer must be finite and positive")
     seg, _ = _integrate_layer(sys, float(lam0), _check_rest(x_rest0, sys.dim),
                               (float(t_span[0]), float(t_span[1])), cfg, eps_layer)
     return seg
@@ -565,8 +563,8 @@ def integrate_hybrid(sys: SwitchedField, x0, t_span,
     only matters for systems whose layer carries slow-time dynamics.
     """
     cfg = cfg or IntegratorConfig()
-    if eps_layer <= 0:
-        raise ValueError("eps_layer must be positive")
+    if not 0.0 < eps_layer < math.inf:  # False for NaN
+        raise ValueError("eps_layer must be finite and positive")
     xv = sys._check_state(np.array(x0, dtype=float))
     tol = sys.surface_tolerance
     t_now, t_end = float(t_span[0]), float(t_span[1])

@@ -70,8 +70,8 @@ class CircuitParams:
 
     def __post_init__(self):
         for name in ("L", "C", "R", "V0", "Vb"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:  # False for NaN
+                raise ValueError(f"{name} must be finite and positive")
         if not abs(self.sigma) < 1:
             raise ValueError("|sigma| must be < 1")
 
@@ -143,36 +143,30 @@ class DuffingParams:
     b: float = 0.05   # damping
     c: float = 0.1    # fold coefficient
     variant: str = "nonlinear_cubic"
-    tracker_mu: float = 1e-5  # time constant of the optional x3 tracker
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c) <= 0:
-            raise ValueError("a, b, c must all be positive")
+        for name in ("a", "b", "c"):
+            if not 0.0 < getattr(self, name) < math.inf:  # False for NaN
+                raise ValueError(f"{name} must be finite and positive")
         if self.variant not in ("nonlinear_cubic", "linear"):
             raise ValueError(f"unknown duffing variant {self.variant!r}")
-        if self.tracker_mu <= 0:
-            raise ValueError("tracker_mu must be positive")
 
 
-def make_duffing(p: DuffingParams | None = None, with_tracker: bool = False
-                 ) -> SwitchedField:
+def make_duffing(p: DuffingParams | None = None) -> SwitchedField:
     """Forced oscillator (x2 - c x1, -lam^k - b x2 + a cos t), k = 3 or 1.
 
     The cubic uses -lam^3 = -lam - (lam^2 - 1) lam, i.e. hidden multiplier
-    (0, -lam).  With the tracker enabled a third state relaxes onto lam
-    with time constant tracker_mu, exposing the in-layer oscillation.
+    (0, -lam).  Every run records lam, so the in-layer oscillation is read
+    from the segments' lam columns.
     """
     p = p or DuffingParams()
-    a, b, c, mu_tr = p.a, p.b, p.c, p.tracker_mu
+    a, b, c = p.a, p.b, p.c
     cubic = p.variant == "nonlinear_cubic"
 
     def fused(x, t, lam):
         s = x.tolist()  # Python floats: far cheaper than numpy scalars
         # both variants agree at lam = +-1
         drive = -lam * lam * lam if cubic else -lam
-        f2 = drive - b * s[1] + a * math.cos(t)
-        if with_tracker:
-            return (s[1] - c * s[0], f2, (lam - s[2]) / mu_tr)
-        return (s[1] - c * s[0], f2)
+        return (s[1] - c * s[0], drive - b * s[1] + a * math.cos(t))
 
-    return SwitchedField(dim=3 if with_tracker else 2, fused=fused, time_dependent=True)
+    return SwitchedField(dim=2, fused=fused, time_dependent=True)

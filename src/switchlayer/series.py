@@ -47,8 +47,8 @@ class AsymptoticData:
     """Measured departure asymptotics near the two outer states.
 
     g_plus / g_minus are the departure directions, b0_plus / b0_minus the
-    leading series coefficients of the departure, c0 the leading tail
-    coefficient of the sigmoid, and (kappa, p) the shared decay exponents.
+    leading series coefficients of the departure, and c0 the leading tail
+    coefficient of the sigmoid.
     """
 
     g_plus: np.ndarray
@@ -56,16 +56,10 @@ class AsymptoticData:
     b0_plus: float
     b0_minus: float
     c0: float
-    kappa: float = 1.0
-    p: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "g_plus", np.asarray(self.g_plus, dtype=float))
         object.__setattr__(self, "g_minus", np.asarray(self.g_minus, dtype=float))
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
-        if self.p <= 0:
-            raise ValueError("p must be > 0")
 
 
 def expand_from_midpoint(f_plus: CoeffFn, f_minus: CoeffFn, r: CoeffFn,

@@ -1,18 +1,18 @@
 """Transition (sigmoid) families used to regularize a switch.
 
-Each kind interpolates sign(v) (range [-1, 1]) or step(v) (range [0, 1])
-over a stiffness scale eps, and carries the leading terms of its tail
+Each kind interpolates sign(v) over a stiffness scale eps, onto the
+multiplier range [-1, 1], and carries the leading terms of its tail
 expansion away from the switch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-KINDS = ("piecewise_linear", "arctan_unit", "arctan_01", "tanh", "erf")
+KINDS = ("piecewise_linear", "arctan_unit", "tanh", "erf")
 
 
 class UnsupportedExpansionError(ValueError):
@@ -23,22 +23,19 @@ class UnsupportedExpansionError(ValueError):
 class SigmoidSpec:
     """A transition function phi_eps(v) of a given kind and stiffness.
 
-    kind:  one of piecewise_linear | arctan_unit | arctan_01 | tanh | erf
-    eps:   stiffness scale (> 0)
-    range: (0, 1) for arctan_01, (-1, 1) for every other kind
+    kind: one of piecewise_linear | arctan_unit | tanh | erf; each maps
+          v onto [-1, 1] with phi_eps(0) = 0
+    eps:  stiffness scale, finite and > 0
     """
 
     kind: str
     eps: float
-    range: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown sigmoid kind {self.kind!r}")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        unit = self.kind == "arctan_01"
-        object.__setattr__(self, "range", (0.0, 1.0) if unit else (-1.0, 1.0))
+        if not 0.0 < self.eps < math.inf:  # False for NaN
+            raise ValueError("eps must be finite and positive")
 
     # -- evaluation -----------------------------------------------------
 
@@ -64,9 +61,6 @@ class SigmoidSpec:
         elif self.kind == "arctan_unit":
             def f(v):
                 return (2.0 / math.pi) * math.atan(v / e)
-        elif self.kind == "arctan_01":
-            def f(v):
-                return 0.5 + math.atan(v / e) / math.pi
         elif self.kind == "tanh":
             def f(v):
                 return math.tanh(v / e)
@@ -82,7 +76,7 @@ class SigmoidSpec:
 
         Exponential-tail kinds follow
         sign(v) * (1 + exp(-kappa |v/eps|^p) * sum_n c_n (eps/|v|)^n);
-        the arctan kinds have algebraic tails and support order <= 1 only.
+        the arctan kind has an algebraic tail and supports order <= 1 only.
         """
         v = float(v)
         e = self.eps
@@ -105,22 +99,14 @@ class SigmoidSpec:
             if order >= 3:
                 series += 0.5 / u**3
             return s * (1.0 + math.exp(-u * u) * series / math.sqrt(math.pi))
-        if self.kind == "arctan_unit":
-            if order > 1:
-                raise UnsupportedExpansionError(
-                    "arctan tails are algebraic; only order <= 1 is provided"
-                )
-            # (2/pi) arctan(u) ~ sign(u)(1 - (2/pi)/|u|)
-            series = -(2.0 / math.pi) / u if order >= 1 else 0.0
-            return s * (1.0 + series)
-        # arctan_01
+        # arctan_unit
         if order > 1:
             raise UnsupportedExpansionError(
                 "arctan tails are algebraic; only order <= 1 is provided"
             )
-        step = 1.0 if v > 0 else 0.0
-        corr = -s / (math.pi * u) if order >= 1 else 0.0
-        return step + corr
+        # (2/pi) arctan(u) ~ sign(u)(1 - (2/pi)/|u|)
+        series = -(2.0 / math.pi) / u if order >= 1 else 0.0
+        return s * (1.0 + series)
 
     def tail_coefficients(self) -> tuple[float, float, list[float]]:
         """(kappa, p, [c_0..c_3]) of the exponential tail, where defined."""

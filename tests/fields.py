@@ -3,6 +3,8 @@
     f(x; lam) = (f_+ + f_-)/2 + (f_+ - f_-)/2 lam + (lam^2 - 1) g(x, lam)
 """
 
+import dataclasses
+
 import numpy as np
 
 from switchlayer import SwitchedField
@@ -37,3 +39,18 @@ def tautology(fp, fm, g=None, *, dim=2, **options):
         return out
 
     return SwitchedField(dim=dim, fused=fused, **options)
+
+
+def lam_tracker(sys):
+    """sys with one more state that tracks the multiplier: x' = lam.
+
+    The new state is the running integral of lam, so it adds a dimension
+    without adding stiffness.  For the forced relay this is a
+    time-dependent 3-D field whose fused returns a tuple of floats.
+    """
+    inner = sys.fused
+
+    def fused(x, t, lam):
+        return (*inner(x, t, lam), lam)
+
+    return dataclasses.replace(sys, dim=sys.dim + 1, fused=fused)

@@ -101,6 +101,20 @@ CONFIG_MISTAKES = {
     "integrator-max_step-nan": ("simulate", {"integrator": {"max_step": math.nan}}),
     "integrator-rel_tol-nan": ("simulate", {"integrator": {"rel_tol": math.nan}}),
     "integrator-max_steps-fraction": ("simulate", {"integrator": {"max_steps": 2.5}}),
+    "sigmoid-eps-nan": ("simulate", {"mode": "regularized",
+                                     "sigmoid": {"kind": "tanh", "eps": math.nan}}),
+    "sigmoid-eps-inf": ("simulate", {"mode": "regularized",
+                                     "sigmoid": {"kind": "tanh", "eps": math.inf}}),
+    "circuit-L-nan": ("simulate", {"scenario": {"name": "circuit", "params": {"L": math.nan}}}),
+    "circuit-R-inf": ("simulate", {"scenario": {"name": "circuit", "params": {"R": math.inf}}}),
+    "duffing-a-nan": ("simulate", {"scenario": {"name": "duffing", "params": {"a": math.nan}}}),
+    "duffing-b-inf": ("simulate", {"scenario": {"name": "duffing", "params": {"b": math.inf}}}),
+    "eps_layer-inf": ("simulate", {"scenario": "duffing", "mode": "layer_only",
+                                   "initial_state": [0.0, 0.0], "eps_layer": math.inf}),
+    "regularized-arctan_01": ("simulate", {"mode": "regularized",
+                                           "sigmoid": {"kind": "arctan_01", "eps": 0.1}}),
+    "duffing-with_tracker": ("simulate", {"scenario": {"name": "duffing", "params": {
+        "with_tracker": True}}, "initial_state": [0.3, 0.1, 0.0]}),
 }
 
 

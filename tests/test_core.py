@@ -13,6 +13,7 @@ from switchlayer import (
     SwitchedField,
     eval_field,
     hidden_term,
+    make_example2,
     regime_of,
 )
 
@@ -128,6 +129,14 @@ class TestHiddenTerm:
         sys = tautology([1.0, 0.0], [0.0, 1.0])
         np.testing.assert_allclose(hidden_term(sys, np.zeros(2), 0.3), [0, 0],
                                    rtol=0, atol=1e-16)
+
+    def test_branch_passed_through_replace_is_not_used(self):
+        # replace keeps a branch it is given as it is, so hidden_term takes
+        # f+- from fused itself: (2 lam^2 - 1, 1) has f+- = (1, 1)
+        sys = dataclasses.replace(make_example2("nonlinear"),
+                                  f_plus=lambda x, t: np.array([5.0, 5.0]))
+        np.testing.assert_array_equal(hidden_term(sys, np.array([0.0, 0.3]), 0.0),
+                                      [-2.0, 0.0])
 
 
 class TestRegimeClassification:

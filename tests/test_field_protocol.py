@@ -27,6 +27,8 @@ from switchlayer import (
     make_example2,
 )
 
+from fields import lam_tracker
+
 
 def fold_field():
     """f1 = lam^2 + x2 - 1/4: a slide from (-0.1, 0) leaves at a fold, t = 1/4."""
@@ -54,7 +56,7 @@ CASES = {
     "circuit-sigma0.5": (make_circuit(HALF), circuit_iv_to_state(0.0, 0.0, HALF), 20.0,
                          {"sliding", "free_plus"}),
     "duffing": (make_duffing(), [0.3, 0.1], 3.0, {"layer_transit"}),
-    "duffing-tracker": (make_duffing(with_tracker=True), [0.3, 0.1, 0.0], 3.0,
+    "duffing-tracker": (lam_tracker(make_duffing()), [0.3, 0.1, 0.0], 3.0,
                         {"layer_transit"}),
     "fold": (fold_field(), [-0.1, 0.0], 1.0, {"sliding", "free_plus"}),
 }
@@ -98,7 +100,7 @@ def test_tuple_and_array_evaluators_run_alike(name):
     rest = x0[1:]
     assert_same_segment(*(integrate_layer_only(s, 0.3, rest, (0.0, 0.5), eps_layer=1e-3)
                           for s in (sys, arr)))
-    for kind in ("piecewise_linear", "arctan_01"):
+    for kind in ("piecewise_linear", "tanh"):
         sig = SigmoidSpec(kind, eps=0.05)
         assert_same_segment(*(integrate_regularized(s, sig, x0, (0.0, min(t_end, 3.0)))
                               for s in (sys, arr)))

@@ -38,7 +38,7 @@ from switchlayer import (
 )
 from switchlayer.core import fast_field_eval
 
-from fields import tautology
+from fields import lam_tracker, tautology
 
 
 def polynomial_system(coeffs):
@@ -287,7 +287,7 @@ class TestRestShape:
     """x_rest is (x2, ..., xn): a short or long one is rejected, not broadcast."""
 
     @pytest.mark.parametrize("factory, x_rest", [
-        (lambda: make_duffing(with_tracker=True), [0.3]),
+        (lambda: lam_tracker(make_duffing()), [0.3]),
         (lambda: make_example2(), [0.3, 0.1]),
     ], ids=["short", "long"])
     def test_wrong_length_rejected(self, factory, x_rest):
@@ -551,6 +551,63 @@ class TestIntegrateHybrid:
             integrate_hybrid(make_example2(), np.array([-0.3, 0.0]), (0.0, 1.0),
                              eps_layer=0.0)
 
+    @pytest.mark.parametrize("eps_layer", [math.nan, math.inf])
+    def test_non_finite_eps_layer_rejected(self, eps_layer):
+        with pytest.raises(ValueError, match="eps_layer"):
+            integrate_hybrid(make_example2(), np.array([-0.3, 0.0]), (0.0, 1.0),
+                             eps_layer=eps_layer)
+
+
+class TestCircuitCriticalImperfection:
+    """The paper's circuit claim: a slight imperfection sigma flips the fate.
+
+    The flow off the surface does not depend on sigma, so the run from
+    (I, V) = (0, 0) sticks at one current, I_entry, for every sigma.  The
+    slide escapes once the layer saddle's current Vb / (R p(mu0)),
+    mu0 = V0 / Vb, falls below I_entry, that is above
+    sigma* = (1 - Vb / (R mu0 I_entry)) / (1 - mu0).  Near sigma* the slide
+    passes the saddle, whose sliding flow repels at the rate
+    kappa = R p(mu0)^2 / (L p'(mu0)), so its duration grows by ln 10 / kappa
+    per decade of sigma - sigma*.
+    """
+
+    T_ENTRY, I_ENTRY = 4.8122401011, 2.0755570677  # the closed circuit's exact flow
+    SIGMA_STAR = 0.449682844651
+
+    def run(self, sigma):
+        p = CircuitParams(sigma=sigma)
+        return integrate_hybrid(make_circuit(p), circuit_iv_to_state(0.0, 0.0, p),
+                                (0.0, 200.0), IntegratorConfig(max_step=0.05))
+
+    def test_sigma_star_closed_form(self):
+        p = CircuitParams()
+        mu0 = p.V0 / p.Vb
+        sigma_star = (1.0 - p.Vb / (p.R * mu0 * self.I_ENTRY)) / (1.0 - mu0)
+        # I_ENTRY's ten digits carry sigma* to about 1e-10
+        assert sigma_star == pytest.approx(self.SIGMA_STAR, abs=1e-9)
+
+    def test_fate_flips_at_sigma_star_and_slide_time_law(self):
+        slide = []
+        for k in (3, 4, 5, 6):
+            above = self.run(self.SIGMA_STAR + 10.0**-k)
+            below = self.run(self.SIGMA_STAR - 10.0**-k)
+            for traj in (above, below):
+                t_stick, kind = traj.transitions[0]
+                assert kind == "stick"
+                assert t_stick == pytest.approx(self.T_ENTRY, abs=1e-7)
+                assert traj.segments[1].x[0, 1] == pytest.approx(self.I_ENTRY, abs=1e-7)
+            assert [kind for _, kind in above.transitions] == ["stick", "exit_slide"], k
+            assert [kind for _, kind in below.transitions] == ["stick"], k
+            assert below.t_final == 200.0
+            slide.append(above.transitions[1][0] - above.transitions[0][0])
+
+        p = CircuitParams(sigma=self.SIGMA_STAR)
+        mu0 = p.V0 / p.Vb
+        kappa = p.R * p.p_of_mu(mu0) ** 2 / (p.L * (1.0 - p.sigma * (1.0 - 2.0 * mu0)))
+        per_decade = math.log(10.0) / kappa
+        assert per_decade == pytest.approx(6.7152, abs=1e-4)
+        np.testing.assert_allclose(np.diff(slide), per_decade, rtol=0.01)
+
 
 def _fuzz_system(rng, hidden):
     """f+- = A+- x + b+- with N(0, 1) entries; g = h (1 + lam) when hidden."""
@@ -677,7 +734,7 @@ class TestIntegrateLayerOnly:
         assert np.max(np.abs(seg.lam)) > 0.1  # sustained hidden oscillation
         assert np.all(np.abs(seg.lam) <= 1.0 + 1e-9)
 
-    @pytest.mark.parametrize("eps_layer", [0.0, -1e-4])
+    @pytest.mark.parametrize("eps_layer", [0.0, -1e-4, math.inf])
     def test_eps_layer_validated(self, eps_layer):
         with pytest.raises(ValueError, match="eps_layer"):
             integrate_layer_only(make_duffing(), 0.0, np.array([0.0]), (0.0, 2.0),

@@ -22,7 +22,7 @@ from switchlayer import (
     to_hidden_form,
 )
 
-from fields import tautology
+from fields import lam_tracker, tautology
 
 ALL_FACTORIES = [
     lambda: make_example1("filippov"),
@@ -33,7 +33,7 @@ ALL_FACTORIES = [
     lambda: make_circuit(CircuitParams(sigma=0.5)),
     lambda: make_duffing(DuffingParams(variant="linear")),
     lambda: make_duffing(DuffingParams(variant="nonlinear_cubic")),
-    lambda: make_duffing(with_tracker=True),
+    lambda: lam_tracker(make_duffing()),
 ]
 
 
@@ -152,14 +152,15 @@ def array_circuit(p):
 
 
 def array_duffing(p, with_tracker):
-    """The forced relay's evaluator on numpy scalars, as first written."""
+    """The forced relay's evaluator on numpy scalars, as first written,
+    with ``lam_tracker``'s x3' = lam when with_tracker."""
     cubic = p.variant == "nonlinear_cubic"
 
     def fused(x, t, lam):
         drive = -lam * lam * lam if cubic else -lam
         out = [x[1] - p.c * x[0], drive - p.b * x[1] + p.a * math.cos(t)]
         if with_tracker:
-            out.append((lam - x[2]) / p.tracker_mu)
+            out.append(lam)
         return np.array(out)
     return fused
 
@@ -167,7 +168,7 @@ def array_duffing(p, with_tracker):
 @pytest.mark.parametrize("sys, ref", [
     *[pytest.param(make_circuit(CircuitParams(sigma=s)), array_circuit(CircuitParams(sigma=s)),
                    id=f"circuit-sigma{s}") for s in (0.0, 0.5, 0.3)],
-    *[pytest.param(make_duffing(DuffingParams(variant=v), with_tracker=k),
+    *[pytest.param((lam_tracker if k else lambda s: s)(make_duffing(DuffingParams(variant=v))),
                    array_duffing(DuffingParams(variant=v), k), id=f"duffing-{v}-tracker{k}")
       for v in ("nonlinear_cubic", "linear") for k in (False, True)],
 ])
@@ -295,6 +296,12 @@ class TestCircuit:
         with pytest.raises(ValueError):
             CircuitParams(sigma=1.0)
 
+    @pytest.mark.parametrize("bad", [{"L": math.nan}, {"R": math.inf}, {"C": math.inf},
+                                     {"V0": math.nan}, {"Vb": math.inf}], ids=repr)
+    def test_non_finite_parameter_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CircuitParams(**bad)
+
 
 class TestDuffing:
     def test_default_parameters(self):
@@ -323,19 +330,14 @@ class TestDuffing:
         f = eval_field(sys, np.array([0.0, 0.0]), 0.5, t=0.0)
         assert f[1] == pytest.approx(-0.5 + 0.15)
 
-    def test_tracker_relaxes_onto_multiplier(self):
-        mu_tr = 1e-3
-        sys = make_duffing(DuffingParams(tracker_mu=mu_tr), with_tracker=True)
-        assert sys.dim == 3
-        x = np.array([0.0, 0.0, 0.2])
-        lam = 0.6
-        f = eval_field(sys, x, lam, t=0.0)
-        assert f[2] == pytest.approx((lam - x[2]) / mu_tr)
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             DuffingParams(a=-0.1)
         with pytest.raises(ValueError):
             DuffingParams(variant="quintic")
-        with pytest.raises(ValueError):
-            DuffingParams(tracker_mu=0.0)
+
+    @pytest.mark.parametrize("bad", [{"a": math.nan}, {"b": math.inf}, {"c": math.nan}],
+                             ids=repr)
+    def test_non_finite_parameter_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DuffingParams(**bad)

@@ -178,7 +178,9 @@ class TestAsymptoticMatching:
             match_alpha23(np.ones(2), np.ones(2), data)
 
     def test_data_validation(self):
-        with pytest.raises(ValueError):
-            AsymptoticData(np.ones(2), np.ones(2), 1.0, 1.0, c0=1.0, p=0.0)
-        with pytest.raises(ValueError):
-            AsymptoticData(np.ones(2), np.ones(2), 1.0, 1.0, c0=1.0, kappa=-1.0)
+        data = AsymptoticData([1, 2], (3, 4), 1.0, 1.0, c0=1.0)
+        assert data.g_plus.dtype == data.g_minus.dtype == np.float64
+        # matching reads no decay exponents, so the data takes none
+        for exponent in ("kappa", "p"):
+            with pytest.raises(TypeError, match=exponent):
+                AsymptoticData(np.ones(2), np.ones(2), 1.0, 1.0, c0=1.0, **{exponent: 1.0})

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from switchlayer import SigmoidSpec, UnsupportedExpansionError
 from switchlayer.sigmoids import KINDS
 
-SYMMETRIC = ("piecewise_linear", "arctan_unit", "tanh", "erf")
-UNIT = ("arctan_01",)
 
 
 def spec_for(kind, eps=0.1):
@@ -28,30 +26,34 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SigmoidSpec("tanh", eps=0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_eps_must_be_finite(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            SigmoidSpec("tanh", eps=eps)
+
     @pytest.mark.parametrize("theta", [-5.0, 2.0])
     def test_theta_keyword_rejected(self, theta):
         with pytest.raises(TypeError, match="theta"):
             SigmoidSpec("tanh", eps=0.1, theta=theta)
 
     def test_range_fixed_by_kind(self):
-        for kind in SYMMETRIC:
-            assert spec_for(kind).range == (-1.0, 1.0)
-        for kind in UNIT:
-            assert spec_for(kind).range == (0.0, 1.0)
+        # every kind spans the multiplier range [-1, 1]; none is a [0, 1] step
+        for kind in KINDS:
+            s = spec_for(kind, eps=1e-300)
+            assert (s(-1.0), s(0.0), s(1.0)) == (-1.0, 0.0, 1.0)
 
 
 class TestEvaluation:
     def test_midpoint_values(self):
-        for kind in SYMMETRIC:
+        for kind in KINDS:
             assert spec_for(kind)(0.0) == 0.0
-        assert spec_for("arctan_01")(0.0) == 0.5
 
     def test_piecewise_linear_is_clipped_ramp(self):
         s = SigmoidSpec("piecewise_linear", eps=0.5)
         v = np.array([-2.0, -0.25, 0.0, 0.25, 2.0])
         np.testing.assert_array_equal(s(v), [-1.0, -0.5, 0.0, 0.5, 1.0])
 
-    @given(v=st.floats(-50.0, 50.0), kind=st.sampled_from(SYMMETRIC))
+    @given(v=st.floats(-50.0, 50.0), kind=st.sampled_from(KINDS))
     @settings(max_examples=300, deadline=None)
     def test_odd_symmetry_and_bounds(self, v, kind):
         s = spec_for(kind)
@@ -110,7 +112,7 @@ class TestTailAsymptotics:
         assert c[3] == pytest.approx(0.5 / sp)
 
     def test_no_exponential_tail_for_algebraic_kinds(self):
-        for kind in ("piecewise_linear", "arctan_unit", "arctan_01"):
+        for kind in ("piecewise_linear", "arctan_unit"):
             with pytest.raises(UnsupportedExpansionError):
                 spec_for(kind).tail_coefficients()
 
@@ -132,20 +134,15 @@ class TestTailAsymptotics:
 
     def test_arctan_tail_first_order(self):
         s = SigmoidSpec("arctan_unit", eps=0.1)
-        v = 1.0
-        exact = s(v)
-        e0 = abs(s.tail_expansion(v, order=0) - exact)
-        e1 = abs(s.tail_expansion(v, order=1) - exact)
-        assert e1 < e0
-        # the omitted term is O((eps/v)^3)
-        assert e1 < 10 * (s.eps / v) ** 3
-        with pytest.raises(UnsupportedExpansionError):
-            s.tail_expansion(v, order=2)
-
-    def test_arctan_01_tail_both_sides(self):
-        s = SigmoidSpec("arctan_01", eps=0.1)
-        assert s.tail_expansion(1.0, order=1) == pytest.approx(s(1.0), abs=1e-3)
-        assert s.tail_expansion(-1.0, order=1) == pytest.approx(s(-1.0), abs=1e-3)
+        for v in (1.0, -1.0):
+            exact = s(v)
+            e0 = abs(s.tail_expansion(v, order=0) - exact)
+            e1 = abs(s.tail_expansion(v, order=1) - exact)
+            assert e1 < e0
+            # the omitted term is O((eps/v)^3)
+            assert e1 < 10 * (s.eps / abs(v)) ** 3
+            with pytest.raises(UnsupportedExpansionError):
+                s.tail_expansion(v, order=2)
 
     def test_piecewise_linear_tail_exact(self):
         s = SigmoidSpec("piecewise_linear", eps=0.1)
