@@ -2,6 +2,7 @@
 piecewise-smooth systems with nonlinear (hidden) switching terms."""
 
 from .core import (
+    SURFACE_TOL,
     DimensionMismatchError,
     NonFiniteFieldError,
     SwitchedField,
@@ -16,7 +17,6 @@ from .series import (
     SeriesExpansion,
     expand_from_midpoint,
     match_alpha23,
-    reconstruct,
     to_hidden_form,
 )
 from .integrate import (

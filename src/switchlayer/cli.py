@@ -10,9 +10,11 @@ ConfigErrors.
 
 ``RunConfig.parse`` is the one reader of the document: it converts and
 checks every entry present, used by the subcommand or not, before any
-computation starts.  A scenario's ``params`` are its constructor's
-parameters.  ``sliding`` reads ``grid`` (``x_rest`` axes and its ``t``);
-``equilibria`` reads ``search_box`` and takes no time (autonomous only).
+computation starts.  Every number it reads must be finite, a grid count
+an integer of at least 1 and a layer_only lam0 in [-1, 1].  A scenario's
+``params`` are its constructor's parameters.  ``sliding`` reads ``grid``
+(``x_rest`` axes and its ``t``); ``equilibria`` reads ``search_box`` and
+takes no time (autonomous only).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -85,6 +87,21 @@ def _entry(doc: dict, key: str, convert, default=None):
         raise ConfigError(f"bad {key} entry: {type(exc).__name__}: {exc}") from exc
 
 
+def _finite(value) -> float:
+    """float(value), or a ValueError if that is NaN or infinite."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"{value!r} is not a finite number")
+    return v
+
+
+def _count(n) -> int:
+    """n itself if an integer of at least 1 (not a bool), else a ValueError."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"a grid count must be an integer of at least 1, got {n!r}")
+    return n
+
+
 def _only(entry: dict, keys: tuple[str, ...]) -> dict:
     """The entry itself, or a ValueError naming its keys outside ``keys``."""
     unknown = set(entry) - set(keys)
@@ -147,28 +164,30 @@ class RunConfig:
         sigmoid = _entry(doc, "sigmoid", lambda spec: SigmoidSpec(**spec))
         if mode == "regularized" and sigmoid is None:
             raise ConfigError("regularized mode requires a sigmoid entry")
-        t_span = _entry(doc, "t_span", lambda ts: tuple(map(float, ts)), (0.0, 1.0))
+        t_span = _entry(doc, "t_span", lambda ts: tuple(map(_finite, ts)), (0.0, 1.0))
         if len(t_span) != 2 or not t_span[1] > t_span[0]:
             raise ConfigError("t_span must be [t0, t1] with t1 > t0")
         eps_layer = _entry(doc, "eps_layer", float, 1e-5)
         if not 0.0 < eps_layer < math.inf:  # False for NaN
             raise ConfigError("eps_layer must be finite and positive")
-        x0 = _entry(doc, "initial_state", lambda x: np.asarray(x, dtype=float))
+        x0 = _entry(doc, "initial_state", lambda x: np.array([_finite(v) for v in x]))
         if x0 is not None and x0.shape != (dim,):
             what = "(lam0, x2..xn)" if mode == "layer_only" else "(x1..xn)"
             raise ConfigError(f"{mode} initial_state must be {what}, {dim} "
                               f"values for this scenario, got shape {x0.shape}")
         if doc.get("initial_iv") is not None and name != "circuit":
             raise ConfigError("initial_iv only applies to the circuit scenario")
-        x0 = _entry(doc, "initial_iv",
-                    lambda iv: circuit_iv_to_state(*iv, p=CircuitParams(**params)), x0)
+        x0 = _entry(doc, "initial_iv", lambda iv: circuit_iv_to_state(
+            *map(_finite, iv), p=CircuitParams(**params)), x0)
+        if mode == "layer_only" and x0 is not None and not -1.0 <= x0[0] <= 1.0:
+            raise ConfigError(f"layer_only lam0 must lie in [-1, 1], got {x0[0]}")
         grid, grid_t = _entry(doc, "grid", lambda g: (
-            [np.linspace(float(lo), float(hi), int(n))
+            [np.linspace(_finite(lo), _finite(hi), _count(n))
              for lo, hi, n in _only(g, ("x_rest", "t"))["x_rest"]],
-            float(g.get("t", 0.0))), (None, 0.0))
+            _finite(g.get("t", 0.0))), (None, 0.0))
         if grid is not None and len(grid) != dim - 1:
             raise ConfigError(f"grid must span {dim - 1} tangential coordinates")
-        box = _entry(doc, "search_box", lambda b: [(float(lo), float(hi)) for lo, hi in b])
+        box = _entry(doc, "search_box", lambda b: [(_finite(lo), _finite(hi)) for lo, hi in b])
         if box is not None and len(box) != dim:
             raise ConfigError(f"search_box must give {dim} (lam, x_rest) intervals")
         path, fmt = _entry(doc, "output", lambda o: (

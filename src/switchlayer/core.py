@@ -9,7 +9,9 @@ lam in [-1, +1], with f(x; +-1) = f_+-(x).  It splits as
 
 The last term is the "hidden" part: what f adds to the linear (Filippov)
 combination.  It vanishes identically off the surface (lam = +-1) but
-shapes the dynamics inside it.
+shapes the dynamics inside it.  A ``SwitchedField`` holds f alone: f_+,
+f_- and the hidden part are all read from it.  One band, |x1| <=
+``SURFACE_TOL``, counts as on the surface for every system.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from typing import Callable
 
 import numpy as np
 
-# (x, t) -> n-vector
-FieldFn = Callable[[np.ndarray, float], np.ndarray]
 # (x, t, lam) -> n-vector
 HiddenFn = Callable[[np.ndarray, float, float], np.ndarray]
+
+# a state with |x1| <= SURFACE_TOL is on the switching surface
+SURFACE_TOL = 1e-9
 
 
 class DimensionMismatchError(ValueError):
@@ -38,18 +41,16 @@ class SwitchedField:
     """A piecewise-smooth system, given by its one evaluator f(x; lam).
 
     The switching surface is x1 = 0: the first state component is the
-    surface function, and ``abs(x1) <= surface_tolerance`` classifies a
-    state as on-surface.  A system given in other variables is adapted by
-    a coordinate map first, as the relay circuit's x = (Vb - V, I).
+    surface function, and ``abs(x1) <= SURFACE_TOL`` classifies a state as
+    on-surface.  A system given in other variables is adapted by a
+    coordinate map first, as the relay circuit's x = (Vb - V, I).
     ``time_dependent`` must be declared by the constructor; it is never
     inferred from sampling.
 
     ``fused(x, t, lam)`` is the field, and the one evaluator every run
-    calls.  f_plus / f_minus are derived from it as fused(x, t, +-1),
-    derived again when ``dataclasses.replace`` swaps fused, and
-    ``hidden_term`` is what it adds to their linear combination.
-    ``eval_field`` wraps fused with validation and ``fast_field_eval`` with
-    a clip of lam; the runs call it directly, clipping lam themselves, and
+    calls: f_+ and f_- are fused(x, t, +-1), and ``hidden_term`` is what
+    it adds to their linear combination.  ``eval_field`` wraps it with
+    validation; the runs call it directly, clipping lam themselves, and
     also slightly past +-1 (|lam| <= 1.5), where sliding continuation
     follows a root through the layer boundary, so it must continue
     smoothly there.
@@ -65,23 +66,10 @@ class SwitchedField:
 
     dim: int
     fused: HiddenFn
-    f_plus: FieldFn | None = None
-    f_minus: FieldFn | None = None
     time_dependent: bool = False
-    surface_tolerance: float = 1e-9
-    # not a field: perfbench/tracing.py still lists hidden_g in FIELD_MEMBERS
-    # and reads it from every system it instruments
-    hidden_g = None
-
-    def __post_init__(self):
-        if not self.surface_tolerance > 0:
-            raise ValueError("surface_tolerance must be positive")
-        fused = self.fused
-        # a derived branch is derived again when dataclasses.replace swaps fused
-        for name, lam in (("f_plus", 1.0), ("f_minus", -1.0)):
-            branch = getattr(self, name)
-            if branch is None or getattr(branch, "source", fused) is not fused:
-                object.__setattr__(self, name, _branch(fused, lam))
+    # not fields: perfbench/tracing.py still lists these in FIELD_MEMBERS
+    # and reads them from every system it instruments
+    f_plus = f_minus = hidden_g = None
 
     def _check_state(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -90,16 +78,6 @@ class SwitchedField:
                 f"expected state of dimension {self.dim}, got shape {x.shape}"
             )
         return x
-
-
-def _branch(fused: HiddenFn, lam: float) -> FieldFn:
-    """f_+ (lam = 1) or f_- (lam = -1) of a field given by ``fused``."""
-
-    def branch(x, t):
-        return np.array(fused(x, t, lam), dtype=float)
-
-    branch.source = fused
-    return branch
 
 
 def _check_lambda(lam: float) -> float:
@@ -139,8 +117,6 @@ def hidden_term(sys: SwitchedField, x, lam: float, t: float = 0.0) -> np.ndarray
     if abs(lam) == 1.0:
         return np.zeros(sys.dim)
     t, fused = float(t), sys.fused
-    # f+- from fused itself, so a branch passed through dataclasses.replace
-    # cannot disagree with the field
     fp = np.asarray(fused(xv, t, 1.0), dtype=float)
     fm = np.asarray(fused(xv, t, -1.0), dtype=float)
     out = (np.asarray(fused(xv, t, lam), dtype=float)
@@ -152,11 +128,9 @@ def hidden_term(sys: SwitchedField, x, lam: float, t: float = 0.0) -> np.ndarray
 def fast_field_eval(sys: SwitchedField):
     """Closure computing f(x; lam) without per-call validation.
 
-    The unchecked wrapper of ``sys.fused``, for inner loops where the
-    state shape is fixed and finiteness is checked on the collected
-    values instead of per evaluation.  lam is clipped into [-1, 1].  It
-    returns what ``fused`` returns, dim floats: a tuple of Python floats
-    or a float64 array, which callers never keep or write into.
+    The unchecked wrapper of ``sys.fused`` with lam clipped into [-1, 1].
+    No library code calls it: it stays for the ``core.fast_field_eval_us``
+    micro metric of perfbench.  It returns what ``fused`` returns.
     """
     inner = sys.fused
 
@@ -170,11 +144,11 @@ def fast_field_eval(sys: SwitchedField):
     return f
 
 
-def regime_of(sys: SwitchedField, x) -> str:
+def regime_of(x) -> str:
     """Classify a state as 'plus', 'minus', or 'on_surface' by its x1."""
     v = float(x[0])
-    if v > sys.surface_tolerance:
+    if v > SURFACE_TOL:
         return "plus"
-    if v < -sys.surface_tolerance:
+    if v < -SURFACE_TOL:
         return "minus"
     return "on_surface"

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import ode
 from scipy.optimize import brentq
 
-from .core import SwitchedField, regime_of
+from .core import SURFACE_TOL, SwitchedField, regime_of
 from .sigmoids import SigmoidSpec
 
 _EPS = np.finfo(float).eps
@@ -223,6 +223,18 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig,
     return _Run(np.frombuffer(ts), y, stopped)
 
 
+def _check_start(sys: SwitchedField, x0, t_span) -> tuple[np.ndarray, float, float]:
+    """(x0, t0, t1) of a run: x0 a finite float64 array of shape (dim,) and
+    t0 < t1 finite, else DimensionMismatchError or ValueError."""
+    xv = sys._check_state(x0)
+    if not np.isfinite(xv).all():
+        raise ValueError(f"initial state must be finite, got {xv}")
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not -math.inf < t0 < t1 < math.inf:  # False for NaN
+        raise ValueError(f"t_span must be finite with t0 < t1, got ({t0}, {t1})")
+    return xv, t0, t1
+
+
 def advance_to_surface(sys: SwitchedField, x0, t_span,
                        cfg: IntegratorConfig | None = None
                        ) -> tuple[TrajectorySegment, tuple[float, np.ndarray] | None]:
@@ -235,19 +247,19 @@ def advance_to_surface(sys: SwitchedField, x0, t_span,
     sample's time.
     """
     cfg = cfg or IntegratorConfig()
-    xv = np.asarray(x0, dtype=float)
-    regime = regime_of(sys, xv)
+    xv, t0, t1 = _check_start(sys, x0, t_span)
+    regime = regime_of(xv)
     if regime == "on_surface":
         raise ValueError("advance_to_surface requires a strictly off-surface start")
     fused, sgn = sys.fused, 1.0 if regime == "plus" else -1.0
 
     # leaving the active side, sgn * x1 falling through zero, ends the segment
-    run = _solve(lambda x, t: fused(x, t, sgn), xv, t_span, cfg,
+    run = _solve(lambda x, t: fused(x, t, sgn), xv, (t0, t1), cfg,
                  lambda t, y: sgn * y.item(0))
     seg = TrajectorySegment(run.t, run.y, "free_plus" if regime == "plus" else "free_minus")
     if run.stopped:
         return seg, (float(run.t[-1]), run.y[-1].copy())
-    grazed = np.flatnonzero(sgn * run.y[:, 0] <= sys.surface_tolerance)
+    grazed = np.flatnonzero(sgn * run.y[:, 0] <= SURFACE_TOL)
     if grazed.size:
         warnings.warn(
             f"trajectory grazed the surface tolerance band near "
@@ -265,7 +277,7 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
     sigmoid kind switches at v = 0, so phi_eps(x1) switches on the surface.
     """
     cfg = cfg or IntegratorConfig()
-    xv = sys._check_state(x0)
+    x_now, t_now, t_end = _check_start(sys, x0, t_span)
     eps = sigmoid.eps
     fused = sys.fused
     # lam = phi(x1); every kind stays inside [-1, 1] in floating point,
@@ -294,8 +306,6 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
         return v0 * field(x, t)[0] < 0
 
     t_parts, x_parts = [], []
-    t_now, t_end = float(t_span[0]), float(t_span[1])
-    x_now = xv
     steps_left = cfg.max_steps
     inside = in_band(x_now, t_now)
     while True:

@@ -17,10 +17,10 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .core import (
+    SURFACE_TOL,
     DimensionMismatchError,
     SwitchedField,
     eval_field,
-    fast_field_eval,
     regime_of,
     _check_finite,
 )
@@ -29,6 +29,7 @@ from .integrate import (
     IntegrationError,
     TrajectorySegment,
     advance_to_surface,
+    _check_start,
     _solve,
 )
 
@@ -188,8 +189,9 @@ def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0
     of every grid cell instead.  No roots means the flow crosses; f1 = 0
     (on that scan: on a subinterval) raises DegenerateInclusionError.
     """
-    x = _full_state(x_rest, sys.dim)
-    feval = fast_field_eval(sys)
+    # every lam below lies in [-1, 1]: the Chebyshev points, the grid,
+    # brentq's iterates inside grid cells and the clamped stability points
+    x, feval = _full_state(x_rest, sys.dim), sys.fused
 
     def f1(lam):
         return float(feval(x, t, lam)[0])
@@ -292,13 +294,15 @@ def find_layer_equilibria(sys: SwitchedField, search_box) -> list[LayerEquilibri
     if len(box) != sys.dim:
         raise ValueError(f"search_box must give {sys.dim} (lam, x_rest) intervals")
 
-    feval = fast_field_eval(sys)
+    fused = sys.fused
 
     def F(Z):
-        # row by row: the state on the surface is (0, x_rest), at the row's lam
+        # row by row: the state on the surface is (0, x_rest), at the row's
+        # lam clipped to the layer
         X = Z.copy()
         X[:, 0] = 0.0
-        return np.array([feval(x, 0.0, lam) for x, lam in zip(X, Z[:, 0].tolist())])
+        lams = np.clip(Z[:, 0], -1, 1).tolist()
+        return np.array([fused(x, 0.0, lam) for x, lam in zip(X, lams)])
 
     axes = [np.linspace(lo, hi, EQUILIBRIA_GRID) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -516,12 +520,15 @@ def _integrate_layer(sys, lam0, x_rest0, t_span, cfg, eps_layer):
 def integrate_layer_only(sys: SwitchedField, lam0: float, x_rest0, t_span,
                          cfg: IntegratorConfig | None = None,
                          eps_layer: float = 1e-5) -> TrajectorySegment:
-    """Simulate the layer subsystem alone from (lam0, x_rest0) on x1 = 0."""
+    """Simulate the layer subsystem alone from (lam0, x_rest0) on x1 = 0, lam0 in [-1, 1]."""
     cfg = cfg or IntegratorConfig()
     if not 0.0 < eps_layer < math.inf:  # False for NaN
         raise ValueError("eps_layer must be finite and positive")
-    seg, _ = _integrate_layer(sys, float(lam0), _check_rest(x_rest0, sys.dim),
-                              (float(t_span[0]), float(t_span[1])), cfg, eps_layer)
+    z0 = np.concatenate(([lam0], _check_rest(x_rest0, sys.dim)))
+    z0, t0, t1 = _check_start(sys, z0, t_span)
+    if not -1.0 <= z0[0] <= 1.0:
+        raise ValueError(f"lam0 must lie in [-1, 1], got {z0[0]}")
+    seg, _ = _integrate_layer(sys, float(z0[0]), z0[1:], (t0, t1), cfg, eps_layer)
     return seg
 
 
@@ -565,12 +572,10 @@ def integrate_hybrid(sys: SwitchedField, x0, t_span,
     cfg = cfg or IntegratorConfig()
     if not 0.0 < eps_layer < math.inf:  # False for NaN
         raise ValueError("eps_layer must be finite and positive")
-    xv = sys._check_state(np.array(x0, dtype=float))
-    tol = sys.surface_tolerance
-    t_now, t_end = float(t_span[0]), float(t_span[1])
+    xv, t_now, t_end = _check_start(sys, np.array(x0, dtype=float), t_span)
     traj = HybridTrajectory()
 
-    regime = regime_of(sys, xv)
+    regime = regime_of(xv)
     entry_side = None
     if regime == "on_surface":
         # starting on the surface: take the side whose boundary flow enters
@@ -595,7 +600,7 @@ def integrate_hybrid(sys: SwitchedField, x0, t_span,
         if kind == "cross":
             down = entry_side == "plus"
             traj.transitions.append((t_now, "cross_down" if down else "cross_up"))
-            xv[0], entry_side = (-2 * tol if down else 2 * tol), None
+            xv[0], entry_side = (-2 * SURFACE_TOL if down else 2 * SURFACE_TOL), None
             continue
 
         if kind == "stick":
@@ -612,6 +617,6 @@ def integrate_hybrid(sys: SwitchedField, x0, t_span,
             break
         traj.transitions.append((t_now, leave))
         # step off the surface on the side the multiplier left through
-        xv[0], entry_side = 2 * side * tol, None
+        xv[0], entry_side = 2 * side * SURFACE_TOL, None
 
     return traj

@@ -3,8 +3,7 @@
 All are built in adapted coordinates (the first state component is the
 surface function), so every layer operation applies directly.  The relay
 circuit keeps its physical (I, V) variables behind a coordinate map.
-Each has the default surface tolerance; ``dataclasses.replace(system,
-surface_tolerance=...)`` sets another.
+Each is its ``fused`` evaluator alone, a tuple of Python floats per call.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 f(x; lam) = sum_n alpha_n(x) lam^n.  The n = 0, 1 coefficients carry the
 classical convex combination; everything from n = 2 up is hidden
-nonlinearity.  ``to_hidden_form`` makes the series a SwitchedField given
-by its ``fused`` evaluator alone: f_plus, f_minus and the hidden term are
-derived from it.  The hidden term factors as (lam^2 - 1) g with
+nonlinearity.  ``to_hidden_form`` makes the series a SwitchedField whose
+``fused`` evaluator is the sum itself, so ``eval_field`` evaluates it and
+f_+, f_- and the hidden term are read from it.  The hidden term factors
+as (lam^2 - 1) g with
 
     g(x, lam) = sum_{n>=1} sum_{j=0}^{n-1} [alpha_2n + lam alpha_2n+1] lam^(2j).
 """
@@ -100,35 +101,24 @@ def expand_from_midpoint(f_plus: CoeffFn, f_minus: CoeffFn, r: CoeffFn,
     return SeriesExpansion((a0, a1, a2, a3))
 
 
-def reconstruct(e: SeriesExpansion, x, lam: float) -> np.ndarray:
-    """Evaluate sum_n alpha_n(x) lam^n."""
-    lam = float(lam)
-    if not -1.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [-1, +1], got {lam}")
-    return _power_sum(e.coefficients, np.asarray(x, dtype=float), lam)
-
-
-def _power_sum(coeffs, x: np.ndarray, lam: float) -> np.ndarray:
-    out = np.array(coeffs[0](x), dtype=float)
-    lam_pow = 1.0
-    for a in coeffs[1:]:
-        lam_pow *= lam
-        out += lam_pow * np.asarray(a(x), dtype=float)
-    return out
-
-
 def to_hidden_form(e: SeriesExpansion, *, dim: int) -> SwitchedField:
     """The autonomous SwitchedField whose ``fused`` evaluator is the series.
 
-    f_plus / f_minus are the series at lam = +-1 and its hidden term is the
-    n >= 2 part of the series with its value at lam = +-1 taken out, both
-    derived from ``fused``; for N <= 1 it is zero up to rounding.  The
-    coefficients are functions of x alone, so the field ignores t.
+    ``eval_field`` of it is the series' one evaluator.  f_+ and f_- are
+    the series at lam = +-1, and its hidden term is the n >= 2 part of the
+    series with its value at lam = +-1 taken out; for N <= 1 it is zero up
+    to rounding.  The coefficients are functions of x alone, so the field
+    ignores t.
     """
     coeffs = e.coefficients
 
     def fused(x, t, lam):
-        return _power_sum(coeffs, x, lam)
+        out = np.array(coeffs[0](x), dtype=float)
+        lam_pow = 1.0
+        for a in coeffs[1:]:
+            lam_pow *= lam
+            out += lam_pow * np.asarray(a(x), dtype=float)
+        return out
 
     return SwitchedField(dim=dim, fused=fused)
 

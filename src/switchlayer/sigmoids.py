@@ -88,31 +88,25 @@ class SigmoidSpec:
         u = abs(v) / e
         if self.kind == "piecewise_linear":
             return s  # exact saturation
-        if self.kind == "tanh":
-            # tanh(u) ~ sign(u)(1 - 2 e^{-2|u|}); no algebraic (eps/v) terms
-            return s * (1.0 - 2.0 * math.exp(-2.0 * u))
-        if self.kind == "erf":
-            # erf(u) ~ sign(u)(1 - e^{-u^2}(1/u - 1/(2u^3))/sqrt(pi))
-            series = 0.0
-            if order >= 1:
-                series -= 1.0 / u
-            if order >= 3:
-                series += 0.5 / u**3
-            return s * (1.0 + math.exp(-u * u) * series / math.sqrt(math.pi))
-        # arctan_unit
-        if order > 1:
-            raise UnsupportedExpansionError(
-                "arctan tails are algebraic; only order <= 1 is provided"
-            )
-        # (2/pi) arctan(u) ~ sign(u)(1 - (2/pi)/|u|)
-        series = -(2.0 / math.pi) / u if order >= 1 else 0.0
-        return s * (1.0 + series)
+        if self.kind == "arctan_unit":
+            if order > 1:
+                raise UnsupportedExpansionError(
+                    "arctan tails are algebraic; only order <= 1 is provided"
+                )
+            # (2/pi) arctan(u) ~ sign(u)(1 - (2/pi)/|u|)
+            series = -(2.0 / math.pi) / u if order >= 1 else 0.0
+            return s * (1.0 + series)
+        kappa, p, c = self.tail_coefficients()
+        series = sum(c[n] * u ** -n for n in range(order + 1))
+        return s * (1.0 + math.exp(-kappa * u ** p) * series)
 
     def tail_coefficients(self) -> tuple[float, float, list[float]]:
         """(kappa, p, [c_0..c_3]) of the exponential tail, where defined."""
         if self.kind == "tanh":
+            # tanh(u) ~ sign(u)(1 - 2 e^{-2|u|}); no algebraic (eps/v) terms
             return 2.0, 1.0, [-2.0, 0.0, 0.0, 0.0]
         if self.kind == "erf":
+            # erf(u) ~ sign(u)(1 - e^{-u^2}(1/u - 1/(2u^3))/sqrt(pi))
             sp = math.sqrt(math.pi)
             return 1.0, 2.0, [0.0, -1.0 / sp, 0.0, 0.5 / sp]
         raise UnsupportedExpansionError(

@@ -115,6 +115,17 @@ CONFIG_MISTAKES = {
                                            "sigmoid": {"kind": "arctan_01", "eps": 0.1}}),
     "duffing-with_tracker": ("simulate", {"scenario": {"name": "duffing", "params": {
         "with_tracker": True}}, "initial_state": [0.3, 0.1, 0.0]}),
+    "initial_state-nan": ("simulate", {"initial_state": [math.nan, 0.0]}),
+    "initial_iv-nan": ("simulate", {"scenario": "circuit", "initial_iv": [math.nan, 0.0]}),
+    "t_span-inf": ("simulate", {"t_span": [0.0, math.inf]}),
+    "grid-nan-bound": ("sliding", {"grid": {"x_rest": [[math.nan, 1, 3]]}}),
+    "grid-t-nan": ("sliding", {"scenario": "duffing", "grid": {
+        "x_rest": [[-1, 1, 3]], "t": math.nan}}),
+    "grid-fraction-count": ("sliding", {"grid": {"x_rest": [[-1, 1, 2.5]]}}),
+    "box-nan": ("equilibria", {"search_box": [[-1, 1], [math.nan, 6]]}),
+    "box-inf": ("equilibria", {"search_box": [[-1, 1], [0, math.inf]]}),
+    "layer_only-lam0-outside": ("simulate", {"scenario": "duffing", "mode": "layer_only",
+                                             "initial_state": [3.0, 0.0]}),
 }
 
 

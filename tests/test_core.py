@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchlayer import (
+    SURFACE_TOL,
     DimensionMismatchError,
     NonFiniteFieldError,
     SwitchedField,
@@ -72,12 +73,26 @@ class TestEvalField:
 
         with pytest.raises(TypeError, match="fused"):
             SwitchedField(dim=2)
-        with pytest.raises(TypeError, match="fused"):
+        # the branches are readings of fused, not fields
+        with pytest.raises(TypeError, match="f_plus"):
             SwitchedField(dim=2, f_plus=branch)
-        with pytest.raises(TypeError, match="fused"):
-            SwitchedField(dim=2, f_plus=branch, f_minus=branch)
+        with pytest.raises(TypeError, match="f_minus"):
+            SwitchedField(dim=2, f_minus=branch)
         with pytest.raises(TypeError):  # keywords only
             SwitchedField(branch, branch, 2)
+
+    def test_three_fields(self):
+        assert [f.name for f in dataclasses.fields(SwitchedField)] == [
+            "dim", "fused", "time_dependent"]
+        sys = tautology([1.0, 0.0], [0.0, 1.0])
+        for name in ("f_plus", "f_minus", "hidden_g", "surface_tolerance"):
+            with pytest.raises(TypeError, match=name):
+                dataclasses.replace(sys, **{name: None})
+
+    def test_removed_members_read_none(self):
+        # read as None by tools that instrument every callable member
+        sys = make_example2("nonlinear")
+        assert sys.f_plus is None and sys.f_minus is None and sys.hidden_g is None
 
     def test_hidden_g_keyword_rejected(self):
         def g(x, t, lam):
@@ -86,9 +101,6 @@ class TestEvalField:
         fused = tautology([1.0, 0.0], [0.0, 1.0], g=g).fused
         with pytest.raises(TypeError, match="hidden_g"):
             SwitchedField(dim=2, fused=fused, hidden_g=g)
-        with pytest.raises(TypeError, match="hidden_g"):
-            SwitchedField(dim=2, f_plus=lambda x, t: np.zeros(2),
-                          f_minus=lambda x, t: np.zeros(2), hidden_g=g)
         sys = SwitchedField(dim=2, fused=fused)
         with pytest.raises(TypeError, match="hidden_g"):
             dataclasses.replace(sys, hidden_g=g)
@@ -131,25 +143,22 @@ class TestHiddenTerm:
                                    rtol=0, atol=1e-16)
 
     def test_branch_passed_through_replace_is_not_used(self):
-        # replace keeps a branch it is given as it is, so hidden_term takes
-        # f+- from fused itself: (2 lam^2 - 1, 1) has f+- = (1, 1)
-        sys = dataclasses.replace(make_example2("nonlinear"),
-                                  f_plus=lambda x, t: np.array([5.0, 5.0]))
+        # a branch cannot be passed at all: hidden_term takes f+- from fused,
+        # and (2 lam^2 - 1, 1) has f+- = (1, 1)
+        sys = make_example2("nonlinear")
+        with pytest.raises(TypeError, match="f_plus"):
+            dataclasses.replace(sys, f_plus=lambda x, t: np.array([5.0, 5.0]))
         np.testing.assert_array_equal(hidden_term(sys, np.array([0.0, 0.3]), 0.0),
                                       [-2.0, 0.0])
 
 
 class TestRegimeClassification:
     def test_thresholding(self):
-        sys = dataclasses.replace(tautology([1.0, 0.0], [0.0, 1.0]),
-                                  surface_tolerance=1e-6)
-        assert regime_of(sys, np.array([1e-5, 0.0])) == "plus"
-        assert regime_of(sys, np.array([-1e-5, 0.0])) == "minus"
-        assert regime_of(sys, np.array([5e-7, 0.0])) == "on_surface"
-        assert regime_of(sys, np.array([0.0, 9.0])) == "on_surface"
-
-    def test_tolerance_must_be_positive(self):
-        sys = tautology([1.0, 0.0], [0.0, 1.0])
-        with pytest.raises(ValueError):
-            dataclasses.replace(sys, surface_tolerance=0.0)
-
+        tol = SURFACE_TOL
+        assert tol == 1e-9
+        assert regime_of(np.array([10 * tol, 0.0])) == "plus"
+        assert regime_of(np.array([-10 * tol, 0.0])) == "minus"
+        assert regime_of(np.array([tol / 2, 0.0])) == "on_surface"
+        assert regime_of(np.array([tol, 0.0])) == "on_surface"
+        assert regime_of(np.array([-tol, 0.0])) == "on_surface"
+        assert regime_of(np.array([0.0, 9.0])) == "on_surface"

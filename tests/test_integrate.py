@@ -1,13 +1,16 @@
 """Event-driven integration: smooth flows, surface hits, regularized runs."""
 
 import gc
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from switchlayer import (
+    SURFACE_TOL,
     CircuitParams,
+    DimensionMismatchError,
     DuffingParams,
     GrazeWarning,
     IntegratorConfig,
@@ -223,31 +226,69 @@ class TestAdvanceToSurface:
         with pytest.raises(ValueError):
             advance_to_surface(sys, np.array([0.0, 0.0]), (0.0, 1.0))
 
-    def test_graze_emits_warning(self):
-        # band wide enough that the dip spans several integration steps
-        tol = 1e-3
-
+    @staticmethod
+    def grazing_field():
+        # x1(t) = tol/2 + (1 - tol/2) e^(-5t) from x1 = 1: it settles inside
+        # the surface band, from t = ln(2/tol)/5 = 4.284 on, but never crosses
         def fp(x, t):
-            return np.array([2.0 * (t - 1.0), 1.0])
+            return np.array([-5.0 * (x[0] - SURFACE_TOL / 2), 1.0])
 
-        sys = tautology(fp, fp, surface_tolerance=tol)
-        # x1(t) = (t-1)^2 + tol/2 dips into the band but never crosses
-        x0 = np.array([1.0 + tol / 2, 0.0])
+        return tautology(fp, fp)
+
+    def test_graze_emits_warning(self):
         with pytest.warns(GrazeWarning):
-            seg, hit = advance_to_surface(sys, x0, (0.0, 2.0))
+            seg, hit = advance_to_surface(self.grazing_field(), np.array([1.0, 0.0]),
+                                          (0.0, 10.0))
         assert hit is None
+        assert (seg.x[:, 0] > 0).all()
+        assert (seg.x[:, 0] <= SURFACE_TOL).sum() > 100
 
     def test_graze_warning_names_first_sample_in_band(self):
-        tol = 1e-3
-
-        def fp(x, t):
-            return np.array([2.0 * (t - 1.0), 1.0])
-
-        sys = tautology(fp, fp, surface_tolerance=tol)
         with pytest.warns(GrazeWarning) as record:
-            seg, hit = advance_to_surface(sys, np.array([1.0 + tol / 2, 0.0]), (0.0, 2.0))
-        first = seg.t[np.argmax(seg.x[:, 0] <= tol)]
+            seg, hit = advance_to_surface(self.grazing_field(), np.array([1.0, 0.0]),
+                                          (0.0, 10.0))
+        first = seg.t[np.argmax(seg.x[:, 0] <= SURFACE_TOL)]
+        assert first == pytest.approx(math.log(2 / SURFACE_TOL) / 5, abs=0.01)
         assert f"near t={first:.6g} " in str(record[0].message)
+
+
+def regularized(sys, x0, t_span):
+    return integrate_regularized(sys, SigmoidSpec("tanh", eps=0.1), x0, t_span)
+
+
+def layer_only(sys, z0, t_span):
+    return integrate_layer_only(sys, z0[0], z0[1:], t_span)
+
+
+NAN, INF, SHAPE = math.nan, math.inf, DimensionMismatchError
+# (entry point, start, span, error): no run may begin from these on example2
+BAD_STARTS = {
+    "advance-dim3": (advance_to_surface, [1.0, 0.0, 5.0], (0.0, 1.0), SHAPE),
+    "advance-inf-x1": (advance_to_surface, [INF, 0.0], (0.0, 1.0), ValueError),
+    "advance-backward": (advance_to_surface, [1.0, 0.0], (1.0, 0.0), ValueError),
+    "regularized-dim1": (regularized, [0.5], (0.0, 1.0), SHAPE),
+    "regularized-nan-x2": (regularized, [0.5, NAN], (0.0, 1.0), ValueError),
+    "regularized-empty-span": (regularized, [0.5, 0.0], (1.0, 1.0), ValueError),
+    "hybrid-dim3": (integrate_hybrid, [-0.3, 0.0, 0.0], (0.0, 1.0), SHAPE),
+    "hybrid-nan-x1": (integrate_hybrid, [NAN, 0.0], (0.0, 1.0), ValueError),
+    "hybrid-nan-t1": (integrate_hybrid, [-0.3, 0.0], (0.0, NAN), ValueError),
+    "hybrid-backward": (integrate_hybrid, [-0.3, 0.0], (1.0, 0.0), ValueError),
+    "hybrid-inf-t1": (integrate_hybrid, [-0.3, 0.0], (0.0, INF), ValueError),
+    "hybrid-inf-t0": (integrate_hybrid, [-0.3, 0.0], (-INF, 0.0), ValueError),
+    "layer-lam0-3": (layer_only, [3.0, 0.0], (0.0, 1.0), ValueError),
+    "layer-lam0-nan": (layer_only, [NAN, 0.0], (0.0, 1.0), ValueError),
+    "layer-nan-x2": (layer_only, [0.5, NAN], (0.0, 1.0), ValueError),
+    "layer-inf-t1": (layer_only, [0.5, 0.0], (0.0, INF), ValueError),
+}
+
+
+@pytest.mark.parametrize("run, x0, t_span, error", BAD_STARTS.values(),
+                         ids=BAD_STARTS.keys())
+def test_bad_start_rejected(run, x0, t_span, error):
+    with pytest.raises(error) as info:
+        run(make_example2(), np.array(x0), t_span)
+    if error is ValueError:  # DimensionMismatchError is a ValueError too
+        assert not isinstance(info.value, SHAPE)
 
 
 class TestIntegrateRegularized:

@@ -13,6 +13,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from switchlayer import (
+    SURFACE_TOL,
     CircuitParams,
     DegenerateInclusionError,
     DimensionMismatchError,
@@ -36,7 +37,6 @@ from switchlayer import (
     make_example2,
     to_hidden_form,
 )
-from switchlayer.core import fast_field_eval
 
 from fields import lam_tracker, tautology
 
@@ -130,7 +130,7 @@ def grid_scan_modes(sys, x_rest, t=0.0):
     every root it finds (kept as find_sliding_modes was before Chebyshev)."""
     x = np.zeros(sys.dim)
     x[1:] = x_rest
-    feval = fast_field_eval(sys)
+    feval = sys.fused  # every lam below lies in [-1, 1]
 
     def f1(lam):
         return float(feval(x, t, lam)[0])
@@ -534,11 +534,10 @@ class TestIntegrateHybrid:
         assert seg.t_final == pytest.approx(1.0)
 
     def test_transition_continuity(self):
-        tol = 1e-9
+        tol = SURFACE_TOL
         configs = [
             (make_example2("nonlinear"), np.array([-0.3, 0.0])),
-            (tautology([1.0, 1.0], [1.0, -1.0], surface_tolerance=tol),
-             np.array([-0.3, 0.0])),
+            (tautology([1.0, 1.0], [1.0, -1.0]), np.array([-0.3, 0.0])),
         ]
         for sys, x0 in configs:
             traj = integrate_hybrid(sys, x0, (0.0, 1.0))

@@ -111,6 +111,18 @@ class TestTailAsymptotics:
         assert c[2] == 0.0
         assert c[3] == pytest.approx(0.5 / sp)
 
+    @pytest.mark.parametrize("kind", ["tanh", "erf"])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_tail_expansion_is_the_coefficient_series(self, kind, order):
+        # sign(v) (1 + e^(-kappa u^p) sum_{n <= order} c_n u^-n), u = |v|/eps
+        s = spec_for(kind, eps=0.1)
+        kappa, p, c = s.tail_coefficients()
+        for v in (0.35, 0.45, -0.45, 1.0, -2.0):
+            u = abs(v) / s.eps
+            terms = sum(c[n] / u ** n for n in range(order + 1))
+            expected = math.copysign(1.0, v) * (1.0 + math.exp(-kappa * u ** p) * terms)
+            assert s.tail_expansion(v, order=order) == pytest.approx(expected, rel=1e-15)
+
     def test_no_exponential_tail_for_algebraic_kinds(self):
         for kind in ("piecewise_linear", "arctan_unit"):
             with pytest.raises(UnsupportedExpansionError):
