@@ -122,7 +122,12 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig,
 
     Every accepted step is recorded into float64 buffers (``array("d")``),
     8 bytes a value, which numpy takes at the end without a copy, so each
-    returned array owns its memory.  The event, if any, is a function
+    returned array owns its memory.  ``field`` returns n values as a
+    sequence or an array.  At n <= 3 they are stored element by element
+    into one float64 buffer of length n, allocated once per run and handed
+    to the solver at every stage, which copies it; at n >= 4 the field's
+    value is handed over itself.  A field that returns a wrong number of
+    values fails the run with ValueError.  The event, if any, is a function
     ``event(t, y)`` evaluated once at each step end.  A step whose value
     falls through zero (``g1 <= 0 <= g0`` and ``g0 != g1``) ends the run,
     so a zero at the step start followed by a fall counts as a crossing
@@ -147,15 +152,55 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig,
     budget = cfg.max_steps if max_steps is None else max_steps
     failure: list[BaseException] = []
     nan = np.full(n, np.nan)
-
-    def fcn(t, y):
-        if failure:
-            return nan
-        try:
-            return field(y, t)
-        except Exception as exc:  # re-raised once the solver has returned
-            failure.append(exc)
-            return nan
+    # the slopes of a stage: one buffer per run, filled element-wise at
+    # n <= 3 and copied by the compiled wrapper, which would rebuild a
+    # returned tuple into a new array on every call.  Each n has its own
+    # callback, which stops calling the field once it has raised (the
+    # exception is re-raised after the run); unpacking, or the length
+    # check at n >= 4, rejects a wrong number of values
+    out = np.empty(n)
+    if n == 1:
+        def fcn(t, y):
+            if failure:
+                return nan
+            try:
+                out[0], = field(y, t)
+                return out
+            except Exception as exc:
+                failure.append(exc)
+                return nan
+    elif n == 2:
+        def fcn(t, y):
+            if failure:
+                return nan
+            try:
+                out[0], out[1] = field(y, t)
+                return out
+            except Exception as exc:
+                failure.append(exc)
+                return nan
+    elif n == 3:
+        def fcn(t, y):
+            if failure:
+                return nan
+            try:
+                out[0], out[1], out[2] = field(y, t)
+                return out
+            except Exception as exc:
+                failure.append(exc)
+                return nan
+    else:
+        def fcn(t, y):
+            if failure:
+                return nan
+            try:
+                v = field(y, t)
+                if len(v) != n:  # the wrapper would truncate or zero-pad it
+                    raise ValueError(f"field returned {len(v)} values for dimension {n}")
+                return v
+            except Exception as exc:
+                failure.append(exc)
+                return nan
 
     ts, flat = array("d", [t0]), array("d", y0.tobytes())
     g_prev = event(t0, y0) if event is not None else None

@@ -425,10 +425,12 @@ def _integrate_sliding(sys, x_surface, t_span, cfg, root: SlidingSolution):
             f = F[0]
             if not slope * branch > 0.0:  # not the branch's sign: past a fold
                 break
-            if abs(f) < tol:
+            nxt = lam - f / slope
+            # converged, or a step below one ulp of lam: f1 is at its rounding
+            # floor, which far from the origin can lie above tol
+            if abs(f) < tol or nxt == lam:
                 last = [t, x, lam, F, True, None]
                 return F[1:]
-            nxt = lam - f / slope
             if not (abs(nxt - start) <= secant_reach and abs(nxt) <= reach):
                 break
             F = fused(x, t, nxt)

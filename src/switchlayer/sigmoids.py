@@ -82,7 +82,7 @@ class SigmoidSpec:
         e = self.eps
         if order < 0 or order > 3:
             raise UnsupportedExpansionError(f"order must be in 0..3, got {order}")
-        if abs(v) < 3 * e:
+        if abs(v) < 3 * e * (1.0 - 1e-15):  # a few ulp of slack: 3 * 0.1 > 0.3
             raise ValueError("tail expansion requires |v| >= 3 eps")
         s = math.copysign(1.0, v)
         u = abs(v) / e

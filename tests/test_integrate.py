@@ -159,6 +159,56 @@ class TestIntegrateSmooth:
         assert retained < 1e6, f"{retained / 1e6:.1f} MB retained after 10 runs"
 
 
+class TestFieldValues:
+    """The values a field returns reach the solver through one per-run store."""
+
+    CFG = IntegratorConfig(max_step=0.05)
+    DIMS = [1, 2, 3, 4]
+
+    @staticmethod
+    def rotation(n):
+        # a decaying rotation in every pair of components, so each one moves
+        A = -0.1 * np.eye(n)
+        for i in range(n - 1):
+            A[i, i + 1], A[i + 1, i] = 1.0, -1.0
+        return A
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_return_types_give_identical_runs(self, n):
+        A = self.rotation(n)
+        x0 = np.linspace(1.0, 2.0, n)
+        shapes = [lambda v: tuple(v.tolist()), lambda v: v.tolist(), lambda v: v, tuple]
+        runs = [_solve(lambda x, t, as_=as_: as_(A @ x + np.sin(t)), x0, (0.0, 3.0), self.CFG)
+                for as_ in shapes]
+        assert runs[0].t.size > 60
+        for run in runs[1:]:
+            assert np.array_equal(run.t, runs[0].t) and np.array_equal(run.y, runs[0].y)
+
+    @pytest.mark.parametrize("n", DIMS)
+    @pytest.mark.parametrize("extra", [1, -1], ids=["one_more", "one_less"])
+    def test_wrong_number_of_values_rejected(self, n, extra):
+        # the compiled wrapper would truncate the values or pad them with 0
+        def field(x, t):
+            return tuple(-x.tolist()[0] for _ in range(n + extra))
+
+        with pytest.raises(ValueError, match="values"):
+            _solve(field, np.ones(n), (0.0, 1.0), self.CFG)
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_field_not_called_after_it_raises(self, n):
+        calls = []
+
+        def field(x, t):
+            calls.append(t)
+            if t > 0.5:
+                raise KeyError("field failed")
+            return tuple(-x)
+
+        with pytest.raises(KeyError, match="field failed"):
+            _solve(field, np.ones(n), (0.0, 1.0), self.CFG)
+        assert calls[-1] > 0.5 and all(t <= 0.5 for t in calls[:-1])
+
+
 class TestEvents:
     """A fall through zero ends the run; sign tests on values near 1e-200."""
 

@@ -700,6 +700,28 @@ class TestSlidingRobustness:
         traj = integrate_hybrid(sys, np.array(x0), (0.0, 2.0), IntegratorConfig(max_step=0.05))
         assert_complete(traj, 2.0)
 
+    @pytest.mark.parametrize("draw", [35, 47])
+    def test_secant_step_below_one_ulp_converges(self, draw):
+        # f = sum_k lam^k (A_k x + B_k), k = 0..3, dim 2 on even draws and 3
+        # on odd ones, all N(0, 1) from one stream.  These unstable flows
+        # slide at |x| ~ 1e5, where f1's rounding floor lies above the root
+        # tolerance and the secant step f1/slope falls below one ulp of lam
+        rng = np.random.default_rng(7)
+        for k in range(draw + 1):  # every earlier draw, in order, from the seed
+            d = 2 if k % 2 == 0 else 3
+            A, B = rng.standard_normal((4, d, d)), rng.standard_normal((4, d))
+            x0 = rng.standard_normal(d)
+
+        def fused(x, t, lam):
+            return tuple(sum(lam ** k * (A[k] @ x + B[k]) for k in range(4)).tolist())
+
+        traj = integrate_hybrid(SwitchedField(dim=d, fused=fused), x0, (0.0, 5.0),
+                                IntegratorConfig(max_step=0.05, max_steps=200_000))
+        assert traj.t_final == 5.0
+        assert "sliding" in [s.regime for s in traj.segments]
+        for prev, nxt in zip(traj.segments, traj.segments[1:]):
+            assert np.abs(nxt.x[0] - prev.x_final).max() <= 1e-6
+
     def test_sliding_errors_name_phase_and_state(self):
         sys = make_example2("nonlinear")
         with pytest.raises(IntegrationError,

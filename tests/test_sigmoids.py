@@ -165,6 +165,14 @@ class TestTailAsymptotics:
         with pytest.raises(ValueError, match="3 eps"):
             spec_for("tanh").tail_expansion(0.1)
 
+    def test_tail_starts_at_three_eps_for_decimal_eps(self):
+        # 3 * 0.1 rounds up past 0.3: the boundary itself is accepted
+        s = SigmoidSpec("tanh", eps=0.1)
+        assert s.tail_expansion(0.3) == pytest.approx(1.0 - 2.0 * math.exp(-6.0), rel=1e-14)
+        assert s.tail_expansion(-0.3) == -s.tail_expansion(0.3)
+        with pytest.raises(ValueError, match="3 eps"):
+            s.tail_expansion(0.29)
+
     def test_invalid_order_rejected(self):
         with pytest.raises(UnsupportedExpansionError):
             spec_for("tanh").tail_expansion(1.0, order=4)
