@@ -58,13 +58,11 @@ class SwitchedField:
     The runs rely on this calling contract: ``fused`` gets a float64 state
     of shape (dim,) and a Python float lam and returns dim floats, and
     neither keeps nor modifies x (the runs reuse their state buffers).  A
-    tuple of Python floats is preferred, as the cheapest value to build.
-    At dim <= 3 the integrator stores the values, one by one, into a
-    float64 buffer of its own, which the solver's compiled wrapper copies;
-    at dim >= 4 the wrapper copies a returned array and converts any other
-    sequence into a new one.  A float64 array of shape (dim,) is accepted;
-    callers never keep it or write into it, so a field may return the same
-    array on every call.
+    tuple of Python floats is preferred, as the cheapest value to return.
+    A float64 array of shape (dim,) is accepted; callers never keep it or
+    write into it, so a field may return the same array on every call.
+    A value of the wrong length is a ValueError, one that is not a
+    sequence a TypeError.
     """
 
     dim: int

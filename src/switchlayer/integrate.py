@@ -123,9 +123,9 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig,
     Every accepted step is recorded into float64 buffers (``array("d")``),
     8 bytes a value, which numpy takes at the end without a copy, so each
     returned array owns its memory.  ``field`` returns n values as a
-    sequence or an array.  At n <= 3 they are stored element by element
+    sequence or an array.  At n <= 2 they are stored element by element
     into one float64 buffer of length n, allocated once per run and handed
-    to the solver at every stage, which copies it; at n >= 4 the field's
+    to the solver at every stage, which copies it; at n >= 3 the field's
     value is handed over itself.  A field that returns a wrong number of
     values fails the run with ValueError.  The event, if any, is a function
     ``event(t, y)`` evaluated once at each step end.  A step whose value
@@ -152,12 +152,8 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig,
     budget = cfg.max_steps if max_steps is None else max_steps
     failure: list[BaseException] = []
     nan = np.full(n, np.nan)
-    # the slopes of a stage: one buffer per run, filled element-wise at
-    # n <= 3 and copied by the compiled wrapper, which would rebuild a
-    # returned tuple into a new array on every call.  Each n has its own
-    # callback, which stops calling the field once it has raised (the
-    # exception is re-raised after the run); unpacking, or the length
-    # check at n >= 4, rejects a wrong number of values
+    # the compiled wrapper would rebuild a returned tuple into a new array
+    # on every call; it copies this buffer instead
     out = np.empty(n)
     if n == 1:
         def fcn(t, y):
@@ -175,16 +171,6 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig,
                 return nan
             try:
                 out[0], out[1] = field(y, t)
-                return out
-            except Exception as exc:
-                failure.append(exc)
-                return nan
-    elif n == 3:
-        def fcn(t, y):
-            if failure:
-                return nan
-            try:
-                out[0], out[1], out[2] = field(y, t)
                 return out
             except Exception as exc:
                 failure.append(exc)

@@ -4,8 +4,7 @@ All are built in adapted coordinates (the first state component is the
 surface function), so every layer operation applies directly.  The relay
 circuit keeps its physical (I, V) variables behind a coordinate map.
 Each is its ``fused`` evaluator alone, which returns a tuple of Python
-floats per call: the cheapest value to build, whose two floats the
-integrator stores into a float64 buffer of its own (see ``SwitchedField``).
+floats per call, the cheapest value to return (see ``SwitchedField``).
 """
 
 from __future__ import annotations

@@ -700,12 +700,14 @@ class TestSlidingRobustness:
         traj = integrate_hybrid(sys, np.array(x0), (0.0, 2.0), IntegratorConfig(max_step=0.05))
         assert_complete(traj, 2.0)
 
-    @pytest.mark.parametrize("draw", [35, 47])
-    def test_secant_step_below_one_ulp_converges(self, draw):
+    @pytest.mark.parametrize("draw,as_tuple", [(35, True), (47, True), (35, False)],
+                             ids=["35-tuple", "47-tuple", "35-array"])
+    def test_secant_step_below_one_ulp_converges(self, draw, as_tuple):
         # f = sum_k lam^k (A_k x + B_k), k = 0..3, dim 2 on even draws and 3
         # on odd ones, all N(0, 1) from one stream.  These unstable flows
         # slide at |x| ~ 1e5, where f1's rounding floor lies above the root
-        # tolerance and the secant step f1/slope falls below one ulp of lam
+        # tolerance and the secant step f1/slope falls below one ulp of lam.
+        # A float64 array return used to give a 0/0 slope there, not a crash
         rng = np.random.default_rng(7)
         for k in range(draw + 1):  # every earlier draw, in order, from the seed
             d = 2 if k % 2 == 0 else 3
@@ -713,7 +715,8 @@ class TestSlidingRobustness:
             x0 = rng.standard_normal(d)
 
         def fused(x, t, lam):
-            return tuple(sum(lam ** k * (A[k] @ x + B[k]) for k in range(4)).tolist())
+            v = sum(lam ** k * (A[k] @ x + B[k]) for k in range(4))
+            return tuple(v.tolist()) if as_tuple else v
 
         traj = integrate_hybrid(SwitchedField(dim=d, fused=fused), x0, (0.0, 5.0),
                                 IntegratorConfig(max_step=0.05, max_steps=200_000))
