@@ -34,12 +34,7 @@ from itertools import repeat
 import numpy as np
 
 from .core import SwitchedField
-from .integrate import (
-    IntegrationError,
-    IntegratorConfig,
-    TrajectorySegment,
-    integrate_regularized,
-)
+from .integrate import IntegrationError, IntegratorConfig, integrate_regularized
 from .layer import (
     DegenerateInclusionError,
     HybridTrajectory,
@@ -225,15 +220,9 @@ class RunConfig:
 # -- trajectory table ---------------------------------------------------
 
 
-def _segments_of(result) -> list[TrajectorySegment]:
-    if isinstance(result, HybridTrajectory):
-        return result.segments
-    return [result]
-
-
-def trajectory_table(result) -> tuple[list[str], list[tuple]]:
+def trajectory_table(result: HybridTrajectory) -> tuple[list[str], list[tuple]]:
     """Flatten segments to rows (t, regime, x1..xn, lambda), lambda nan if untracked."""
-    segs = _segments_of(result)
+    segs = result.segments
     n = segs[0].x.shape[1]
     header = ["t", "regime"] + [f"x{i+1}" for i in range(n)] + ["lambda"]
     rows = []
@@ -267,16 +256,20 @@ def write_table(path: str, header: list[str], rows: list, fmt: str) -> None:
         fh.write(text)
 
 
-def run_simulation(cfg: RunConfig):
+def run_simulation(cfg: RunConfig) -> HybridTrajectory:
+    """The configured run as a HybridTrajectory: a regularized or
+    layer_only run is one segment with no transitions."""
     sys_, x0, icfg = cfg.system, cfg.x0, cfg.integrator
     if x0 is None:
         raise ConfigError("config needs initial_state (or initial_iv)")
     if cfg.mode == "hybrid":
         return integrate_hybrid(sys_, x0, cfg.t_span, icfg, eps_layer=cfg.eps_layer)
     if cfg.mode == "regularized":
-        return integrate_regularized(sys_, cfg.sigmoid, x0, cfg.t_span, icfg)
-    return integrate_layer_only(sys_, x0[0], x0[1:], cfg.t_span, icfg,
-                                eps_layer=cfg.eps_layer)
+        seg = integrate_regularized(sys_, cfg.sigmoid, x0, cfg.t_span, icfg)
+    else:
+        seg = integrate_layer_only(sys_, x0[0], x0[1:], cfg.t_span, icfg,
+                                   eps_layer=cfg.eps_layer)
+    return HybridTrajectory([seg])
 
 
 def amplitude_of(result, window: tuple[float, float], average: float = 0.0) -> dict:
@@ -285,13 +278,13 @@ def amplitude_of(result, window: tuple[float, float], average: float = 0.0) -> d
     Raw (in-layer ripple included), or ripple-averaged with ``average`` >
     0; n_samples, lambda_min and lambda_max are of the raw samples.
     """
-    segs = [seg for seg in _segments_of(result) if seg.lam is not None]
+    segs = [seg for seg in result.segments if seg.lam is not None]
     if not segs:
         raise ConfigError("no multiplier samples in the trajectory")
     t = np.concatenate([seg.t for seg in segs])
     lam = np.concatenate([seg.lam for seg in segs])
     lo, hi = window
-    if lo < t[0] - 1e-9 or hi > t[-1] + 1e-9 or hi <= lo:
+    if lo < t[0] - 1e-9 or hi > t[-1] + 1e-9:
         raise ConfigError(f"window {window} outside the simulated span")
     try:
         amp = layer_amplitude(t, lam, window, average)
@@ -347,15 +340,13 @@ def cmd_sweep(doc: dict, parameter: str, values: list, out: str | None,
             amp = amplitude_of(result, window)["amplitude"]
         except ConfigError:
             amp = None
-        kinds = ([kind for _, kind in result.transitions]
-                 if isinstance(result, HybridTrajectory) else [])
-        segs = _segments_of(result)
+        kinds = [kind for _, kind in result.transitions]
         summary.append({
             "parameter": parameter,
             "value": value,
             "file": path,
-            "final_t": segs[-1].t_final,
-            "final_state": [float(v) for v in segs[-1].x_final],
+            "final_t": result.t_final,
+            "final_state": [float(v) for v in result.x_final],
             "post_transient_amplitude": amp,
             "stick_count": kinds.count("stick"),
             "cross_count": sum(kind.startswith("cross") for kind in kinds),
@@ -368,8 +359,11 @@ def cmd_sweep(doc: dict, parameter: str, values: list, out: str | None,
 
 def cmd_amplitude(cfg: RunConfig, window: tuple[float, float],
                   out: str | None, average: float | None = None) -> int:
-    if average is not None and not average > 0:
-        raise ConfigError("--average must be a positive span")
+    lo, hi = window
+    if not -math.inf < lo < hi < math.inf:  # False for NaN
+        raise ConfigError(f"--window must be finite times T_LO < T_HI, got {lo} {hi}")
+    if average is not None and not 0.0 < average < hi - lo:  # False for NaN
+        raise ConfigError(f"--average must be positive and shorter than the window, got {average}")
     if out:
         cfg.target(out, None)  # its directory exists
     report = amplitude_of(run_simulation(cfg), window, average or 0.0)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -43,6 +43,13 @@ class GrazeWarning(UserWarning):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Tolerances, step cap and step budget of an integrator run.
+
+    ``max_steps`` bounds the accepted steps of each integrator run;
+    rejected steps do not count.  The band parts of one regularized run
+    share one budget; each phase of a hybrid run gets a fresh one.
+    """
+
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_step: float = 1e-2
@@ -117,7 +124,7 @@ _running = False
 
 def _solve(field, x0, t_span, cfg: IntegratorConfig,
            event: Callable[[float, np.ndarray], float] | None = None,
-           max_step=None, max_steps=None, method="dopri5") -> _Run:
+           method="dopri5") -> _Run:
     """Integrate dx/dt = field(x, t) on Hairer's compiled DOPRI5 or DOP853.
 
     Every accepted step is recorded into float64 buffers (``array("d")``),
@@ -137,10 +144,10 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig,
     the last sample satisfies the event to rounding level.  ``event`` may
     get the solver's own state array, which is valid only during the
     call.  Exceptions raised by the field or the event end the run and
-    are re-raised here; the step budget is ``max_steps`` (default
-    ``cfg.max_steps``) accepted steps.  ``method`` names the step loop,
-    ``"dopri5"`` or ``"dop853"``; both take the same tolerances,
-    ``max_step`` and budget.  Neither code is re-entrant, so no run may be
+    are re-raised here.  Tolerances, step cap and budget come from
+    ``cfg``; the budget counts accepted steps, and a run that needs more
+    raises IntegrationError.  ``method`` names the step loop, ``"dopri5"``
+    or ``"dop853"``.  Neither code is re-entrant, so no run may be
     started from inside a field or an event function.
     """
     global _running
@@ -149,7 +156,7 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig,
     t0, t1 = float(t_span[0]), float(t_span[1])
     y0 = np.array(x0, dtype=float)
     n = y0.size
-    budget = cfg.max_steps if max_steps is None else max_steps
+    budget = cfg.max_steps
     failure: list[BaseException] = []
     nan = np.full(n, np.nan)
     # the compiled wrapper would rebuild a returned tuple into a new array
@@ -220,10 +227,10 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig,
             failure.append(exc)
             return -1
 
+    # nsteps would count rejected steps too; solout alone enforces the budget
     solver = ode(fcn).set_integrator(
-        method, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-        max_step=cfg.max_step if max_step is None else max_step,
-        nsteps=min(budget + 1, 2**31 - 1))
+        method, rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
+        nsteps=2**31 - 1)
     solver.set_solout(solout)
     solver.set_initial_value(y0, t0)
     # IWORK(4) < 0 switches off the stiffness interrupt: the layer
@@ -340,10 +347,12 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
     steps_left = cfg.max_steps
     inside = in_band(x_now, t_now)
     while True:
+        if steps_left < 1:
+            raise IntegrationError(f"step budget of {cfg.max_steps} exceeded")
         side = 1.0 if x_now[0] > 0.0 else -1.0
-        run = _solve(field, x_now, (t_now, t_end), cfg, leave if inside else enter,
-                     max_step=min(cfg.max_step, eps / 4.0) if inside else cfg.max_step,
-                     max_steps=steps_left)
+        part = replace(cfg, max_step=min(cfg.max_step, eps / 4.0) if inside else cfg.max_step,
+                       max_steps=steps_left)
+        run = _solve(field, x_now, (t_now, t_end), part, leave if inside else enter)
         steps_left -= run.t.size - 1
         keep = slice(0, None) if not t_parts else slice(1, None)
         t_parts.append(run.t[keep])

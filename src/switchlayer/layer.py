@@ -322,15 +322,10 @@ def find_layer_equilibria(sys: SwitchedField, search_box) -> list[LayerEquilibri
         _check_rows_finite(Fz, Z)
         J = _layer_jacobians(F, Z)
         _check_rows_finite(J, Z)
-        try:
-            step = np.linalg.solve(J, Fz[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:  # solve seed by seed; a singular one gets nan
-            step = np.full_like(Fz, np.nan)
-            for k in range(len(Z)):
-                try:
-                    step[k] = np.linalg.solve(J[k], Fz[k])
-                except np.linalg.LinAlgError:
-                    pass
+        # slogdet's sign is 0 exactly where solve would raise: both factor with getrf
+        ok = np.linalg.slogdet(J)[0] != 0
+        step = np.full_like(Fz, np.nan)
+        step[ok] = np.linalg.solve(J[ok], Fz[ok][:, :, None])[:, :, 0]
         keep = np.isfinite(step).all(axis=1) & (np.linalg.norm(step, axis=1) <= 1e6)
         Z, seed = (Z - step)[keep], seed[keep]
 

@@ -39,18 +39,15 @@ class SigmoidSpec:
 
     # -- evaluation -----------------------------------------------------
 
-    def evaluate(self, v):
+    def __call__(self, v):
         """phi_eps(v), vectorized over v: ``scalar_fn()`` elementwise."""
         out = np.vectorize(self.scalar_fn(), otypes=[float])(np.asarray(v, dtype=float))
         return out if out.ndim else float(out)
 
-    def __call__(self, v):
-        return self.evaluate(v)
-
     def scalar_fn(self):
         """Return a validation-free scalar closure phi_eps(v).
 
-        The one statement of each formula: ``evaluate`` applies it
+        The one statement of each formula: calling the spec applies it
         elementwise, and integrator hot loops call it per step.
         """
         e = self.eps

@@ -433,7 +433,7 @@ class TestAmplitude:
         doc = base_config(scenario="duffing", mode="layer_only", t_span=[0.0, 8.0],
                           initial_state=[0.0, 0.0], eps_layer=1e-3)
         cfg = write_config(tmp_path / "c.json", doc)
-        seg = run_simulation(RunConfig.parse(doc))
+        (seg,) = run_simulation(RunConfig.parse(doc)).segments
         window = ["4.0", "8.0"]
         assert main(["amplitude", "--config", cfg, "--window", *window]) == 0
         raw = json.loads(capsys.readouterr().out)
@@ -449,12 +449,23 @@ class TestAmplitude:
         assert {k: raw[k] for k in ("n_samples", "lambda_min", "lambda_max")} == {
             k: report[k] for k in ("n_samples", "lambda_min", "lambda_max")}
 
-    # not positive, or longer than the window (0.4, 1.0)
-    @pytest.mark.parametrize("span", ["0", "-0.3", "0.7"])
-    def test_unusable_average_exits_2(self, tmp_path, span):
+    # not positive, not finite, or not shorter than the window (0.4, 1.0)
+    @pytest.mark.parametrize("span", ["0", "-0.3", "0.7", "0.6", "inf", "nan"])
+    def test_unusable_average_exits_2(self, tmp_path, capsys, monkeypatch, span):
+        monkeypatch.setattr(cli, "run_simulation", _not_called)
         cfg = write_config(tmp_path / "c.json", base_config())
         assert main(["amplitude", "--config", cfg, "--window", "0.4", "1.0",
                      "--average", span]) == 2
+        assert "--average" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", [["nan", "1.0"], ["0.4", "inf"], ["1.0", "0.4"],
+                                        ["0.4", "0.4"]],
+                             ids=["nan", "inf", "reversed", "empty"])
+    def test_unusable_window_exits_2(self, tmp_path, capsys, monkeypatch, window):
+        monkeypatch.setattr(cli, "run_simulation", _not_called)
+        cfg = write_config(tmp_path / "c.json", base_config())
+        assert main(["amplitude", "--config", cfg, "--window", *window]) == 2
+        assert "--window" in capsys.readouterr().err
 
 
 class TestSliding:

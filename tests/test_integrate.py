@@ -13,6 +13,7 @@ from switchlayer import (
     DimensionMismatchError,
     DuffingParams,
     GrazeWarning,
+    HybridTrajectory,
     IntegratorConfig,
     SigmoidSpec,
     TrajectorySegment,
@@ -74,7 +75,7 @@ class TestTrajectorySegment:
     def test_list_lam_converted(self):
         seg = TrajectorySegment([0, 1, 2], [[0], [1], [2]], "free_plus", lam=[0.1, 0, 1])
         assert seg.lam.dtype == np.float64
-        _, rows = trajectory_table(seg)
+        _, rows = trajectory_table(HybridTrajectory([seg]))
         assert [row[-1] for row in rows] == [0.1, 0.0, 1.0]
 
     def test_final_accessors(self):
@@ -130,6 +131,23 @@ class TestIntegrateSmooth:
         cfg = IntegratorConfig(max_step=0.01, max_steps=50)
         with pytest.raises(IntegrationError, match="step budget"):
             _solve(lambda x, t: -x, np.array([1.0, 1.0]), (0.0, 1.0), cfg)
+
+    def test_budget_counts_accepted_steps_only(self):
+        # this run rejects steps on its way, and they must not count
+        def field(x, t):
+            return (-50.0 * (x[0] - math.sin(20.0 * t)),)
+
+        def run(**budget):
+            return _solve(field, np.array([1.0]), (0.0, 2.0),
+                          IntegratorConfig(max_step=1.0, **budget))
+
+        free = run()
+        n = free.t.size - 1
+        exact = run(max_steps=n)
+        np.testing.assert_array_equal(exact.t, free.t)
+        np.testing.assert_array_equal(exact.y, free.y)
+        with pytest.raises(IntegrationError, match=f"^step budget of {n - 1} exceeded$"):
+            run(max_steps=n - 1)
 
     def test_nested_run_rejected(self):
         def field(x, t):
@@ -387,6 +405,18 @@ class TestIntegrateRegularized:
         inside = np.abs(seg.x[:, 0]) < sig.eps * 0.999
         assert np.diff(seg.t)[inside[:-1] & inside[1:]].max() <= sig.eps / 4 + 1e-12
         assert np.diff(seg.t).max() > sig.eps
+
+    def test_band_parts_share_the_budget(self):
+        # the first part runs up to the band edge x1 = -eps; a budget of
+        # its steps leaves the band part none
+        sys = tautology([1.0, 0.0], [1.0, 0.0])
+        sig = SigmoidSpec("tanh", eps=1e-3)
+        seg = integrate_regularized(sys, sig, np.array([-0.5, 0.0]), (0.0, 1.0))
+        first = int(np.argmax(np.abs(seg.x[:, 0]) <= sig.eps * (1 + 1e-12)))
+        assert 0 < first < seg.t.size - 1
+        with pytest.raises(IntegrationError, match=f"^step budget of {first} exceeded$"):
+            integrate_regularized(sys, sig, np.array([-0.5, 0.0]), (0.0, 1.0),
+                                  IntegratorConfig(max_steps=first))
 
     @pytest.mark.parametrize("x0, flow", [(-0.5, 1.0), (0.5, -1.0)])
     def test_band_leaped_from_either_side(self, x0, flow):

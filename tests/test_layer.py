@@ -624,6 +624,32 @@ def assert_complete(traj, t_end):
         assert nxt.t[0] == prev.t_final
 
 
+def recipe_draw(draw):
+    """(A, B, x0) of draw ``draw`` of one default_rng(7) stream.
+
+    Every earlier draw is taken in order from the seed.  Dim 2 on even
+    draws and 3 on odd ones; A_k, B_k (k = 0..3) and x0 all N(0, 1).
+    """
+    rng = np.random.default_rng(7)
+    for k in range(draw + 1):
+        d = 2 if k % 2 == 0 else 3
+        A, B = rng.standard_normal((4, d, d)), rng.standard_normal((4, d))
+        x0 = rng.standard_normal(d)
+    return A, B, x0
+
+
+def recipe_field(A, B, as_tuple=True):
+    """The field f = sum_k lam^k (A_k x + B_k), k = 0..3."""
+    def fused(x, t, lam):
+        v = sum(lam ** k * (A[k] @ x + B[k]) for k in range(4))
+        return tuple(v.tolist()) if as_tuple else v
+
+    return SwitchedField(dim=len(B[0]), fused=fused)
+
+
+RECIPE_CFG = IntegratorConfig(max_step=0.05, max_steps=200_000)
+
+
 class TestSlidingRobustness:
     def test_random_affine_systems_complete(self):
         # the slides of draws 32, 66, 90 and 130 end at a fold of the root
@@ -703,25 +729,26 @@ class TestSlidingRobustness:
     @pytest.mark.parametrize("draw,as_tuple", [(35, True), (47, True), (35, False)],
                              ids=["35-tuple", "47-tuple", "35-array"])
     def test_secant_step_below_one_ulp_converges(self, draw, as_tuple):
-        # f = sum_k lam^k (A_k x + B_k), k = 0..3, dim 2 on even draws and 3
-        # on odd ones, all N(0, 1) from one stream.  These unstable flows
-        # slide at |x| ~ 1e5, where f1's rounding floor lies above the root
-        # tolerance and the secant step f1/slope falls below one ulp of lam.
-        # A float64 array return used to give a 0/0 slope there, not a crash
-        rng = np.random.default_rng(7)
-        for k in range(draw + 1):  # every earlier draw, in order, from the seed
-            d = 2 if k % 2 == 0 else 3
-            A, B = rng.standard_normal((4, d, d)), rng.standard_normal((4, d))
-            x0 = rng.standard_normal(d)
-
-        def fused(x, t, lam):
-            v = sum(lam ** k * (A[k] @ x + B[k]) for k in range(4))
-            return tuple(v.tolist()) if as_tuple else v
-
-        traj = integrate_hybrid(SwitchedField(dim=d, fused=fused), x0, (0.0, 5.0),
-                                IntegratorConfig(max_step=0.05, max_steps=200_000))
+        # These unstable flows slide at |x| ~ 1e5, where f1's rounding
+        # floor lies above the root tolerance and the secant step f1/slope
+        # falls below one ulp of lam.  A float64 array return used to give
+        # a 0/0 slope there, not a crash
+        A, B, x0 = recipe_draw(draw)
+        traj = integrate_hybrid(recipe_field(A, B, as_tuple), x0, (0.0, 5.0), RECIPE_CFG)
         assert traj.t_final == 5.0
         assert "sliding" in [s.regime for s in traj.segments]
+        for prev, nxt in zip(traj.segments, traj.segments[1:]):
+            assert np.abs(nxt.x[0] - prev.x_final).max() <= 1e-6
+
+    @pytest.mark.parametrize("draw", range(60))
+    def test_recipe_draws_end_or_raise_typed(self, draw):
+        # a run ends at t_end or with one of the library's typed errors
+        A, B, x0 = recipe_draw(draw)
+        try:
+            traj = integrate_hybrid(recipe_field(A, B), x0, (0.0, 5.0), RECIPE_CFG)
+        except (IntegrationError, NonFiniteFieldError, DegenerateInclusionError):
+            return
+        assert traj.t_final == 5.0
         for prev, nxt in zip(traj.segments, traj.segments[1:]):
             assert np.abs(nxt.x[0] - prev.x_final).max() <= 1e-6
 
