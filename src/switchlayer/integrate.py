@@ -13,6 +13,15 @@ localized inside the step on the cubic Hermite interpolant (ibid.,
 sec. II.6).  Regularized systems replace the discontinuous multiplier by
 a sigmoid of the surface function and are integrated as a single smooth
 system, with the step size capped at eps/4 inside the transition band.
+
+The step loop calls back into Python at every stage.  At dimension 2,
+which every scenario has, regularized and layer runs hand ``_solve`` a
+ready stage that calls the system's ``fused`` itself, one frame fewer
+than the generic field path that free flight, sliding and every other
+dimension take; their step counts are fixed by the physics and the
+eps/4 cap, so the cost of a stage is what is left to cut.  Each stage
+catches its own exceptions, because the compiled loop goes on calling
+after a callback raises (see ``_solve``).
 """
 
 from __future__ import annotations
@@ -124,7 +133,7 @@ _running = False
 
 def _solve(field, x0, t_span, cfg: IntegratorConfig,
            event: Callable[[float, np.ndarray], float] | None = None,
-           method="dopri5") -> _Run:
+           method="dopri5", stage=None, taken: int = 0) -> _Run:
     """Integrate dx/dt = field(x, t) on Hairer's compiled DOPRI5 or DOP853.
 
     Every accepted step is recorded into float64 buffers (``array("d")``),
@@ -134,7 +143,16 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig,
     into one float64 buffer of length n, allocated once per run and handed
     to the solver at every stage, which copies it; at n >= 3 the field's
     value is handed over itself.  A field that returns a wrong number of
-    values fails the run with ValueError.  The event, if any, is a function
+    values fails the run with ValueError.  At n == 2 a caller may also
+    hand over ``stage(out, nan, failure)``, which builds the callback
+    ``(t, y)`` the step loop then calls itself in place of ``field``: it
+    writes the slopes into ``out`` and returns it.  Regularized and layer
+    runs do, and so save a Python frame per stage; every other run, and
+    the event localization, calls ``field``.  Each stage callback catches
+    its own exceptions, appends the first to ``failure`` and from then on
+    returns ``nan`` without calling anything: the compiled loop keeps
+    calling after a callback raises, and a raise there ends the run in
+    a chained SystemError.  The event, if any, is a function
     ``event(t, y)`` evaluated once at each step end.  A step whose value
     falls through zero (``g1 <= 0 <= g0`` and ``g0 != g1``) ends the run,
     so a zero at the step start followed by a fall counts as a crossing
@@ -145,10 +163,12 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig,
     get the solver's own state array, which is valid only during the
     call.  Exceptions raised by the field or the event end the run and
     are re-raised here.  Tolerances, step cap and budget come from
-    ``cfg``; the budget counts accepted steps, and a run that needs more
-    raises IntegrationError.  ``method`` names the step loop, ``"dopri5"``
-    or ``"dop853"``.  Neither code is re-entrant, so no run may be
-    started from inside a field or an event function.
+    ``cfg``; the budget counts accepted steps, ``taken`` of which earlier
+    parts of the same run have spent, and a run that needs more raises
+    IntegrationError naming ``cfg.max_steps``, also where the step past
+    the budget would be an event stop.  ``method`` names the step loop,
+    ``"dopri5"`` or ``"dop853"``.  Neither code is re-entrant, so no run
+    may be started from inside a field or an event function.
     """
     global _running
     if _running:
@@ -156,13 +176,15 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig,
     t0, t1 = float(t_span[0]), float(t_span[1])
     y0 = np.array(x0, dtype=float)
     n = y0.size
-    budget = cfg.max_steps
+    budget = cfg.max_steps - taken
     failure: list[BaseException] = []
     nan = np.full(n, np.nan)
     # the compiled wrapper would rebuild a returned tuple into a new array
     # on every call; it copies this buffer instead
     out = np.empty(n)
-    if n == 1:
+    if stage is not None and n == 2:
+        fcn = stage(out, nan, failure)
+    elif n == 1:
         def fcn(t, y):
             if failure:
                 return nan
@@ -204,6 +226,8 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig,
         if t == t0 and len(ts) == 1:
             return 0  # the solver reports the initial point first
         try:
+            if len(ts) > budget:  # this step is one past the budget
+                raise IntegrationError(f"step budget of {cfg.max_steps} exceeded")
             if event is not None:
                 g0 = g_prev
                 g_prev = g1 = event(t, y)
@@ -220,8 +244,6 @@ def _solve(field, x0, t_span, cfg: IntegratorConfig,
                     return -1
             ts.append(t)
             flat.frombytes(y.tobytes())
-            if len(ts) - 1 > budget:
-                raise IntegrationError(f"step budget of {budget} exceeded")
             return 0
         except Exception as exc:
             failure.append(exc)
@@ -325,6 +347,21 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
     def field(x, t):
         return fused(x, t, lam_of(x.item(0)))
 
+    def stage(out, nan, failure):
+        # field's body, called by the step loop itself at dim 2 (see _solve)
+        mv = memoryview(out)  # stores a float in half the time out[i] takes
+
+        def fcn(t, y):
+            if failure:
+                return nan
+            try:
+                mv[0], mv[1] = fused(y, t, lam_of(y.item(0)))
+                return out
+            except Exception as exc:
+                failure.append(exc)
+                return nan
+        return fcn
+
     # a run inside ends where |x1| reaches eps; a run outside where x1
     # passes the edge on its starting side, since one step may leap the
     # whole band and |x1| - eps would miss that
@@ -344,16 +381,14 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
         return v0 * field(x, t)[0] < 0
 
     t_parts, x_parts = [], []
-    steps_left = cfg.max_steps
+    taken = 0  # steps of the budget the earlier parts spent
     inside = in_band(x_now, t_now)
     while True:
-        if steps_left < 1:
-            raise IntegrationError(f"step budget of {cfg.max_steps} exceeded")
         side = 1.0 if x_now[0] > 0.0 else -1.0
-        part = replace(cfg, max_step=min(cfg.max_step, eps / 4.0) if inside else cfg.max_step,
-                       max_steps=steps_left)
-        run = _solve(field, x_now, (t_now, t_end), part, leave if inside else enter)
-        steps_left -= run.t.size - 1
+        part = replace(cfg, max_step=min(cfg.max_step, eps / 4.0)) if inside else cfg
+        run = _solve(field, x_now, (t_now, t_end), part, leave if inside else enter,
+                     stage=stage, taken=taken)
+        taken += run.t.size - 1
         keep = slice(0, None) if not t_parts else slice(1, None)
         t_parts.append(run.t[keep])
         x_parts.append(run.y[keep])

@@ -502,11 +502,30 @@ def _integrate_layer(sys, lam0, x_rest0, t_span, cfg, eps_layer):
         lam = z.item(0)
         for i in rest:
             x[i] = z.item(i)
-        F = fused(x, t, -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam))
-        return (F[0] / eps_layer, *F[1:])
+        f1, *f_rest = fused(x, t, -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam))
+        return (f1 / eps_layer, *f_rest)
+
+    def stage(out, nan, failure):
+        # rhs's body at dim 2, called by the step loop itself (see _solve)
+        mv = memoryview(out)
+
+        def fcn(t, z):
+            if failure:
+                return nan
+            try:
+                lam = z.item(0)
+                x[1] = z.item(1)
+                f1, mv[1] = fused(x, t, -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam))
+                mv[0] = f1 / eps_layer
+                return out
+            except Exception as exc:
+                failure.append(exc)
+                return nan
+        return fcn
 
     z0 = np.concatenate(([lam0], x_rest0))
-    run = _solve(rhs, z0, t_span, cfg, lambda t, z: 1.0 - abs(z.item(0)), method="dop853")
+    run = _solve(rhs, z0, t_span, cfg, lambda t, z: 1.0 - abs(z.item(0)),
+                 method="dop853", stage=stage)
     # lam is copied out; the run's own array, its column 0 zeroed, is x
     lam = run.y[:, 0].copy()
     run.y[:, 0] = 0.0

@@ -16,6 +16,7 @@ from switchlayer import (
     HybridTrajectory,
     IntegratorConfig,
     SigmoidSpec,
+    SwitchedField,
     TrajectorySegment,
     advance_to_surface,
     circuit_iv_to_state,
@@ -149,6 +150,19 @@ class TestIntegrateSmooth:
         with pytest.raises(IntegrationError, match=f"^step budget of {n - 1} exceeded$"):
             run(max_steps=n - 1)
 
+    def test_event_stop_past_the_budget_rejected(self):
+        # x = 1 - t reaches the event x = 0 on step 11: the budget is tested
+        # before the event, so a budget of 10 cannot end on that stop
+        def run(max_steps):
+            return _solve(lambda x, t: (-1.0,), np.array([1.0]), (0.0, 2.0),
+                          IntegratorConfig(max_step=0.1, max_steps=max_steps),
+                          lambda t, y: y.item(0))
+
+        hit = run(11)
+        assert hit.stopped and hit.t.size - 1 == 11
+        with pytest.raises(IntegrationError, match="^step budget of 10 exceeded$"):
+            run(10)
+
     def test_nested_run_rejected(self):
         def field(x, t):
             _solve(lambda y, s: -y, x, (0.0, 0.1), IntegratorConfig())
@@ -182,6 +196,7 @@ class TestFieldValues:
 
     CFG = IntegratorConfig(max_step=0.05)
     DIMS = [1, 2, 3, 4]
+    KINDS = ["regularized", "layer_only"]
 
     @staticmethod
     def rotation(n):
@@ -225,6 +240,124 @@ class TestFieldValues:
         with pytest.raises(KeyError, match="field failed"):
             _solve(field, np.ones(n), (0.0, 1.0), self.CFG)
         assert calls[-1] > 0.5 and all(t <= 0.5 for t in calls[:-1])
+
+    # the same three checks on the run kinds that hand _solve a ready
+    # stage at dim 2, and its generic field path at every other dim
+
+    @staticmethod
+    def run_kind(kind, n, fused, t_end=3.0):
+        sys = SwitchedField(dim=n, fused=fused, time_dependent=True)
+        if kind == "regularized":
+            return integrate_regularized(sys, SigmoidSpec("tanh", eps=0.1),
+                                         np.linspace(0.05, 0.3, n), (0.0, t_end),
+                                         TestFieldValues.CFG)
+        return integrate_layer_only(sys, 0.2, np.linspace(0.1, 0.3, n)[1:], (0.0, t_end),
+                                    TestFieldValues.CFG, eps_layer=1.0)
+
+    @pytest.mark.parametrize("n", DIMS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_run_kind_return_types_give_identical_runs(self, kind, n):
+        # x1 (the layer: lam) is pulled back by -4 lam, so lam stays in (-1, 1)
+        A = self.rotation(n)
+
+        def field(as_):
+            def fused(x, t, lam):
+                v = A @ x + np.sin(t)
+                v[0] -= 4.0 * lam
+                return as_(v)
+            return fused
+
+        shapes = [lambda v: tuple(v.tolist()), lambda v: v.tolist(), lambda v: v, tuple]
+        runs = [self.run_kind(kind, n, field(as_)) for as_ in shapes]
+        assert runs[0].t_final == 3.0 and runs[0].t.size > 60
+        for run in runs[1:]:
+            for a, b in ((run.t, runs[0].t), (run.x, runs[0].x), (run.lam, runs[0].lam)):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", DIMS)
+    @pytest.mark.parametrize("extra", [1, -1], ids=["one_more", "one_less"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_run_kind_wrong_number_of_values_rejected(self, kind, n, extra):
+        def fused(x, t, lam):
+            return tuple(-x.tolist()[0] - lam for _ in range(n + extra))
+
+        with pytest.raises(ValueError, match="values"):
+            self.run_kind(kind, n, fused, t_end=1.0)
+
+    @pytest.mark.parametrize("n", DIMS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_run_kind_field_not_called_after_it_raises(self, kind, n):
+        calls, boom = [], KeyError("field failed")
+
+        def fused(x, t, lam):
+            calls.append(t)
+            if t > 0.5:
+                raise boom
+            return tuple(-x - lam)
+
+        with pytest.raises(KeyError) as err:
+            self.run_kind(kind, n, fused, t_end=1.0)
+        assert err.value is boom
+        assert calls[-1] > 0.5 and all(t <= 0.5 for t in calls[:-1])
+
+
+def _field_path_layer_rhs(sys, eps_layer):
+    """The layer's field as _solve's generic path called it, for an oracle."""
+    fused, x = sys.fused, np.zeros(sys.dim)
+    rest = range(1, sys.dim)
+
+    def rhs(z, t):
+        lam = z.item(0)
+        for i in rest:
+            x[i] = z.item(i)
+        F = fused(x, t, -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam))
+        return (F[0] / eps_layer, *F[1:])
+
+    return rhs
+
+
+class TestReadyStages:
+    """At dim 2 the ready stages give the very runs of the field path."""
+
+    CFG = IntegratorConfig(rel_tol=1e-5, abs_tol=1e-8, max_step=0.05)
+
+    @pytest.mark.parametrize("sys, eps_layer, t_end", [
+        (make_duffing(DuffingParams()), 1e-3, 20.0),
+        (make_duffing(DuffingParams(variant="linear")), 1e-2, 20.0),
+        (tautology([1.0, 0.5], [1.0, -0.5]), 1e-2, 1.0),  # leaves at lam = 1, t = 0.01
+    ], ids=["duffing_cubic", "duffing_linear", "exit"])
+    def test_layer_equals_the_field_path(self, sys, eps_layer, t_end):
+        span = (0.0, t_end)
+        seg = integrate_layer_only(sys, 0.0, [0.0], span, self.CFG, eps_layer=eps_layer)
+        ref = _solve(_field_path_layer_rhs(sys, eps_layer), np.zeros(2), span,
+                     self.CFG, lambda t, z: 1.0 - abs(z.item(0)), method="dop853")
+        assert seg.t.size > 3 and (seg.t_final == t_end) != ref.stopped
+        assert np.array_equal(seg.t, ref.t)
+        assert np.array_equal(seg.lam, ref.y[:, 0])
+        assert np.array_equal(seg.x[:, 1], ref.y[:, 1]) and not seg.x[:, 0].any()
+
+    @pytest.mark.parametrize("sys, sig, x0", [
+        (make_duffing(DuffingParams()), SigmoidSpec("piecewise_linear", eps=1e-2),
+         [0.005, 0.0]),
+        (tautology([1.0, 0.0], [1.0, 0.0]), SigmoidSpec("tanh", eps=1e-3), [-0.5, 0.0]),
+    ], ids=["duffing", "band_crossing"])
+    def test_regularized_equals_the_field_path(self, monkeypatch, sys, sig, x0):
+        span = (0.0, 20.0)
+        seg = integrate_regularized(sys, sig, x0, span, self.CFG)
+        fused, lam_of = sys.fused, sig.scalar_fn()
+
+        def field(x, t):
+            return fused(x, t, lam_of(x.item(0)))
+
+        def field_path(_, *args, stage=None, **kwargs):
+            assert stage is not None  # the regularized run hands over its stage
+            return _solve(field, *args, **kwargs)
+
+        monkeypatch.setattr("switchlayer.integrate._solve", field_path)
+        ref = integrate_regularized(sys, sig, x0, span, self.CFG)
+        assert seg.t.size > 100
+        for a, b in ((seg.t, ref.t), (seg.x, ref.x), (seg.lam, ref.lam)):
+            assert np.array_equal(a, b)
 
 
 class TestEvents:
@@ -417,6 +550,16 @@ class TestIntegrateRegularized:
         with pytest.raises(IntegrationError, match=f"^step budget of {first} exceeded$"):
             integrate_regularized(sys, sig, np.array([-0.5, 0.0]), (0.0, 1.0),
                                   IntegratorConfig(max_steps=first))
+
+    def test_later_band_part_names_the_configured_budget(self):
+        # the run takes 110 steps in three parts; the last part runs out
+        sys = tautology([1.0, 0.0], [1.0, 0.0])
+        sig = SigmoidSpec("tanh", eps=1e-3)
+        seg = integrate_regularized(sys, sig, np.array([-0.5, 0.0]), (0.0, 1.0))
+        assert seg.t.size - 1 == 110
+        with pytest.raises(IntegrationError, match="^step budget of 109 exceeded$"):
+            integrate_regularized(sys, sig, np.array([-0.5, 0.0]), (0.0, 1.0),
+                                  IntegratorConfig(max_steps=109))
 
     @pytest.mark.parametrize("x0, flow", [(-0.5, 1.0), (0.5, -1.0)])
     def test_band_leaped_from_either_side(self, x0, flow):
