@@ -232,26 +232,27 @@ def trajectory_table(result: HybridTrajectory) -> tuple[list[str], list[tuple]]:
     return header, rows
 
 
+def _json_text(doc) -> str:
+    """The JSON text of every document the CLI writes."""
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
 def write_table(path: str, header: list[str], rows: list, fmt: str) -> None:
     """Write rows as CSV or JSON.
 
-    A CSV row is formatted by one ``%`` template per sequence of value
-    types: ``%s`` for a str (or a subclass), ``%.17g`` for anything else.
+    Every row of a table has the header's columns, each column one kind:
+    str (or a subclass) or number.  One ``%`` template, built from the
+    first row, formats every CSV row: ``%s`` for a str, ``%.17g`` for
+    anything else.  A row of another length raises TypeError.
     """
     if fmt == "csv":
-        templates = {}
         lines = [",".join(header)]
-        for row in rows:
-            kinds = tuple(map(type, row))
-            template = templates.get(kinds)
-            if template is None:
-                template = templates[kinds] = ",".join(
-                    "%s" if issubclass(kind, str) else "%.17g" for kind in kinds)
-            lines.append(template % tuple(row))
+        if rows:
+            template = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0])
+            lines += [template % tuple(row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:  # json; RunConfig.parse and --format admit only FORMATS
-        text = json.dumps({"columns": header, "rows": rows}, indent=1,
-                          sort_keys=True, allow_nan=True) + "\n"
+        text = _json_text({"columns": header, "rows": rows})
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -352,8 +353,7 @@ def cmd_sweep(doc: dict, parameter: str, values: list, out: str | None,
             "cross_count": sum(kind.startswith("cross") for kind in kinds),
         })
     with open(f"{stem}_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(summary))
     return 0
 
 
@@ -367,7 +367,7 @@ def cmd_amplitude(cfg: RunConfig, window: tuple[float, float],
     if out:
         cfg.target(out, None)  # its directory exists
     report = amplitude_of(run_simulation(cfg), window, average or 0.0)
-    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
+    text = _json_text(report)
     if out:
         with open(out, "w") as fh:
             fh.write(text)

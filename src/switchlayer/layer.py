@@ -493,15 +493,12 @@ def _integrate_layer(sys, lam0, x_rest0, t_span, cfg, eps_layer):
     Returns (segment, side): side is None at t_end, else lam's exit boundary.
     """
     fused, x = sys.fused, np.zeros(sys.dim)
-    rest = range(1, sys.dim)
 
     def rhs(z, t):
         # the state on the surface is (0, x_rest): x1 of the buffer stays 0;
-        # lam is clipped to the layer; at dim 2 and 3 an element-wise fill
-        # costs less than a slice copy
+        # lam is clipped to the layer
         lam = z.item(0)
-        for i in rest:
-            x[i] = z.item(i)
+        x[1:] = z[1:]
         f1, *f_rest = fused(x, t, -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam))
         return (f1 / eps_layer, *f_rest)
 

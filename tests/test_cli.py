@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from switchlayer import DUFFING_RIPPLE_WINDOW, cli, layer_amplitude
+from switchlayer import DUFFING_RIPPLE_WINDOW, SwitchedField, cli, layer_amplitude
 from switchlayer.cli import (
     ConfigError,
     RunConfig,
@@ -144,13 +144,15 @@ class Tag(str):
 
 
 class TestWriteTable:
-    HEADER = ["a", "b", "c", "d", "e", "f"]
+    # each column one kind, str or number, as in every CLI table
+    HEADER = ["a", "b", "c", "d", "e", "f", "g", "h"]
     ROWS = [
-        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308],
-        [0, -7, 2**70, np.float64(0.1), np.float64(-2.5e-300), np.float64(math.nan)],
-        ("free_plus", Tag("sliding"), 1e-310, -1, 0.30000000000000004, "x,y"),
-        [0.5, "attracting", 3],  # another type signature and length
-        [math.nan, "set_valued", math.nan, math.nan, "saddle", 2.0],
+        ["free_plus", math.nan, math.inf, -math.inf, Tag("sliding"), -0.0, 5e-324,
+         1.7976931348623157e308],
+        ("x,y", 0, -7, 2**70, "saddle", np.float64(0.1), np.float64(-2.5e-300),
+         np.float64(math.nan)),
+        ["set_valued", 1e-310, -1, 0.30000000000000004, "attracting", math.nan, math.nan,
+         2.0],
     ]
 
     def test_csv_matches_per_value_format(self, tmp_path):
@@ -160,6 +162,17 @@ class TestWriteTable:
             ",".join(v if isinstance(v, str) else format(v, ".17g") for v in row)
             for row in self.ROWS]
         assert out.read_text() == "\n".join(want) + "\n"
+
+    @pytest.mark.parametrize("row", [[0.5, "attracting", 3], [*ROWS[2], 1.0]],
+                             ids=["shorter", "longer"])
+    def test_row_of_another_length_raises(self, tmp_path, row):
+        with pytest.raises(TypeError):
+            write_table(str(tmp_path / "t.csv"), self.HEADER, [*self.ROWS, row], "csv")
+
+    def test_csv_of_no_rows_is_its_header(self, tmp_path):
+        out = tmp_path / "t.csv"
+        write_table(str(out), self.HEADER, [], "csv")
+        assert out.read_text() == ",".join(self.HEADER) + "\n"
 
     def test_json_unchanged(self, tmp_path):
         out = tmp_path / "t.json"
@@ -183,6 +196,63 @@ class TestWriteTable:
             assert [type(v) for v in got] == [type(v) for v in row]
             assert [v if isinstance(v, str) else float(v).hex() for v in got] == \
                 [v if isinstance(v, str) else v.hex() for v in row]
+
+
+def _str_columns(header, rows):
+    """The names of the columns whose values are str, the same in every row."""
+    kinds = {tuple(isinstance(v, str) for v in row) for row in rows}
+    assert len(kinds) == 1 and all(len(row) == len(header) for row in rows)
+    return {name for name, is_str in zip(header, kinds.pop()) if is_str}
+
+
+class TestTableColumns:
+    """Every row of a CLI table has its str columns in the same places."""
+
+    RUNS = {
+        "duffing-hybrid": dict(scenario="duffing", initial_state=[0.3, 0.0], t_span=[0, 3]),
+        "circuit-hybrid": dict(scenario={"name": "circuit", "params": {"sigma": 0.5}},
+                               initial_iv=[0.0, 0.0], t_span=[0, 20]),
+        "example2-hybrid": dict(),
+        "regularized": dict(mode="regularized", sigmoid={"kind": "tanh", "eps": 0.1}),
+        "layer_only": dict(scenario="duffing", mode="layer_only", initial_state=[0.0, 0.0]),
+    }
+
+    def test_trajectory_tables(self):
+        regimes = set()
+        for entries in self.RUNS.values():
+            result = run_simulation(RunConfig.parse(base_config(**entries)))
+            regimes |= {seg.regime for seg in result.segments}
+            header, rows = trajectory_table(result)
+            assert _str_columns(header, rows) == {"regime"}
+        assert {"free_plus", "free_minus", "sliding", "layer_transit"} <= regimes
+
+    def _rows(self, monkeypatch, command, system, **entries):
+        tables = []
+        monkeypatch.setattr(cli, "write_table", lambda path, header, rows, fmt:
+                            tables.append((header, rows)))
+        cfg = RunConfig.parse(base_config(**entries))
+        cfg.system = system
+        assert command(cfg, "unused.csv", None) == 0
+        (table,) = tables
+        return table
+
+    def test_sliding_grid_with_set_valued_point(self, monkeypatch):
+        # f1 = x2 (2 lam^2 - 1): two roots off x2 = 0, set-valued on it
+        system = SwitchedField(dim=2, fused=lambda x, t, lam: (
+            x.item(1) * (2.0 * lam * lam - 1.0), 1.0))
+        header, rows = self._rows(monkeypatch, cli.cmd_sliding, system,
+                                  grid={"x_rest": [[-1.0, 1.0, 5]]})
+        assert {row[2] for row in rows} == {"attracting", "repelling", "set_valued"}
+        assert _str_columns(header, rows) == {"stability"}
+
+    def test_equilibria(self, monkeypatch):
+        # rest points at lam = x2 = -+1/sqrt(2)
+        system = SwitchedField(dim=2, fused=lambda x, t, lam: (
+            2.0 * lam * lam - 1.0, x.item(1) - lam))
+        header, rows = self._rows(monkeypatch, cli.cmd_equilibria, system,
+                                  search_box=[[-1.0, 1.0], [-2.0, 2.0]])
+        assert [row[2] for row in rows] == ["saddle", "node"]
+        assert _str_columns(header, rows) == {"classification"}
 
 
 def _not_called(*args, **kwargs):

@@ -300,6 +300,25 @@ class TestFieldValues:
         assert err.value is boom
         assert calls[-1] > 0.5 and all(t <= 0.5 for t in calls[:-1])
 
+    @pytest.mark.parametrize("n", DIMS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_run_kind_field_not_called_after_inner_stage_raises(self, kind, n):
+        # call 1 is the slope at the start and call 2 tries a first step
+        # size, so call 5 is stage 4 of the first step: the step loop
+        # goes on to its later stages regardless of a failed one
+        calls, boom = [], KeyError("field failed")
+
+        def fused(x, t, lam):
+            calls.append(t)
+            if len(calls) >= 5:
+                raise boom
+            return tuple(-x - lam)
+
+        with pytest.raises(KeyError) as err:
+            self.run_kind(kind, n, fused, t_end=1.0)
+        assert err.value is boom
+        assert len(calls) == 5
+
 
 def _field_path_layer_rhs(sys, eps_layer):
     """The layer's field as _solve's generic path called it, for an oracle."""
