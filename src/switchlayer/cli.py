@@ -185,6 +185,8 @@ class RunConfig:
         box = _entry(doc, "search_box", lambda b: [(_finite(lo), _finite(hi)) for lo, hi in b])
         if box is not None and len(box) != dim:
             raise ConfigError(f"search_box must give {dim} (lam, x_rest) intervals")
+        if box is not None and not all(lo <= hi for lo, hi in box):
+            raise ConfigError(f"search_box intervals must have lo <= hi, got {box}")
         path, fmt = _entry(doc, "output", lambda o: (
             _only(o, ("path", "format")).get("path"), o.get("format", "csv")), (None, "csv"))
         if not isinstance(path, (str, type(None))) or fmt not in FORMATS:

@@ -61,8 +61,10 @@ class SwitchedField:
     tuple of Python floats is preferred, as the cheapest value to return.
     A float64 array of shape (dim,) is accepted; callers never keep it or
     write into it, so a field may return the same array on every call.
-    A value of the wrong length is a ValueError, one that is not a
-    sequence a TypeError.
+    The runs copy the values, element by element at every dim, into a
+    float64 store of their own, so each must be a real number, not an
+    array.  A value of the wrong length is a ValueError, one that is not
+    a sequence a TypeError.
     """
 
     dim: int

@@ -278,7 +278,7 @@ def _check_rows_finite(values: np.ndarray, Z: np.ndarray) -> None:
 def find_layer_equilibria(sys: SwitchedField, search_box) -> list[LayerEquilibrium]:
     """Rest points of the autonomous coupled layer system inside a search box.
 
-    search_box is a sequence of (lo, hi) pairs for (lam, x2, ..., xn); the
+    search_box holds (lo, hi) pairs, lo <= hi, for (lam, x2, ..., xn); the
     field is evaluated at t = 0.  Newton iteration is seeded from a coarse
     grid and runs on all seeds at once: each sweep evaluates the field on
     the stacked seeds still active and solves their steps in one stacked
@@ -293,6 +293,8 @@ def find_layer_equilibria(sys: SwitchedField, search_box) -> list[LayerEquilibri
     box = [(float(lo), float(hi)) for lo, hi in search_box]
     if len(box) != sys.dim:
         raise ValueError(f"search_box must give {sys.dim} (lam, x_rest) intervals")
+    if not all(lo <= hi for lo, hi in box):  # False for NaN too
+        raise ValueError(f"search_box intervals must have lo <= hi, got {box}")
 
     fused = sys.fused
 
@@ -598,7 +600,7 @@ def integrate_hybrid(sys: SwitchedField, x0, t_span,
         entry_side = "minus" if f1m > 0 else ("plus" if f1p < 0 else "minus")
 
     restick = None  # the root the fast flow reached from a fold
-    while t_now < t_end - 1e-14:
+    while t_now < t_end - 1e-14 or not traj.segments:  # a span may be shorter
         if restick is None and entry_side is None:
             seg, hit = advance_to_surface(sys, xv, (t_now, t_end), cfg)
             traj.segments.append(seg)

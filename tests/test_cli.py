@@ -73,6 +73,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="xml"):
             RunConfig.parse(base_config(output={"path": "traj.xml", "format": "xml"}))
 
+    def test_reversed_search_box_rejected(self):
+        with pytest.raises(ConfigError, match="lo <= hi"):
+            RunConfig.parse(base_config(search_box=[[1, -1], [0, 6]]))
+
 
 # (subcommand, config entries over base_config): each a config mistake
 CONFIG_MISTAKES = {
@@ -124,6 +128,7 @@ CONFIG_MISTAKES = {
     "grid-fraction-count": ("sliding", {"grid": {"x_rest": [[-1, 1, 2.5]]}}),
     "box-nan": ("equilibria", {"search_box": [[-1, 1], [math.nan, 6]]}),
     "box-inf": ("equilibria", {"search_box": [[-1, 1], [0, math.inf]]}),
+    "box-reversed": ("equilibria", {"search_box": [[-1, 1], [6, 0]]}),
     "layer_only-lam0-outside": ("simulate", {"scenario": "duffing", "mode": "layer_only",
                                              "initial_state": [3.0, 0.0]}),
 }
@@ -375,6 +380,17 @@ class TestSimulate:
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert "layer_transit" in out.read_text()
+
+    @pytest.mark.parametrize("state, regime", [
+        ([-0.3, 0.0], "free_minus"), ([0.0, 0.3], "sliding")])
+    def test_span_shorter_than_tolerance(self, tmp_path, state, regime):
+        out = tmp_path / "s.csv"
+        cfg = write_config(tmp_path / "c.json", base_config(
+            scenario="example1", t_span=[0.0, 1e-15], initial_state=state))
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == [0.0, 1e-15]
+        assert {row[1] for row in rows} == {regime}
 
     @pytest.mark.parametrize("eps_layer", [0.0, -1e-4])
     def test_non_positive_eps_layer_exits_2(self, tmp_path, eps_layer):

@@ -190,6 +190,50 @@ class TestIntegrateSmooth:
             tracemalloc.stop()
         assert retained < 1e6, f"{retained / 1e6:.1f} MB retained after 10 runs"
 
+    # the compiled wrapper never releases the callbacks a run hands it, so
+    # nothing they reach may outlive the run: not a big array the field
+    # captures, and not a failed run's exception with the frames and the
+    # sample buffers its traceback holds
+    @staticmethod
+    def retaining_run(kind):
+        if kind == "captured_field":
+            big = np.ones(10_000)  # 80 kB
+            _solve(lambda x, t: (-big[0] * x[0], -x[1]), np.array([1.0, 0.5]),
+                   (0.0, 0.1), IntegratorConfig(max_step=0.01))
+            return
+
+        def fused(x, t, lam):
+            if t > 0.5:  # after 2,500 steps, 60 kB of samples
+                raise KeyError("field failed")
+            return (x[1] - 0.01 * lam, -x[0])
+
+        cfg = IntegratorConfig(max_step=2e-4)
+        with pytest.raises(KeyError):
+            if kind == "failed":
+                _solve(lambda x, t: fused(x, t, 0.0), np.array([1.0, 0.0]), (0.0, 1.0), cfg)
+            else:  # the dim-2 regularized stage holds the failure list itself;
+                # the run starts and stays inside the band, so it has one part
+                integrate_regularized(SwitchedField(dim=2, fused=fused),
+                                      SigmoidSpec("tanh", eps=10.0), [1.0, 0.0], (0.0, 1.0), cfg)
+
+    RETAINING_RUNS = {"captured_field": 50, "failed": 3, "failed_regularized": 3}
+
+    @pytest.mark.parametrize("kind", RETAINING_RUNS)
+    def test_run_retains_under_2_kb(self, kind):
+        count = self.RETAINING_RUNS[kind]
+        self.retaining_run(kind)  # first calls fill caches that are no residue of a run
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(count):
+                self.retaining_run(kind)
+            gc.collect()
+            per_run = (tracemalloc.get_traced_memory()[0] - before) / count
+        finally:
+            tracemalloc.stop()
+        assert per_run < 2_000, f"{per_run:.0f} B retained per run"
+
 
 class TestFieldValues:
     """The values a field returns reach the solver through one per-run store."""
@@ -217,14 +261,35 @@ class TestFieldValues:
         for run in runs[1:]:
             assert np.array_equal(run.t, runs[0].t) and np.array_equal(run.y, runs[0].y)
 
+    # the wrong-count tests also return values that are no sequence at all
+    NOT_SEQUENCES = {"float": 0.5, "none": None}
+    EXTRA = [1, -1, *NOT_SEQUENCES]
+    EXTRA_IDS = ["one_more", "one_less", *NOT_SEQUENCES]
+
     @pytest.mark.parametrize("n", DIMS)
-    @pytest.mark.parametrize("extra", [1, -1], ids=["one_more", "one_less"])
+    @pytest.mark.parametrize("extra", EXTRA, ids=EXTRA_IDS)
     def test_wrong_number_of_values_rejected(self, n, extra):
+        if extra in self.NOT_SEQUENCES:
+            with pytest.raises(TypeError):
+                _solve(lambda x, t: self.NOT_SEQUENCES[extra], np.ones(n), (0.0, 1.0),
+                       self.CFG)
+            return
+
         # the compiled wrapper would truncate the values or pad them with 0
         def field(x, t):
             return tuple(-x.tolist()[0] for _ in range(n + extra))
 
         with pytest.raises(ValueError, match="values"):
+            _solve(field, np.ones(n), (0.0, 1.0), self.CFG)
+
+    @pytest.mark.parametrize("n", DIMS)
+    @pytest.mark.parametrize("extra", [1, -1], ids=["one_more", "one_less"])
+    def test_wrong_count_names_both_counts(self, n, extra):
+        def field(x, t):
+            return np.full(n + extra, -x.item(0))
+
+        with pytest.raises(ValueError, match=f"^field returned {n + extra} values "
+                                             f"for dimension {n}$"):
             _solve(field, np.ones(n), (0.0, 1.0), self.CFG)
 
     @pytest.mark.parametrize("n", DIMS)
@@ -275,9 +340,14 @@ class TestFieldValues:
                 assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n", DIMS)
-    @pytest.mark.parametrize("extra", [1, -1], ids=["one_more", "one_less"])
+    @pytest.mark.parametrize("extra", EXTRA, ids=EXTRA_IDS)
     @pytest.mark.parametrize("kind", KINDS)
     def test_run_kind_wrong_number_of_values_rejected(self, kind, n, extra):
+        if extra in self.NOT_SEQUENCES:
+            with pytest.raises(TypeError):
+                self.run_kind(kind, n, lambda x, t, lam: self.NOT_SEQUENCES[extra], t_end=1.0)
+            return
+
         def fused(x, t, lam):
             return tuple(-x.tolist()[0] - lam for _ in range(n + extra))
 

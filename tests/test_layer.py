@@ -454,6 +454,15 @@ class TestFindLayerEquilibria:
         with pytest.raises(ValueError):
             find_layer_equilibria(make_example2(), [(-1, 1)])
 
+    @pytest.mark.parametrize("box", [[(1, -1), (0, 30)], [(-1, 1), (30, 0)]])
+    def test_reversed_box_axis_rejected(self, box):
+        # unchecked, a reversed axis gave no seeds inside the box and so []
+        sys = make_circuit(CircuitParams(sigma=0.5))
+        with pytest.raises(ValueError, match="lo <= hi"):
+            find_layer_equilibria(sys, box)
+        (eq,) = find_layer_equilibria(sys, [(-1, 1), (0, 30)])
+        assert eq.lam_e == pytest.approx(2 / 3, abs=1e-8)
+
 
 class TestIntegrateHybrid:
     def test_free_then_stick(self):
@@ -544,6 +553,14 @@ class TestIntegrateHybrid:
             for prev, nxt in zip(traj.segments, traj.segments[1:]):
                 gap = np.linalg.norm(nxt.x[0] - prev.x_final)
                 assert gap <= 10 * tol
+
+    @pytest.mark.parametrize("x0, regime", [
+        ([0.5, 0.0], "free_plus"), ([-0.5, 0.1], "free_minus"), ([0.0, 0.3], "sliding")])
+    @pytest.mark.parametrize("t_span", [(0.0, 1e-15), (1.0, 1.0 + 4e-15)])
+    def test_span_shorter_than_tolerance_gives_a_segment(self, x0, regime, t_span):
+        traj = integrate_hybrid(make_example1(), x0, t_span)
+        assert [seg.regime for seg in traj.segments] == [regime]
+        assert traj.segments[0].t[0] == t_span[0] and traj.t_final == t_span[1]
 
     def test_eps_layer_validated(self):
         with pytest.raises(ValueError):
