@@ -1,0 +1,112 @@
+"""Build and load the step loop: ``_loop.c`` and the kernels of ``scenarios.FIELDS``.
+
+cffi compiles it in API mode on the first import, in a child process the
+import waits for, so setuptools never loads into the importing process.
+The module is named by a hash of the C source, the kernels and the Python
+ABI, and cached in the package's ``__pycache__``, or in
+``~/.cache/switchlayer`` where that is read-only.  Building needs a C
+compiler.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+from importlib.machinery import EXTENSION_SUFFIXES
+
+import _cffi_backend
+
+from .scenarios import FIELDS, components_read
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+KERNELS = {name: k for k, name in enumerate(sorted(FIELDS))}  # index in sl_kernel
+
+CDEF = """
+typedef struct { int kind, sigmoid, kernel, n; double value; const double *par;
+                 void *py; double *x, *f; } sl_field;
+typedef struct { double c0, c1, c2; void *py; double *g; } sl_event;
+typedef struct { double *t, *y, *lam; long len, cap, accepted, rejected, evals; } sl_record;
+extern "Python" int sl_py(void *, double, double);
+int sl_run(sl_field *, const sl_event *, int, double, double, double *, double, double,
+           double, long, sl_record *);
+int sl_rhs(sl_field *, double, const double *, double *);
+double sl_sigmoid(int, double, double);
+void sl_take(sl_record *, int); void sl_release(sl_record *); void sl_free(void *);
+"""
+
+# run in a child process: compile the source from stdin outside the limited API
+# (the loop calls PyMem_RawMalloc), then move the module into place in one step
+CHILD = """
+import json, os, sys, tempfile, cffi
+job = json.load(sys.stdin)
+ffi = cffi.FFI()
+ffi.cdef(job["cdef"])
+ffi.set_source(job["name"], job["source"], py_limited_api=False,
+               define_macros=[("_CFFI_NO_LIMITED_API", None)],
+               extra_compile_args=["-ffp-contract=off"], libraries=["m"])
+with tempfile.TemporaryDirectory(dir=job["dir"]) as tmp:
+    built = ffi.compile(tmpdir=tmp)
+    os.replace(built, os.path.join(job["dir"], job["file"]))
+"""
+
+
+def kernel_source() -> str:
+    """The C kernels of the declared fields, in one switch on their index."""
+    out = ["static void sl_kernel(int k, const double *x_, double t, double lam,",
+           "                      const double *p_, double *f_)", "{", "    switch (k) {"]
+    for name, k in KERNELS.items():
+        names, lets, comps = FIELDS[name]
+        out.append(f"    case {k}: {{  /* {name} */")
+        out += [f"        const double x{i + 1} = x_[{i}];" for i in components_read(name)]
+        out += [f"        const double {p} = p_[{i}];" for i, p in enumerate(names)]
+        out += [f"        const double {v} = {e};" for v, e in lets]
+        out += [f"        f_[{i}] = {e};" for i, e in enumerate(comps)]
+        out.append("        return;\n    }")
+    return "\n".join(out + ["    }", "}", ""])
+
+
+def load(dirs: list[str] | None = None):
+    """The compiled module: loaded from the first of ``dirs`` that holds
+    it, else built into the first writable one."""
+    with open(os.path.join(HERE, "_loop.c")) as fh:
+        source = fh.read() + "\n" + kernel_source()
+    key = "\0".join((source, CDEF, EXTENSION_SUFFIXES[0], _cffi_backend.__version__))
+    name = "_loop_" + hashlib.sha256(key.encode()).hexdigest()[:16]
+    file = name + EXTENSION_SUFFIXES[0]
+    if dirs is None:
+        dirs = [os.path.join(HERE, "__pycache__"),
+                os.path.join(os.path.expanduser("~"), ".cache", "switchlayer")]
+    found = next((d for d in dirs if os.path.isfile(os.path.join(d, file))), None)
+    if found is None:
+        found = _build(name, file, source, dirs)
+    spec = importlib.util.spec_from_file_location(name, os.path.join(found, file))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _build(name, file, source, dirs) -> str:
+    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:  # the compiler setuptools would call
+        raise ImportError(f"switchlayer compiles its step loop on first import and needs "
+                          f"a C compiler; {cc!r} was not found")
+    for d in dirs:
+        try:
+            os.makedirs(d, exist_ok=True)
+        except OSError:
+            continue
+        if os.access(d, os.W_OK):
+            job = {"cdef": CDEF, "name": name, "source": source, "dir": d, "file": file}
+            proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(job),
+                                  text=True, capture_output=True)
+            if proc.returncode != 0:
+                raise ImportError(f"building switchlayer's step loop failed:\n"
+                                  f"{proc.stderr[-2000:]}")
+            return d
+    raise ImportError(f"no writable directory to build switchlayer's step loop in: {dirs}")

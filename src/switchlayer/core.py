@@ -56,15 +56,15 @@ class SwitchedField:
     smoothly there.
 
     The runs rely on this calling contract: ``fused`` gets a float64 state
-    of shape (dim,) and a Python float lam and returns dim floats, and
-    neither keeps nor modifies x (the runs reuse their state buffers).  A
-    tuple of Python floats is preferred, as the cheapest value to return.
-    A float64 array of shape (dim,) is accepted; callers never keep it or
-    write into it, so a field may return the same array on every call.
-    The runs copy the values, element by element at every dim, into a
-    float64 store of their own, so each must be a real number, not an
-    array.  A value of the wrong length is a ValueError, one that is not
-    a sequence a TypeError.
+    of shape (dim,) and a Python float lam, neither keeps nor modifies x
+    (the runs reuse their state buffers), and returns dim real numbers: a
+    tuple of Python floats, the cheapest, a list, or a float64 array of
+    shape (dim,), which callers never keep or write into.  A wrong count,
+    or a value of another kind such as a dict, is a ValueError; a value
+    that is no sequence a TypeError.  A ``fused`` with a ``kernel``
+    attribute, as every built-in one has (see ``scenarios``), runs in the
+    integrators as that compiled kernel, which gives the same floats; a
+    system whose ``fused`` is replaced runs the replacement.
     """
 
     dim: int

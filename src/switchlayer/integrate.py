@@ -1,48 +1,37 @@
 """Adaptive integration with switching-surface event detection.
 
-All flows run on one core, ``_solve``, around one of Hairer's compiled
-Dormand-Prince step loops that scipy exposes as ``ode(...).set_integrator``:
-the 4(5) code DOPRI5 for free flight, sliding and regularized runs, and
-the 8(5,3) code DOP853 for layer transits.  A layer run resolves a weakly
-damped fast ripple, so its step count is set by the method's order and
-the higher order takes about a third of the steps (Hairer, Norsett &
-Wanner, *Solving ODEs I*, sec. II.5 and II.10).  Each accepted step is
-handed to a callback that records the sample and tests the run's one
-event, a function whose fall through zero ends the run; the crossing is
-localized inside the step on the cubic Hermite interpolant (ibid.,
+Every run takes one step loop, ``_solve``, compiled from ``_loop.c`` (see
+``_build``): DOPRI5 for free flight, sliding and regularized runs, DOP853
+for layer transits, whose fast ripple sets a step count that the higher
+order cuts to about a third (Hairer, Norsett & Wanner, *Solving ODEs I*,
+sec. II.4-II.5 and II.10).  A run's one event ends it where it falls
+through zero, localized on the step's cubic Hermite interpolant (ibid.,
 sec. II.6).  Regularized systems replace the discontinuous multiplier by
-a sigmoid of the surface function and are integrated as a single smooth
-system, with the step size capped at eps/4 inside the transition band.
-
-The step loop calls back into Python at every stage.  The generic field
-path, which free flight and sliding take at every dimension, stores the
-field's values into the run's float64 buffer with one store for any
-dimension.  At dimension 2, which every scenario has, regularized and
-layer runs hand ``_solve`` a ready stage that calls the system's
-``fused`` itself, one frame fewer than the generic path; their step
-counts are fixed by the physics and the eps/4 cap, so the cost of a
-stage is what is left to cut.  Each stage catches its own exceptions,
-because the compiled loop goes on calling after a callback raises (see
-``_solve``).
+a sigmoid of the surface function and are integrated as one smooth
+system, with the step capped at eps/4 inside the transition band.  Free
+flight, regularized and layer runs of a built-in system run entirely in
+C, on its compiled kernel (see ``scenarios``); every other field, and the
+sliding rhs with its event, is called through one Python callback.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
+import threading
 import warnings
-from array import array
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.integrate import ode
-from scipy.optimize import brentq
 
+from ._build import KERNELS, load
 from .core import SURFACE_TOL, SwitchedField, regime_of
-from .sigmoids import SigmoidSpec
+from .sigmoids import KINDS, SigmoidSpec
 
-_EPS = np.finfo(float).eps
+_loop = load()
+ffi, lib = _loop.ffi, _loop.lib
+# the C run kind and sigmoid of each kind of _solve's (fused, kind, value)
+_KINDS = {"lam": (1, 0), **{k: (2, i) for i, k in enumerate(KINDS)}, "layer": (3, 0)}
 
 
 class IntegrationError(RuntimeError):
@@ -114,166 +103,141 @@ class TrajectorySegment:
 @dataclass
 class _Run:
     t: np.ndarray
-    y: np.ndarray  # shape (len(t), n)
+    y: np.ndarray  # shape (len(t), n); a layer run's rows are x = (0, x_rest)
+    lam: np.ndarray | None  # the multiplier of a regularized or layer run
     stopped: bool  # the event ended the run at its located crossing
+    accepted: int  # the loop's own counts: steps accepted and rejected,
+    rejected: int  # and field evaluations
+    evals: int
 
 
-def _hermite(t0, y0, f0, t1, y1, f1):
-    """Cubic Hermite interpolant of one step from its end values and slopes."""
-    h = t1 - t0
-
-    def y(t):
-        s = (t - t0) / h
-        s2, s3 = s * s, s * s * s
-        return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * h * f0
-                + (3 * s2 - 2 * s3) * y1 + (s3 - s2) * h * f1)
-
-    return y
+_failure = threading.local()  # what a callback raised, per thread, until _solve raises it
 
 
-_running = False
+def _failed(exc_type, exc, tb):
+    _failure.exc = exc_type() if exc is None else exc.with_traceback(tb)
 
 
-def _solve(field, x0, t_span, cfg: IntegratorConfig,
-           event: Callable[[float, np.ndarray], float] | None = None,
-           method="dopri5", stage=None, taken: int = 0) -> _Run:
-    """Integrate dx/dt = field(x, t) on Hairer's compiled DOPRI5 or DOP853.
+@ffi.def_extern(error=-1, onerror=_failed)
+def sl_py(handle, t, lam):
+    ffi.from_handle(handle)(t, lam)
+    return 0
 
-    Every accepted step is recorded into float64 buffers (``array("d")``),
-    8 bytes a value, which numpy takes at the end without a copy, so each
-    returned array owns its memory.  ``field`` returns n values as a
-    sequence or an array.  At every n one ``ctypes`` store copies them,
-    element by element, into a float64 buffer of length n, allocated once
-    per run and handed to the solver at every stage, which copies it; an
-    array is copied too, about 0.7 us an evaluation at n = 10.  A wrong
-    number of values fails the run with a ValueError naming both counts,
-    a value that is no sequence with a TypeError.  At n == 2 a caller may
-    also hand over ``stage(out, nan, failure)``, which builds the callback
-    ``(t, y)`` the step loop then calls itself in place of ``field``: it
-    writes the slopes into ``out`` and returns it.  Regularized and layer
-    runs do, and so save a Python frame per stage; every other run, and
-    the event localization, calls ``field``.  Each stage callback catches
-    its own exceptions, appends the first to ``failure`` and from then on
-    returns ``nan`` without calling anything: the compiled loop keeps
-    calling after a callback raises, and a raise there ends the run in
-    a chained SystemError.  The event, if any, is a function
-    ``event(t, y)`` evaluated once at each step end.  A step whose value
-    falls through zero (``g1 <= 0 <= g0`` and ``g0 != g1``) ends the run,
-    so a zero at the step start followed by a fall counts as a crossing
-    there; a rise, one strict sign at both ends, two equal values or a
-    NaN is no crossing.  The crossing is localized with ``brentq`` on the
-    cubic Hermite interpolant of that step, and the run stops there, so
-    the last sample satisfies the event to rounding level.  ``event`` may
-    get the solver's own state array, which is valid only during the
-    call.  Exceptions raised by the field or the event end the run and
-    are re-raised here.  Tolerances, step cap and budget come from
-    ``cfg``; the budget counts accepted steps, ``taken`` of which earlier
-    parts of the same run have spent, and a run that needs more raises
-    IntegrationError naming ``cfg.max_steps``, also where the step past
-    the budget would be an event stop.  ``method`` names the step loop,
-    ``"dopri5"`` or ``"dop853"``.  Neither code is re-entrant, so no run
-    may be started from inside a field or an event function.  The
-    compiled wrapper never releases the callbacks it is handed, so the
-    run empties what they reach; about 0.7 kB a run stays.
-    """
-    global _running
-    if _running:
-        raise RuntimeError("the Dormand-Prince core is not re-entrant")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    y0 = np.array(x0, dtype=float)
-    n = y0.size
-    budget = cfg.max_steps - taken
-    failure: list[BaseException] = []
-    nan = np.full(n, np.nan)
-    # the compiled wrapper would rebuild a returned tuple into a new array
-    # on every call; it copies this buffer instead
-    out = np.empty(n)
-    if stage is not None and n == 2:
-        fcn = stage(out, nan, failure)
-    else:
-        store = (ctypes.c_double * n).from_buffer(out)  # any n in one call
 
-        def fcn(t, y):
-            if failure:
-                return nan
+def _values(v, n: int):
+    """A field value that is not a tuple, as a list, or the documented error."""
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    len(v)  # a TypeError for a value that is no sequence
+    if not isinstance(v, list):
+        raise ValueError(f"field returned a {type(v).__name__}, not a sequence of {n} values")
+    return v
+
+
+def _take(rec, name: str, shape) -> np.ndarray:
+    """An array over one of the record's buffers, which it then owns."""
+    ptr = getattr(rec, name)
+    setattr(rec, name, ffi.NULL)
+    return np.asarray(SimpleNamespace(memory=ffi.gc(ptr, lib.sl_free), __array_interface__={
+        "data": (int(ffi.cast("uintptr_t", ptr)), False), "shape": shape, "typestr": "<f8",
+        "version": 3}))
+
+
+def _field(rhs, n: int):
+    """The loop's ``sl_field`` for ``rhs`` (see ``_solve``), the state buffer
+    of its Python calls, and the objects the struct points into."""
+    x, slopes = np.zeros(n), ffi.new("double[]", n)
+    keep = [slopes, ffi.from_buffer("double[]", x)]
+    field = ffi.new("sl_field *", {"kernel": -1, "n": n, "f": slopes, "x": keep[1]})
+    plain = callable(rhs)
+    fn = rhs if plain else rhs[0]
+    if not plain:
+        (field.kind, field.sigmoid), field.value = _KINDS[rhs[1]], rhs[2]
+        tag = getattr(fn, "kernel", None)
+        if tag is not None:
+            field.kernel = KERNELS[tag[0]]
+            keep.append(par := ffi.new("double[]", tag[1]))
+            field.par = par
+    if field.kernel < 0:
+        def call(t, lam):
+            v = fn(x, t) if plain else fn(x, t, lam)
+            if type(v) is not tuple:
+                v = _values(v, n)
             try:
-                v = field(y, t)
-                try:
-                    store[:] = v
-                except ValueError:  # len(v) raises TypeError for a non-sequence
-                    raise ValueError(
-                        f"field returned {len(v)} values for dimension {n}") from None
-                return out
-            except Exception as exc:
-                failure.append(exc)
-                return nan
+                slopes[0:n] = v
+            except ValueError:
+                raise ValueError(f"field returned {len(v)} values for dimension {n}") from None
+        keep.append(handle := ffi.new_handle(call))
+        field.py = handle
+    return field, x, keep
 
-    ts, flat = array("d", [t0]), array("d", y0.tobytes())
-    g_prev = event(t0, y0) if event is not None else None
-    stopped = False
 
-    def solout(t, y):
-        nonlocal g_prev, stopped
-        if t == t0 and len(ts) == 1:
-            return 0  # the solver reports the initial point first
-        try:
-            if len(ts) > budget:  # this step is one past the budget
-                raise IntegrationError(f"step budget of {cfg.max_steps} exceeded")
-            if event is not None:
-                g0 = g_prev
-                g_prev = g1 = event(t, y)
-                if g1 <= 0.0 <= g0 and g0 != g1:  # a fall through zero
-                    ta, ya, y = ts[-1], np.frombuffer(flat[-n:]), y.copy()
-                    interp = _hermite(ta, ya, np.asarray(field(ya, ta), dtype=float),
-                                      t, y, np.asarray(field(y, t), dtype=float))
-                    tr = ta if g0 == 0.0 else t if g1 == 0.0 else brentq(
-                        lambda s: event(s, interp(s)), ta, t, xtol=4 * _EPS, rtol=4 * _EPS)
-                    if tr > ta:
-                        ts.append(tr)
-                        flat.frombytes(interp(tr).tobytes())
-                    stopped = True
-                    return -1
-            ts.append(t)
-            flat.frombytes(y.tobytes())
-            return 0
-        except Exception as exc:
-            failure.append(exc)
-            return -1
+def _solve(rhs, x0, t_span, cfg: IntegratorConfig, event=None, method="dopri5") -> _Run:
+    """Integrate dy/dt = rhs from x0 over t_span, t0 < t1, on the step loop.
 
-    # nsteps would count rejected steps too; solout alone enforces the budget
-    solver = ode(fcn).set_integrator(
-        method, rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
-        nsteps=2**31 - 1)
-    solver.set_solout(solout)
-    solver.set_initial_value(y0, t0)
-    # IWORK(4) < 0 switches off the stiffness interrupt: the layer
-    # systems are stiff by construction and are integrated on purpose
-    solver._integrator.iwork[3] = -1
-    _running = True
+    ``rhs`` is a Python field ``field(y, t)`` or a tuple (fused, kind,
+    value): kind "lam" evaluates fused(y, t, value); a sigmoid kind
+    (``sigmoids.KINDS``) runs the regularized system at lam =
+    phi_value(y1) in band parts (see ``integrate_regularized``); "layer"
+    runs the layer system y = (lam, x_rest) -> (f1/value, f_rest) at
+    x = (0, x_rest), lam clipped to [-1, 1], and records x and lam apart.
+    A ``fused`` with a ``kernel`` runs as that kernel; anything else is
+    called through the Python callback, with a state buffer it must
+    neither keep nor modify, and returns n values (see ``SwitchedField``:
+    a wrong count or kind is a ValueError naming it, no sequence a
+    TypeError).  The event is a Python ``event(t, y)``, given the same
+    buffer, or (c0, c1, c2) for c0 + c1 y1 + c2 |y1|, evaluated at the
+    start and at each step end.  A step whose value falls through zero
+    (``g1 <= 0 <= g0`` and ``g0 != g1``) ends the run, so a zero at the
+    step start followed by a fall counts as a crossing there; a rise, one
+    strict sign at both ends, two equal values or a NaN is none.  The
+    crossing is localized with Brent's method on the step's cubic Hermite
+    interpolant, so the last sample satisfies the event to rounding level.
+    An exception from the field or the event ends the run at once and is
+    re-raised here.  ``cfg`` gives tolerances, step cap and a budget of
+    accepted steps, over all parts of a regularized run; a run that needs
+    more, also where that step would be an event stop, raises
+    IntegrationError naming ``cfg.max_steps``.  ``method`` is "dopri5" or
+    "dop853".  The loop keeps its state in the call, so a field may start
+    runs of its own.  The arrays returned own the loop's sample buffers.
+    """
+    y = np.array(x0, dtype=float)
+    n = y.size
+    field, x, keep = _field(rhs, n)
+    ev = ffi.NULL
+    if callable(event):
+        g = ffi.new("double[]", 1)
+
+        def at(t, lam):
+            g[0] = event(t, x)
+        keep.append(ffi.new_handle(at))
+        ev = ffi.new("sl_event *", {"py": keep[-1], "g": g})
+    elif event is not None:
+        ev = ffi.new("sl_event *", dict(zip(("c0", "c1", "c2"), event)))
+    rec = ffi.new("sl_record *")
     try:
-        with warnings.catch_warnings():
-            # failures are reported below from the return code
-            warnings.filterwarnings("ignore", method + ": ", UserWarning)
-            solver.integrate(t1)
-        code = solver.get_return_code()
+        code = lib.sl_run(field, ev, method == "dop853", float(t_span[0]),
+                          float(t_span[1]), ffi.from_buffer("double[]", y), cfg.rel_tol,
+                          cfg.abs_tol, cfg.max_step, cfg.max_steps, rec)
+        if code == -1:
+            exc, _failure.exc = _failure.exc, None
+            raise exc
+        if code == -5:
+            raise MemoryError("no memory for the integrator's samples")
+        if code < 0:  # t of the last sample, which every failing run has
+            t = rec.t[rec.len - 1]
+            raise IntegrationError({
+                -2: f"step budget of {cfg.max_steps} exceeded",
+                -3: f"integration failed near t={t:.6g}: step size becomes too small",
+                -4: "non-finite state encountered",
+                -6: f"no progress past a transition-band edge at t={t:.6g}"}[code])
+        lib.sl_take(rec, n)
+        m = rec.len
+        return _Run(_take(rec, "t", (m,)), _take(rec, "y", (m, n)),
+                    _take(rec, "lam", (m,)) if rec.lam else None, code == 1,
+                    rec.accepted, rec.rejected, rec.evals)
     finally:
-        _running = False
-        # the compiled wrapper never releases the callbacks it is handed:
-        # empty the integrator its bound solout holds, and what fcn reaches
-        vars(solver._integrator).clear()
-        field = out = nan = store = None
-    if failure:
-        exc = failure[0]
-        failure.clear()  # a ready stage's fcn holds this list too
-        raise exc
-    if code < 0:
-        raise IntegrationError(
-            f"integration failed near t={ts[-1]:.6g}: "
-            f"{solver._integrator.messages.get(code, f'return code {code}')}")
-    y = np.frombuffer(flat).reshape(-1, n)
-    if not np.all(np.isfinite(y)):
-        raise IntegrationError("non-finite state encountered")
-    return _Run(np.frombuffer(ts), y, stopped)
+        lib.sl_release(rec)
 
 
 def _check_start(sys: SwitchedField, x0, t_span) -> tuple[np.ndarray, float, float]:
@@ -304,11 +268,9 @@ def advance_to_surface(sys: SwitchedField, x0, t_span,
     regime = regime_of(xv)
     if regime == "on_surface":
         raise ValueError("advance_to_surface requires a strictly off-surface start")
-    fused, sgn = sys.fused, 1.0 if regime == "plus" else -1.0
-
+    sgn = 1.0 if regime == "plus" else -1.0
     # leaving the active side, sgn * x1 falling through zero, ends the segment
-    run = _solve(lambda x, t: fused(x, t, sgn), xv, (t0, t1), cfg,
-                 lambda t, y: sgn * y.item(0))
+    run = _solve((sys.fused, "lam", sgn), xv, (t0, t1), cfg, (0.0, sgn, 0.0))
     seg = TrajectorySegment(run.t, run.y, "free_plus" if regime == "plus" else "free_minus")
     if run.stopped:
         return seg, (float(run.t[-1]), run.y[-1].copy())
@@ -324,79 +286,15 @@ def integrate_regularized(sys: SwitchedField, sigmoid: SigmoidSpec, x0, t_span,
                           cfg: IntegratorConfig | None = None) -> TrajectorySegment:
     """Integrate dx/dt = f(x; phi_eps(x1)) as one smooth stiff system.
 
-    Inside the transition band |x1| < eps the step size is capped at eps/4;
-    outside it the configured max_step applies.  Band entry and exit are
-    localized with events so the cap switches at the right times.  Every
+    The run alternates parts inside the transition band |x1| < eps, with
+    the step capped at eps/4, and outside it, at the configured max_step.
+    A part inside ends where |x1| reaches eps; one outside where x1 passes
+    the edge on its starting side, since one step may leap the band.  A
+    start on the edge is inside if dx1/dt points in.  The parts share the
+    step budget, and lam = phi_eps(x1) is recorded at every sample.  Every
     sigmoid kind switches at v = 0, so phi_eps(x1) switches on the surface.
     """
     cfg = cfg or IntegratorConfig()
-    x_now, t_now, t_end = _check_start(sys, x0, t_span)
-    eps = sigmoid.eps
-    fused = sys.fused
-    # lam = phi(x1); every kind stays inside [-1, 1] in floating point,
-    # so nothing is clamped
-    lam_of = sigmoid.scalar_fn()
-
-    def field(x, t):
-        return fused(x, t, lam_of(x.item(0)))
-
-    def stage(out, nan, failure):
-        # field's body, called by the step loop itself at dim 2 (see _solve)
-        mv = memoryview(out)  # stores a float in half the time out[i] takes
-
-        def fcn(t, y):
-            if failure:
-                return nan
-            try:
-                mv[0], mv[1] = fused(y, t, lam_of(y.item(0)))
-                return out
-            except Exception as exc:
-                failure.append(exc)
-                return nan
-        return fcn
-
-    # a run inside ends where |x1| reaches eps; a run outside where x1
-    # passes the edge on its starting side, since one step may leap the
-    # whole band and |x1| - eps would miss that
-    def leave(t, y):
-        return eps - abs(y.item(0))
-
-    def enter(t, y):
-        return side * y.item(0) - eps
-
-    def in_band(x, t):
-        v0 = x[0]
-        if abs(v0) < eps * (1.0 - 1e-12):
-            return True
-        if abs(v0) > eps * (1.0 + 1e-12):
-            return False
-        # sitting on the band edge: side of the next instant decided by dx1/dt
-        return v0 * field(x, t)[0] < 0
-
-    t_parts, x_parts = [], []
-    taken = 0  # steps of the budget the earlier parts spent
-    inside = in_band(x_now, t_now)
-    while True:
-        side = 1.0 if x_now[0] > 0.0 else -1.0
-        part = replace(cfg, max_step=min(cfg.max_step, eps / 4.0)) if inside else cfg
-        run = _solve(field, x_now, (t_now, t_end), part, leave if inside else enter,
-                     stage=stage, taken=taken)
-        taken += run.t.size - 1
-        keep = slice(0, None) if not t_parts else slice(1, None)
-        t_parts.append(run.t[keep])
-        x_parts.append(run.y[keep])
-        if not run.stopped or run.t[-1] >= t_end:
-            break
-        if run.t.size == 1:
-            raise IntegrationError(
-                f"no progress past a transition-band edge at t={t_now:.6g}")
-        t_now, x_now = float(run.t[-1]), run.y[-1]
-        # x1 may lie a few ulp past the edge, so the run's event tells the
-        # side: a leave stop is outside, an enter stop inside
-        inside = not inside
-
-    t_all, x_all = ((t_parts[0], x_parts[0]) if len(t_parts) == 1
-                    else (np.concatenate(t_parts), np.vstack(x_parts)))
-    del run, t_parts, x_parts  # a split run's parts go before the lam column comes
-    lam_all = np.fromiter(map(lam_of, memoryview(x_all[:, 0])), float, len(x_all))
-    return TrajectorySegment(t_all, x_all, "regularized", lam=lam_all)
+    xv, t0, t1 = _check_start(sys, x0, t_span)
+    run = _solve((sys.fused, sigmoid.kind, sigmoid.eps), xv, (t0, t1), cfg)
+    return TrajectorySegment(run.t, run.y, "regularized", lam=run.lam)

@@ -442,7 +442,7 @@ def _integrate_sliding(sys, x_surface, t_span, cfg, root: SlidingSolution):
     def at(t, y):
         # the solve at (t, y), the FSAL stage's at an accepted sample, with its
         # fold value: branch-signed d f1/d lam, or -|f1| past a fold; y may be
-        # the solver's own array, so the anchor keeps its values as a list
+        # the loop's state buffer, so the anchor keeps its values as a list
         nonlocal anchor
         rest_now = y.tolist()
         if not (last and last[0] == t and last[1][1:].tolist() == rest_now):
@@ -491,45 +491,15 @@ def _integrate_layer(sys, lam0, x_rest0, t_span, cfg, eps_layer):
     """Coupled layer transit: d lam/dt = f1/eps_layer, slow rest dynamics.
 
     Runs on DOP853, which takes about a third of DOPRI5's steps on the
-    ripple a layer resolves (see ``integrate``).
+    ripple a layer resolves (see ``integrate``); lam is clipped to the layer
+    where f is evaluated, and the run ends where |lam| reaches 1.
     Returns (segment, side): side is None at t_end, else lam's exit boundary.
     """
-    fused, x = sys.fused, np.zeros(sys.dim)
-
-    def rhs(z, t):
-        # the state on the surface is (0, x_rest): x1 of the buffer stays 0;
-        # lam is clipped to the layer
-        lam = z.item(0)
-        x[1:] = z[1:]
-        f1, *f_rest = fused(x, t, -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam))
-        return (f1 / eps_layer, *f_rest)
-
-    def stage(out, nan, failure):
-        # rhs's body at dim 2, called by the step loop itself (see _solve)
-        mv = memoryview(out)
-
-        def fcn(t, z):
-            if failure:
-                return nan
-            try:
-                lam = z.item(0)
-                x[1] = z.item(1)
-                f1, mv[1] = fused(x, t, -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam))
-                mv[0] = f1 / eps_layer
-                return out
-            except Exception as exc:
-                failure.append(exc)
-                return nan
-        return fcn
-
     z0 = np.concatenate(([lam0], x_rest0))
-    run = _solve(rhs, z0, t_span, cfg, lambda t, z: 1.0 - abs(z.item(0)),
-                 method="dop853", stage=stage)
-    # lam is copied out; the run's own array, its column 0 zeroed, is x
-    lam = run.y[:, 0].copy()
-    run.y[:, 0] = 0.0
-    seg = TrajectorySegment(run.t, run.y, "layer_transit", lam=lam)
-    return seg, math.copysign(1.0, lam[-1]) if run.stopped else None
+    run = _solve((sys.fused, "layer", eps_layer), z0, t_span, cfg, (1.0, 0.0, -1.0),
+                 method="dop853")
+    seg = TrajectorySegment(run.t, run.y, "layer_transit", lam=run.lam)
+    return seg, math.copysign(1.0, run.lam[-1]) if run.stopped else None
 
 
 def integrate_layer_only(sys: SwitchedField, lam0: float, x_rest0, t_span,

@@ -3,18 +3,67 @@
 All are built in adapted coordinates (the first state component is the
 surface function), so every layer operation applies directly.  The relay
 circuit keeps its physical (I, V) variables behind a coordinate map.
-Each is its ``fused`` evaluator alone, which returns a tuple of Python
-floats per call, the cheapest value to return (see ``SwitchedField``).
+
+Each field is declared once, in ``FIELDS``, as one expression per
+component, valid Python and valid C.  That gives its Python ``fused``,
+which returns a tuple of Python floats (see ``SwitchedField``), and its C
+kernel in the step loop (see ``_build``); both evaluate the expressions in
+the same operation order, so they give the same floats.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SwitchedField
+
+# name -> (parameters, named intermediate values, one expression per
+# component), in the state x1, x2, the time t, the multiplier lam and cos
+FIELDS = {
+    "example1_nonlinear": ((), (), ("lam", "1.0 - 2.0*lam*lam")),
+    "example1_filippov": ((), (), ("lam", "-1.0")),
+    "example2_nonlinear": ((), (), ("2.0*lam*lam - 1.0", "1.0")),
+    "example2_continuous": ((), (), ("1.0", "1.0")),
+    # f = (dx1/dt, dI/dt); x1 = Vb - V, so dx1/dt = -dV/dt, with
+    # CircuitParams.p_of_mu(mu) written out in its operation order
+    "circuit": (("L", "R", "RC", "V0", "Vb", "sg"),
+                (("mu", "0.5*(1.0 + lam)"), ("V", "Vb - x1")),
+                ("(V - x2*R*(mu - sg*(1.0 - mu)*mu)) / RC", "(V0 - mu*V) / L")),
+    "duffing_cubic": (("a", "b", "c"), (), ("x2 - c*x1", "-lam*lam*lam - b*x2 + a*cos(t)")),
+    "duffing_linear": (("a", "b", "c"), (), ("x2 - c*x1", "-lam - b*x2 + a*cos(t)")),
+}
+
+
+def components_read(name: str) -> list[int]:
+    """The indices of the state components a declared field reads."""
+    _, lets, comps = FIELDS[name]
+    text = " ".join([e for _, e in lets] + list(comps))
+    return [i for i in range(len(comps)) if re.search(rf"\bx{i + 1}\b", text)]
+
+
+def declared_field(name: str, **params: float):
+    """The Python fused evaluator of a declared field, tagged with its kernel.
+
+    The tag is the function's ``kernel`` attribute, (name, parameter
+    values), so a system whose ``fused`` is replaced runs the replacement.
+    """
+    names, lets, comps = FIELDS[name]
+    read = components_read(name)
+    src = (f"def make({', '.join(names)}):\n    def fused(x, t, lam):\n"
+           + ("        x_ = x.tolist()\n" if read else "")
+           + "".join(f"        x{i + 1} = x_[{i}]\n" for i in read)
+           + "".join(f"        {k} = {e}\n" for k, e in lets)
+           + f"        return ({', '.join(comps)})\n    return fused\n")
+    namespace = {"cos": math.cos}
+    exec(src, namespace)
+    values = tuple(float(params[k]) for k in names)
+    fused = namespace["make"](*values)
+    fused.kernel = (name, values)
+    return fused
 
 
 def make_example1(variant: str = "nonlinear") -> SwitchedField:
@@ -27,14 +76,7 @@ def make_example1(variant: str = "nonlinear") -> SwitchedField:
     if variant not in ("filippov", "nonlinear"):
         raise ValueError(f"unknown example1 variant {variant!r}")
 
-    if variant == "nonlinear":
-        def fused(x, t, lam):
-            return (lam, 1.0 - 2.0 * lam * lam)
-    else:
-        def fused(x, t, lam):
-            return (lam, -1.0)
-
-    return SwitchedField(dim=2, fused=fused)
+    return SwitchedField(dim=2, fused=declared_field(f"example1_{variant}"))
 
 
 def make_example2(variant: str = "nonlinear") -> SwitchedField:
@@ -47,14 +89,7 @@ def make_example2(variant: str = "nonlinear") -> SwitchedField:
     if variant not in ("continuous", "nonlinear"):
         raise ValueError(f"unknown example2 variant {variant!r}")
 
-    if variant == "nonlinear":
-        def fused(x, t, lam):
-            return (2.0 * lam * lam - 1.0, 1.0)
-    else:
-        def fused(x, t, lam):
-            return (1.0, 1.0)
-
-    return SwitchedField(dim=2, fused=fused)
+    return SwitchedField(dim=2, fused=declared_field(f"example2_{variant}"))
 
 
 @dataclass(frozen=True)
@@ -101,17 +136,8 @@ def make_circuit(p: CircuitParams | None = None) -> SwitchedField:
     quadratic part of p(mu) becomes a constant-in-lam hidden multiplier.
     """
     p = p or CircuitParams()
-    L, R, RC, V0, Vb, sg = p.L, p.R, p.RC, p.V0, p.Vb, p.sigma
-
-    # f = (dx1/dt, dI/dt); x1 = Vb - V, so dx1/dt = -dV/dt.  Computed on
-    # Python floats, with p.p_of_mu(mu) written out in its operation order
-    def fused(x, t, lam):
-        x1, I = x.tolist()
-        mu = 0.5 * (1.0 + lam)
-        V = Vb - x1
-        return ((V - I * R * (mu - sg * (1.0 - mu) * mu)) / RC, (V0 - mu * V) / L)
-
-    return SwitchedField(dim=2, fused=fused)
+    return SwitchedField(dim=2, fused=declared_field(
+        "circuit", L=p.L, R=p.R, RC=p.RC, V0=p.V0, Vb=p.Vb, sg=p.sigma))
 
 
 def circuit_state_to_iv(x: np.ndarray, p: CircuitParams) -> tuple[float, float]:
@@ -160,13 +186,6 @@ def make_duffing(p: DuffingParams | None = None) -> SwitchedField:
     from the segments' lam columns.
     """
     p = p or DuffingParams()
-    a, b, c = p.a, p.b, p.c
-    cubic = p.variant == "nonlinear_cubic"
-
-    def fused(x, t, lam):
-        s = x.tolist()  # Python floats: far cheaper than numpy scalars
-        # both variants agree at lam = +-1
-        drive = -lam * lam * lam if cubic else -lam
-        return (s[1] - c * s[0], drive - b * s[1] + a * math.cos(t))
-
-    return SwitchedField(dim=2, fused=fused, time_dependent=True)
+    name = "duffing_cubic" if p.variant == "nonlinear_cubic" else "duffing_linear"
+    return SwitchedField(dim=2, fused=declared_field(name, a=p.a, b=p.b, c=p.c),
+                         time_dependent=True)

@@ -1,5 +1,6 @@
 """Event-driven integration: smooth flows, surface hits, regularized runs."""
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -25,6 +26,7 @@ from switchlayer import (
     integrate_regularized,
     make_circuit,
     make_duffing,
+    make_example1,
     make_example2,
 )
 from switchlayer.cli import trajectory_table
@@ -163,13 +165,24 @@ class TestIntegrateSmooth:
         with pytest.raises(IntegrationError, match="^step budget of 10 exceeded$"):
             run(10)
 
-    def test_nested_run_rejected(self):
+    def test_nested_run_gives_the_unnested_result(self):
+        # the loop keeps its state in the call: a run started from inside a
+        # field is the run it would be alone, and so is the outer run
+        def inner():
+            return _solve(lambda y, s: -y, np.array([1.0, 1.0]), (0.0, 0.1), IntegratorConfig())
+
+        alone, nested = inner(), []
+
         def field(x, t):
-            _solve(lambda y, s: -y, x, (0.0, 0.1), IntegratorConfig())
+            nested.append(inner())
             return -x
 
-        with pytest.raises(RuntimeError, match="re-entrant"):
-            _solve(field, np.array([1.0, 1.0]), (0.0, 1.0), IntegratorConfig())
+        outer = _solve(field, np.array([1.0, 1.0]), (0.0, 1.0), IntegratorConfig())
+        plain = _solve(lambda x, t: -x, np.array([1.0, 1.0]), (0.0, 1.0), IntegratorConfig())
+        assert len(nested) == outer.evals > 100
+        for run in nested:
+            assert np.array_equal(run.t, alone.t) and np.array_equal(run.y, alone.y)
+        assert np.array_equal(outer.t, plain.t) and np.array_equal(outer.y, plain.y)
 
     def test_finished_runs_are_freed(self):
         cfg = IntegratorConfig(max_step=1e-3)
@@ -190,10 +203,9 @@ class TestIntegrateSmooth:
             tracemalloc.stop()
         assert retained < 1e6, f"{retained / 1e6:.1f} MB retained after 10 runs"
 
-    # the compiled wrapper never releases the callbacks a run hands it, so
-    # nothing they reach may outlive the run: not a big array the field
-    # captures, and not a failed run's exception with the frames and the
-    # sample buffers its traceback holds
+    # no callback may outlive its run, nor anything it reaches: not a big
+    # array the field captures, and not a failed run's exception with the
+    # frames and the sample buffers its traceback holds
     @staticmethod
     def retaining_run(kind):
         if kind == "captured_field":
@@ -211,7 +223,7 @@ class TestIntegrateSmooth:
         with pytest.raises(KeyError):
             if kind == "failed":
                 _solve(lambda x, t: fused(x, t, 0.0), np.array([1.0, 0.0]), (0.0, 1.0), cfg)
-            else:  # the dim-2 regularized stage holds the failure list itself;
+            else:  # the loop computes the multiplier around the Python field;
                 # the run starts and stays inside the band, so it has one part
                 integrate_regularized(SwitchedField(dim=2, fused=fused),
                                       SigmoidSpec("tanh", eps=10.0), [1.0, 0.0], (0.0, 1.0), cfg)
@@ -275,7 +287,7 @@ class TestFieldValues:
                        self.CFG)
             return
 
-        # the compiled wrapper would truncate the values or pad them with 0
+        # taken as they come, the values would be truncated or padded with 0
         def field(x, t):
             return tuple(-x.tolist()[0] for _ in range(n + extra))
 
@@ -306,8 +318,8 @@ class TestFieldValues:
             _solve(field, np.ones(n), (0.0, 1.0), self.CFG)
         assert calls[-1] > 0.5 and all(t <= 0.5 for t in calls[:-1])
 
-    # the same three checks on the run kinds that hand _solve a ready
-    # stage at dim 2, and its generic field path at every other dim
+    # the same three checks on the run kinds whose multiplier or layer rhs
+    # the loop computes around the field's Python callback
 
     @staticmethod
     def run_kind(kind, n, fused, t_end=3.0):
@@ -374,8 +386,8 @@ class TestFieldValues:
     @pytest.mark.parametrize("kind", KINDS)
     def test_run_kind_field_not_called_after_inner_stage_raises(self, kind, n):
         # call 1 is the slope at the start and call 2 tries a first step
-        # size, so call 5 is stage 4 of the first step: the step loop
-        # goes on to its later stages regardless of a failed one
+        # size, so call 5 is stage 4 of the first step: the step loop must
+        # stop there, not go on to its later stages
         calls, boom = [], KeyError("field failed")
 
         def fused(x, t, lam):
@@ -390,63 +402,140 @@ class TestFieldValues:
         assert len(calls) == 5
 
 
-def _field_path_layer_rhs(sys, eps_layer):
-    """The layer's field as _solve's generic path called it, for an oracle."""
-    fused, x = sys.fused, np.zeros(sys.dim)
-    rest = range(1, sys.dim)
+    # a value of another kind, such as a dict, is rejected at every dim and
+    # in every run kind: taken as a sequence, a dict would give its keys
+    @pytest.mark.parametrize("n", DIMS)
+    @pytest.mark.parametrize("kind", ["plain", "free", *KINDS])
+    def test_dict_rejected(self, kind, n):
+        def fused(x, t, lam):
+            return {i: -x.item(0) - lam for i in range(n)}
 
-    def rhs(z, t):
-        lam = z.item(0)
-        for i in rest:
-            x[i] = z.item(i)
-        F = fused(x, t, -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam))
-        return (F[0] / eps_layer, *F[1:])
+        with pytest.raises(ValueError, match="dict"):
+            if kind == "plain":
+                _solve(lambda x, t: fused(x, t, 0.0), np.ones(n), (0.0, 1.0), self.CFG)
+            elif kind == "free":
+                advance_to_surface(SwitchedField(dim=n, fused=fused), np.full(n, 0.5),
+                                   (0.0, 1.0), self.CFG)
+            else:
+                self.run_kind(kind, n, fused, t_end=1.0)
 
-    return rhs
+    def test_dict_of_the_open_report_rejected(self):
+        # this run used to end at (0.5, 1.0), the motion of the keys (0, 1)
+        sys = SwitchedField(dim=2, fused=lambda x, t, lam: {0: -x[0] - lam, 1: 1.0})
+        with pytest.raises(ValueError, match="dict"):
+            integrate_regularized(sys, SigmoidSpec("tanh", eps=0.1), [0.5, 0.0], (0.0, 1.0))
 
 
-class TestReadyStages:
-    """At dim 2 the ready stages give the very runs of the field path."""
+class TestLoopCounters:
+    """The loop counts its accepted and rejected steps and its evaluations."""
+
+    @pytest.mark.parametrize("kind", ["plain", "regularized", "layer"])
+    def test_evaluations_are_the_calls_a_wrapper_sees(self, kind):
+        calls = []
+
+        def fused(x, t, lam):  # a run that rejects steps on its way
+            calls.append(t)
+            return (-50.0 * (x.item(0) - math.sin(20.0 * t)) - lam, 1.0)
+
+        rhs = {"plain": lambda x, t: fused(x, t, 0.0), "regularized": (fused, "tanh", 0.1),
+               "layer": (fused, "layer", 1.0)}[kind]
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            run = _solve(rhs, np.array([1.0, 0.0]), (0.0, 2.0), IntegratorConfig(max_step=1.0),
+                         method="dop853" if kind == "layer" else "dopri5")
+            assert run.evals == len(calls)
+            assert run.accepted == run.t.size - 1 and run.rejected > 0
+            counts.append((run.accepted, run.rejected, run.evals))
+        assert counts[0] == counts[1]
+
+
+def python_path(sys):
+    """The same system, its fused wrapped so that it has no compiled kernel."""
+    inner = sys.fused
+    return dataclasses.replace(sys, fused=lambda x, t, lam: inner(x, t, lam))
+
+
+_HALF = CircuitParams(sigma=0.5)
+BUILT_IN = {
+    "example1": make_example1(), "example1_filippov": make_example1("filippov"),
+    "example2": make_example2(), "example2_continuous": make_example2("continuous"),
+    "circuit": make_circuit(), "circuit_half": make_circuit(_HALF),
+    "duffing": make_duffing(), "duffing_linear": make_duffing(DuffingParams(variant="linear")),
+}
+
+
+class TestCompiledFields:
+    """A built-in system's compiled runs are its Python-callback runs, bit for bit."""
 
     CFG = IntegratorConfig(rel_tol=1e-5, abs_tol=1e-8, max_step=0.05)
 
-    @pytest.mark.parametrize("sys, eps_layer, t_end", [
-        (make_duffing(DuffingParams()), 1e-3, 20.0),
-        (make_duffing(DuffingParams(variant="linear")), 1e-2, 20.0),
-        (tautology([1.0, 0.5], [1.0, -0.5]), 1e-2, 1.0),  # leaves at lam = 1, t = 0.01
+    @staticmethod
+    def assert_same(a, b):
+        assert a.regime == b.regime
+        for u, v in ((a.t, b.t), (a.x, b.x), (a.lam, b.lam)):
+            assert (u is None and v is None) or u.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("sys, eps_layer, lam0, t_end", [
+        (make_duffing(DuffingParams()), 1e-3, 0.0, 20.0),
+        (make_duffing(DuffingParams(variant="linear")), 1e-2, 0.0, 20.0),
+        (make_example1(), 1e-2, 0.1, 1.0),  # f1 = lam: leaves at lam = 1, t = 0.023
     ], ids=["duffing_cubic", "duffing_linear", "exit"])
-    def test_layer_equals_the_field_path(self, sys, eps_layer, t_end):
-        span = (0.0, t_end)
-        seg = integrate_layer_only(sys, 0.0, [0.0], span, self.CFG, eps_layer=eps_layer)
-        ref = _solve(_field_path_layer_rhs(sys, eps_layer), np.zeros(2), span,
-                     self.CFG, lambda t, z: 1.0 - abs(z.item(0)), method="dop853")
-        assert seg.t.size > 3 and (seg.t_final == t_end) != ref.stopped
-        assert np.array_equal(seg.t, ref.t)
-        assert np.array_equal(seg.lam, ref.y[:, 0])
-        assert np.array_equal(seg.x[:, 1], ref.y[:, 1]) and not seg.x[:, 0].any()
+    def test_layer_equals_the_python_path(self, sys, eps_layer, lam0, t_end):
+        segs = [integrate_layer_only(s, lam0, [0.0], (0.0, t_end), self.CFG, eps_layer=eps_layer)
+                for s in (sys, python_path(sys))]
+        assert segs[0].t.size > 3 and (segs[0].t_final < t_end) == (lam0 != 0.0)
+        self.assert_same(*segs)
 
     @pytest.mark.parametrize("sys, sig, x0", [
         (make_duffing(DuffingParams()), SigmoidSpec("piecewise_linear", eps=1e-2),
          [0.005, 0.0]),
-        (tautology([1.0, 0.0], [1.0, 0.0]), SigmoidSpec("tanh", eps=1e-3), [-0.5, 0.0]),
-    ], ids=["duffing", "band_crossing"])
-    def test_regularized_equals_the_field_path(self, monkeypatch, sys, sig, x0):
-        span = (0.0, 20.0)
-        seg = integrate_regularized(sys, sig, x0, span, self.CFG)
-        fused, lam_of = sys.fused, sig.scalar_fn()
+        (make_example2("continuous"), SigmoidSpec("tanh", eps=1e-3), [-0.5, 0.0]),
+        *[(make_circuit(_HALF), SigmoidSpec(kind, eps=1e-2), circuit_iv_to_state(0.0, 0.0, _HALF))
+          for kind in ("arctan_unit", "erf")],
+    ], ids=["duffing", "band_crossing", "circuit_arctan", "circuit_erf"])
+    def test_regularized_equals_the_python_path(self, sys, sig, x0):
+        segs = [integrate_regularized(s, sig, x0, (0.0, 20.0), self.CFG)
+                for s in (sys, python_path(sys))]
+        assert segs[0].t.size > 100
+        self.assert_same(*segs)
 
-        def field(x, t):
-            return fused(x, t, lam_of(x.item(0)))
+    @pytest.mark.parametrize("name", BUILT_IN)
+    def test_free_flight_and_hybrid_equal_the_python_path(self, name):
+        sys = BUILT_IN[name]
+        for x0 in ([0.3, 0.1], [-0.3, 0.1]):
+            runs = [advance_to_surface(s, x0, (0.0, 3.0), self.CFG) for s in (sys, python_path(sys))]
+            self.assert_same(runs[0][0], runs[1][0])
+            assert repr(runs[0][1]) == repr(runs[1][1])
+            runs = [integrate_hybrid(s, x0, (0.0, 3.0), self.CFG, eps_layer=1e-3)
+                    for s in (sys, python_path(sys))]
+            assert runs[0].transitions == runs[1].transitions
+            for a, b in zip(runs[0].segments, runs[1].segments, strict=True):
+                self.assert_same(a, b)
 
-        def field_path(_, *args, stage=None, **kwargs):
-            assert stage is not None  # the regularized run hands over its stage
-            return _solve(field, *args, **kwargs)
+    @pytest.mark.parametrize("kind", ["free", "regularized", "layer"])
+    def test_replaced_fused_is_the_one_that_runs(self, kind):
+        # the kernel rides on the callable, not on the system: replacing
+        # fused drops it, so the run follows the replacement, here (0, 1)
+        duffing = make_duffing()
+        assert duffing.fused.kernel == ("duffing_cubic", (0.15, 0.05, 0.1))
+        calls = []
 
-        monkeypatch.setattr("switchlayer.integrate._solve", field_path)
-        ref = integrate_regularized(sys, sig, x0, span, self.CFG)
-        assert seg.t.size > 100
-        for a, b in ((seg.t, ref.t), (seg.x, ref.x), (seg.lam, ref.lam)):
-            assert np.array_equal(a, b)
+        def other(x, t, lam):
+            calls.append(t)
+            return (0.0, 1.0)
+
+        sys = dataclasses.replace(duffing, fused=other)
+        if kind == "free":
+            seg = advance_to_surface(sys, [0.5, 0.0], (0.0, 1.0), self.CFG)[0]
+        elif kind == "regularized":
+            seg = integrate_regularized(sys, SigmoidSpec("tanh", eps=0.1), [0.5, 0.0],
+                                        (0.0, 1.0), self.CFG)
+        else:
+            seg = integrate_layer_only(sys, 0.5, [0.0], (0.0, 1.0), self.CFG)
+        assert calls and seg.t_final == 1.0
+        np.testing.assert_allclose(seg.x[-1], [0.0 if kind == "layer" else 0.5, 1.0],
+                                   rtol=1e-12)
 
 
 class TestEvents:
@@ -733,6 +822,27 @@ def traced_runs():
         runs[kind] = segments, peak
     return runs
 
+
+
+def test_result_arrays_hold_no_growth_slack():
+    # a free flight of 20,000 steps at max_step 1e-4 that never reaches the
+    # surface: each array's buffer is trimmed to its samples, so the result
+    # holds its data and a few small objects
+    def run():
+        return advance_to_surface(make_example2(), [-3.0, 0.0], (0.0, 2.0), _FINE_CFG)[0]
+
+    run()  # first calls fill caches that are no part of a result
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        seg = run()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert seg.t.size == 20_001 and seg.lam is None
+    assert held - (seg.t.nbytes + seg.x.nbytes) < 2_000, f"{held} B held"
 
 class TestRecordedMemory:
     """Samples are stored once, as float64, in buffers no result shares."""
