@@ -4,12 +4,16 @@ cffi compiles it in API mode on the first import, in a child process the
 import waits for, so setuptools never loads into the importing process.
 The module is named by a hash of the C source, the kernels and the Python
 ABI, and cached in the package's ``__pycache__``, or in
-``~/.cache/switchlayer`` where that is read-only.  Building needs a C
-compiler.
+``~/.cache/switchlayer`` where that is read-only.  A build into the
+package's own directory removes the modules earlier sources left there;
+the shared cache, which other checkouts may use, is never pruned.
+Building needs a C compiler.
 """
 
 from __future__ import annotations
 
+import contextlib
+import glob
 import hashlib
 import importlib.util
 import json
@@ -28,14 +32,19 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 KERNELS = {name: k for k, name in enumerate(sorted(FIELDS))}  # index in sl_kernel
 
 CDEF = """
+typedef struct { double t, lam, rate, slope, srate; double *rest; double branch;
+                 double lt, llam, lf1, fold; int found, folded; } sl_slide;
 typedef struct { int kind, sigmoid, kernel, n; double value; const double *par;
-                 void *py; double *x, *f; } sl_field;
+                 void *py; double *x, *f; sl_slide *slide; } sl_field;
 typedef struct { double c0, c1, c2; void *py; double *g; } sl_event;
 typedef struct { double *t, *y, *lam; long len, cap, accepted, rejected, evals; } sl_record;
 extern "Python" int sl_py(void *, double, double);
 int sl_run(sl_field *, const sl_event *, int, double, double, double *, double, double,
            double, long, sl_record *);
 int sl_rhs(sl_field *, double, const double *, double *);
+int sl_root(sl_field *, double, double, double, double, double *);
+int sl_minimize(sl_field *, double, double, double, double, double *);
+static const double SL_ROOT_TOL;
 double sl_sigmoid(int, double, double);
 void sl_take(sl_record *, int); void sl_release(sl_record *); void sl_free(void *);
 """
@@ -73,7 +82,8 @@ def kernel_source() -> str:
 
 def load(dirs: list[str] | None = None):
     """The compiled module: loaded from the first of ``dirs`` that holds
-    it, else built into the first writable one."""
+    it, else built into the first writable one.  A build into ``dirs[0]``
+    removes the other ``_loop_*`` modules of this ABI there."""
     with open(os.path.join(HERE, "_loop.c")) as fh:
         source = fh.read() + "\n" + kernel_source()
     key = "\0".join((source, CDEF, EXTENSION_SUFFIXES[0], _cffi_backend.__version__))
@@ -108,5 +118,11 @@ def _build(name, file, source, dirs) -> str:
             if proc.returncode != 0:
                 raise ImportError(f"building switchlayer's step loop failed:\n"
                                   f"{proc.stderr[-2000:]}")
+            if d == dirs[0]:  # the package's own directory, unless a caller chose
+                pattern = os.path.join(glob.escape(d), "_loop_*" + EXTENSION_SUFFIXES[0])
+                for stale in glob.glob(pattern):
+                    if os.path.basename(stale) != file:
+                        with contextlib.suppress(OSError):
+                            os.remove(stale)
             return d
     raise ImportError(f"no writable directory to build switchlayer's step loop in: {dirs}")

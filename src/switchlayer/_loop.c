@@ -11,38 +11,73 @@
  * err^(1/8) / 0.9).  Stage 2 is y + (h a21) k1, in the Fortran codes'
  * order, so runs match scipy's bit for bit.  A run's event g falls through
  * zero when g1 <= 0 <= g0 and g0 != g1 over an accepted step; the
- * crossing is localized with Brent's method (scipy's brentq, xtol = rtol =
- * 4 eps) on the cubic Hermite interpolant of the step, built from its end
- * values and slopes (ibid., sec. II.6), and the run stops there.
+ * crossing is localized with Brent's method (xtol = rtol = 4 eps) on the
+ * cubic Hermite interpolant of the step, built from its end values and
+ * slopes (ibid., sec. II.6), and the run stops there.
  *
- * A run evaluates one of four right-hand sides.  SL_PLAIN calls the
- * Python field(y, t).  The three others evaluate f(x; lam): SL_FIXED at a
- * constant lam, SL_SIGMOID at lam = phi_eps(x1), and SL_LAYER, the layer
+ * A run evaluates one of five right-hand sides.  SL_PLAIN calls the
+ * Python field(y, t).  The four others evaluate f(x; lam): SL_FIXED at a
+ * constant lam, SL_SIGMOID at lam = phi_eps(x1), SL_LAYER, the layer
  * system z = (lam, x2..xn) -> (f1/eps_layer, f2..fn) at x = (0, x2..xn) and
- * lam clipped to [-1, 1].  f is a compiled kernel (sl_kernel, generated
- * from the built-in fields' declarations and appended to this file) or the
- * Python fused(x, t, lam).  Every Python call goes through sl_py: C writes
- * the state into the run's buffer x, Python writes its slopes into f (or
- * an event value into g) and returns 0, or -1 after raising.
+ * lam clipped to [-1, 1], and SL_SLIDE, the sliding system x_rest ->
+ * f_rest(x; lam_s) at x = (0, x_rest), lam_s the root of f1 = 0 followed
+ * from an anchor (see slide_solve), with its own edge event.  f is a
+ * compiled kernel (sl_kernel, generated from the built-in fields'
+ * declarations and appended to this file) or the Python fused(x, t, lam).
+ * Every Python call goes through sl_py: C writes the state into the
+ * field's buffer x, Python writes its slopes into f (or an event value
+ * into g) and returns 0, or -1 after raising.
+ *
+ * One Brent root finder, a port of scipy's brentq (Brent 1973, *Algorithms
+ * for Minimization without Derivatives*, ch. 4), serves both the event
+ * localization and the roots of f1 in lam; the sliding fallback also
+ * minimises |f1| with a port of scipy's bounded Brent minimiser (ibid.,
+ * ch. 5).  Both return an error code where scipy's would raise or report
+ * no success, never a silent result.
  *
  * Samples are recorded as they are accepted, into buffers from
  * PyMem_RawMalloc (so tracemalloc sees them) that grow as array("d")
  * grows; sl_take trims them to their length.
  */
+#include <float.h>
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
 
-enum { SL_PLAIN, SL_FIXED, SL_SIGMOID, SL_LAYER };
+enum { SL_PLAIN, SL_FIXED, SL_SIGMOID, SL_LAYER, SL_SLIDE };
 enum { SL_DONE = 0, SL_STOPPED = 1, SL_EPY = -1, SL_EBUDGET = -2, SL_ESMALL = -3,
-       SL_ENONFINITE = -4, SL_ENOMEM = -5, SL_ESTUCK = -6 };
+       SL_ENONFINITE = -4, SL_ENOMEM = -5, SL_ESTUCK = -6, SL_EFIELD = -7, SL_ECONV = -8,
+       SL_ESIGN = -9 };
+
+/* the lam solves' constants: the root tolerance of every Brent solve in lam
+   (layer.py's ROOT_TOL), and the sliding solve's (see slide_solve) */
+static const double SL_ROOT_TOL = 1e-12;
+#define SECANT_STEPS 8      /* secant steps per solve before the bracketed fallback */
+#define SECANT_REACH 0.05   /* how far a secant iterate may go, so it keeps to its branch */
+#define LAM_REACH 1.5       /* how far past +-1 a sliding root is followed */
+#define SLOPE_STEP 1e-7     /* difference step of d f1/d lam at a slide's samples */
+
+/* A slide's state.  The anchor is the last accepted sample: its time, root
+   lam and d f1/d lam (slope) with their rates, and its x_rest.  The last
+   solve is its time, root, f1 there, whether a root was found, and the fold
+   value once slide_at has made it: branch-signed d f1/d lam, or -|f1| past
+   a fold.  The solve's state (0, x_rest) stays in the field's buffer x.  A
+   run starts from lam alone (see slide_start). */
+typedef struct {
+    double t, lam, rate, slope, srate;
+    double *rest;
+    double branch;       /* the sign of d f1/d lam along the branch */
+    double lt, llam, lf1, fold;
+    int found, folded;
+} sl_slide;
 
 typedef struct {
-    int kind, sigmoid, kernel, n;
+    int kind, sigmoid, kernel, n;  /* n: the dimension of f */
     double value;        /* lam (SL_FIXED), eps (SL_SIGMOID), eps_layer (SL_LAYER) */
     const double *par;   /* the kernel's parameters */
     void *py;            /* the Python callback's handle when kernel < 0 */
     double *x, *f;       /* the state and slopes a Python call reads and writes */
+    sl_slide *slide;     /* SL_SLIDE's state */
 } sl_field;
 
 typedef struct {
@@ -57,6 +92,7 @@ typedef struct {
 } sl_record;
 
 static int sl_py(void *handle, double t, double lam);
+static double clip1(double v) { return v < -1.0 ? -1.0 : (v > 1.0 ? 1.0 : v); }
 static void sl_kernel(int k, const double *x_, double t, double lam, const double *p_,
                       double *f_);
 
@@ -64,24 +100,49 @@ double sl_sigmoid(int kind, double eps, double v)
 {
     v = v / eps;
     switch (kind) {
-    case 0: return v < -1.0 ? -1.0 : (v > 1.0 ? 1.0 : v);
+    case 0: return clip1(v);
     case 1: return (2.0 / 3.141592653589793) * atan(v);
     case 2: return tanh(v);
     default: return erf(v);
     }
 }
 
+/* f(x; lam) at the field's buffer x, into F */
+static int field_at(sl_field *f, double t, double lam, double *F)
+{
+    if (f->kernel >= 0)
+        sl_kernel(f->kernel, f->x, t, lam, f->par, F);
+    else {
+        if (sl_py(f->py, t, lam))
+            return SL_EPY;
+        memcpy(F, f->f, f->n * sizeof *F);
+    }
+    return 0;
+}
+
+static int f1_at(sl_field *f, double t, double lam, double *f1)
+{
+    double F[f->n];
+    int rc = field_at(f, t, lam, F);
+    *f1 = F[0];
+    return rc;
+}
+
+static int slide_solve(sl_field *f, double t, const double *y, double *dy);
+
 int sl_rhs(sl_field *f, double t, const double *y, double *dy)
 {
     const int n = f->n;
     const double *x = y;
     double lam = NAN;
+    if (f->kind == SL_SLIDE)
+        return slide_solve(f, t, y, dy);
     if (f->kind == SL_FIXED)
         lam = f->value;
     else if (f->kind == SL_SIGMOID)
         lam = sl_sigmoid(f->sigmoid, f->value, y[0]);
     else if (f->kind == SL_LAYER) {
-        lam = y[0] < -1.0 ? -1.0 : (y[0] > 1.0 ? 1.0 : y[0]);
+        lam = clip1(y[0]);
         f->x[0] = 0.0;
         memcpy(f->x + 1, y + 1, (n - 1) * sizeof *y);
         x = f->x;
@@ -92,11 +153,356 @@ int sl_rhs(sl_field *f, double t, const double *y, double *dy)
         if (x != f->x)
             memcpy(f->x, y, n * sizeof *y);
         if (sl_py(f->py, t, lam))
-            return -1;
+            return SL_EPY;
         memcpy(dy, f->f, n * sizeof *dy);
     }
     if (f->kind == SL_LAYER)
         dy[0] = dy[0] / f->value;
+    return 0;
+}
+
+/* ---- Brent's root finder and minimiser -------------------------------- */
+
+typedef int (*sl_fn)(void *ctx, double x, double *g);
+
+/* scipy's brentq (at most 100 iterations) on g over [xa, xb], where g is
+   fpre at xa and fcur at xb, both nonzero and of opposite signs */
+static int brent(sl_fn g, void *ctx, double xa, double xb, double fpre, double fcur,
+                 double xtol, double rtol, double *root)
+{
+    double xpre = xa, xcur = xb, xblk = 0, fblk = 0, spre = 0, scur = 0;
+    for (int i = 0; i < 100; i++) {
+        if (fpre != 0 && fcur != 0 && (signbit(fpre) != signbit(fcur))) {
+            xblk = xpre;
+            fblk = fpre;
+            spre = scur = xcur - xpre;
+        }
+        if (fabs(fblk) < fabs(fcur)) {
+            xpre = xcur; xcur = xblk; xblk = xpre;
+            fpre = fcur; fcur = fblk; fblk = fpre;
+        }
+        const double delta = (xtol + rtol * fabs(xcur)) / 2, sbis = (xblk - xcur) / 2;
+        if (fcur == 0 || fabs(sbis) < delta) {
+            *root = xcur;
+            return 0;
+        }
+        if (fabs(spre) > delta && fabs(fcur) < fabs(fpre)) {
+            double stry;
+            if (xpre == xblk)
+                stry = -fcur * (xcur - xpre) / (fcur - fpre);
+            else {
+                const double dpre = (fpre - fcur) / (xpre - xcur);
+                const double dblk = (fblk - fcur) / (xblk - xcur);
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre));
+            }
+            if (2 * fabs(stry) < fmin(fabs(spre), 3 * fabs(sbis) - delta)) {
+                spre = scur;
+                scur = stry;
+            } else
+                spre = scur = sbis;
+        } else
+            spre = scur = sbis;
+        xpre = xcur;
+        fpre = fcur;
+        xcur += fabs(scur) > delta ? scur : (sbis > 0 ? delta : -delta);
+        const int rc = g(ctx, xcur, &fcur);
+        if (rc)
+            return rc;
+    }
+    return SL_ECONV;
+}
+
+typedef struct {
+    sl_field *f;
+    double t, sgn;
+} sl_lam;
+
+/* sgn f1(x; lam), which a Brent root search must find finite, as scipy's
+   brentq does */
+static int f1_finite(void *ctx, double lam, double *g)
+{
+    sl_lam *c = ctx;
+    int rc = f1_at(c->f, c->t, lam, g);
+    return rc ? rc : (isnan(*g) ? SL_EFIELD : 0);
+}
+
+/* scipy's brentq(f1, a, b, xtol, 4 eps): the root of f1 in lam on [a, b] */
+static int lam_root(sl_field *f, double t, double a, double b, double xtol, double *root)
+{
+    sl_lam c = {f, t, 1.0};
+    double fa, fb;
+    int rc;
+    if ((rc = f1_finite(&c, a, &fa)) || (rc = f1_finite(&c, b, &fb)))
+        return rc;
+    if (fa == 0 || fb == 0) {
+        *root = fa == 0 ? a : b;
+        return 0;
+    }
+    if (signbit(fa) == signbit(fb))
+        return SL_ESIGN;
+    return brent(f1_finite, &c, a, b, fa, fb, xtol, 4 * DBL_EPSILON, root);
+}
+
+/* np.sign(v) + (v == 0) */
+static double sign1(double v) { return v > 0 ? 1.0 : (v < 0 ? -1.0 : (v == 0 ? 1.0 : v)); }
+
+/* scipy's _minimize_scalar_bounded(sgn f1, (a, b), xatol=1e-10, maxiter=500):
+   its x, or an error where it reports no success */
+static int lam_min(sl_field *f, double t, double sgn, double a, double b, double *xmin)
+{
+    const double sqrt_eps = sqrt(2.2e-16), golden_mean = 0.5 * (3.0 - sqrt(5.0)),
+                 xatol = 1e-10;
+    double fulc = a + golden_mean * (b - a), nfc = fulc, xf = fulc, rat = 0.0, e = 0.0,
+           x = xf, fx, fu = INFINITY;
+    int num = 1, rc;
+    if ((rc = f1_at(f, t, x, &fx)))
+        return rc;
+    fx = sgn * fx;
+    double ffulc = fx, fnfc = fx, xm = 0.5 * (a + b);
+    double tol1 = sqrt_eps * fabs(xf) + xatol / 3.0, tol2 = 2.0 * tol1;
+    while (fabs(xf - xm) > (tol2 - 0.5 * (b - a))) {
+        int golden = 1;
+        if (fabs(e) > tol1) {  /* a parabolic fit */
+            golden = 0;
+            double r = (xf - nfc) * (fx - ffulc), q = (xf - fulc) * (fx - fnfc);
+            double p = (xf - fulc) * q - (xf - nfc) * r;
+            q = 2.0 * (q - r);
+            if (q > 0.0)
+                p = -p;
+            q = fabs(q);
+            r = e;
+            e = rat;
+            if (fabs(p) < fabs(0.5 * q * r) && p > q * (a - xf) && p < q * (b - xf)) {
+                rat = (p + 0.0) / q;
+                x = xf + rat;
+                if ((x - a) < tol2 || (b - x) < tol2)
+                    rat = tol1 * sign1(xm - xf);
+            } else
+                golden = 1;
+        }
+        if (golden) {  /* a golden-section step */
+            e = xf >= xm ? a - xf : b - xf;
+            rat = golden_mean * e;
+        }
+        const double step = fabs(rat);
+        x = xf + sign1(rat) * (isnan(step) || isnan(tol1) ? step + tol1 : fmax(step, tol1));
+        if ((rc = f1_at(f, t, x, &fu)))
+            return rc;
+        fu = sgn * fu;
+        num++;
+        if (fu <= fx) {
+            if (x >= xf)
+                a = xf;
+            else
+                b = xf;
+            fulc = nfc; ffulc = fnfc;
+            nfc = xf; fnfc = fx;
+            xf = x; fx = fu;
+        } else {
+            if (x < xf)
+                a = x;
+            else
+                b = x;
+            if (fu <= fnfc || nfc == xf) {
+                fulc = nfc; ffulc = fnfc;
+                nfc = x; fnfc = fu;
+            } else if (fu <= ffulc || fulc == xf || fulc == nfc) {
+                fulc = x; ffulc = fu;
+            }
+        }
+        xm = 0.5 * (a + b);
+        tol1 = sqrt_eps * fabs(xf) + xatol / 3.0;
+        tol2 = 2.0 * tol1;
+        if (num >= 500)
+            return SL_ECONV;
+    }
+    if (isnan(xf) || isnan(fx) || isnan(fu))
+        return SL_EFIELD;
+    *xmin = xf;
+    return 0;
+}
+
+/* Python callbacks run under the GIL, taken once for the call */
+#define WITH_GIL(python, call)                                                \
+    do {                                                                      \
+        const int py_ = (python);                                             \
+        PyGILState_STATE gil_ = py_ ? PyGILState_Ensure() : PyGILState_UNLOCKED; \
+        call;                                                                 \
+        if (py_)                                                              \
+            PyGILState_Release(gil_);                                         \
+    } while (0)
+
+int sl_root(sl_field *f, double t, double a, double b, double xtol, double *root)
+{
+    int rc;
+    WITH_GIL(f->kernel < 0, rc = lam_root(f, t, a, b, xtol, root));
+    return rc;
+}
+
+int sl_minimize(sl_field *f, double t, double sgn, double a, double b, double *xmin)
+{
+    int rc;
+    WITH_GIL(f->kernel < 0, rc = lam_min(f, t, sgn, a, b, xmin));
+    return rc;
+}
+
+/* ---- the sliding solve ------------------------------------------------ */
+
+static double lo_of(double p, double q) { return q < p ? q : p; }  /* sorted((p, q)) */
+static double hi_of(double p, double q) { return q < p ? p : q; }
+
+/* Where the secant lost the branch: the first root from lam (f1 = fv there)
+   the way the branch runs, in steps doubling from 1e-3 (found = 1), or, if
+   |f1| turns up first or at the reach, where f1 is nearest zero (found = 0). */
+static int fallback(sl_field *f, double t, double lam, double fv, double branch,
+                    double *root, int *found)
+{
+    const double sgn = copysign(1.0, fv), direction = -sgn * branch;
+    double lo = lam, mid = lam, g_mid = fabs(fv), step = 1e-3, g, m;
+    int rc;
+    *found = 1;
+    for (;;) {
+        double a = mid + direction * step;
+        if (-LAM_REACH > a)
+            a = -LAM_REACH;
+        if (LAM_REACH < a)
+            a = LAM_REACH;
+        if ((rc = f1_at(f, t, a, &g)))
+            return rc;
+        g = sgn * g;
+        if (g <= 0.0)
+            return lam_root(f, t, lo_of(mid, a), hi_of(mid, a), SL_ROOT_TOL, root);
+        if (g > g_mid) {  /* the least |f1| lies in (lo, a): a root if it dips through 0 */
+            if ((rc = lam_min(f, t, sgn, lo_of(lo, a), hi_of(lo, a), &m))
+                || (rc = f1_at(f, t, m, &g)))
+                return rc;
+            if (sgn * g > 0.0) {
+                *root = m;
+                *found = 0;
+                return 0;
+            }
+            return lam_root(f, t, lo_of(lo, m), hi_of(lo, m), SL_ROOT_TOL, root);
+        }
+        if (fabs(a) == LAM_REACH) {
+            *root = a;
+            *found = 0;
+            return 0;
+        }
+        lo = mid;
+        mid = a;
+        g_mid = g;
+        step = 2.0 * step;
+    }
+}
+
+/* The sliding rhs: dy = f_rest at lam_s(t, y), solved by secant from the
+   anchor carried forward at its rates (so within a step lam_s is a function
+   of (t, x_rest)), or by the fallback past a fold or the reach. */
+static int slide_solve(sl_field *f, double t, const double *y, double *dy)
+{
+    sl_slide *s = f->slide;
+    const int n = f->n;
+    const double tol = 10 * SL_ROOT_TOL, dt = t - s->t;
+    double F[n], lam = s->lam + s->rate * dt, slope = s->slope + s->srate * dt, start;
+    int rc, found = 1;
+    f->x[0] = 0.0;
+    memcpy(f->x + 1, y, (n - 1) * sizeof *y);
+    if (!(-LAM_REACH <= lam && lam <= LAM_REACH))
+        lam = copysign(LAM_REACH, lam);
+    start = lam;
+    if ((rc = field_at(f, t, lam, F)))
+        return rc;
+    for (int i = 0; i < SECANT_STEPS; i++) {
+        const double f1 = F[0];
+        if (!(slope * s->branch > 0.0))  /* not the branch's sign: past a fold */
+            break;
+        const double nxt = lam - f1 / slope;
+        /* converged, or a step below one ulp of lam: f1 is at its rounding
+           floor, which far from the origin can lie above tol */
+        if (fabs(f1) < tol || nxt == lam)
+            goto solved;
+        if (!(fabs(nxt - start) <= SECANT_REACH && fabs(nxt) <= LAM_REACH))
+            break;
+        if ((rc = field_at(f, t, nxt, F)))
+            return rc;
+        slope = (F[0] - f1) / (nxt - lam);
+        lam = nxt;
+    }
+    double fv;
+    if ((rc = f1_at(f, t, s->lam, &fv)))
+        return rc;
+    if (!isfinite(fv))
+        return SL_EFIELD;
+    if ((rc = fallback(f, t, s->lam, fv, s->branch, &lam, &found))
+        || (rc = field_at(f, t, lam, F)))
+        return rc;
+solved:
+    s->lt = t;
+    s->llam = lam;
+    s->lf1 = F[0];
+    s->found = found;
+    s->folded = 0;
+    memcpy(dy, F + 1, (n - 1) * sizeof *dy);
+    return 0;
+}
+
+/* The anchor at the start (t, y) of a slide on the root s->lam: d f1/d lam
+   there by a one-sided difference, which also gives the branch's sign. */
+static int slide_start(sl_field *f, double t, const double *y)
+{
+    sl_slide *s = f->slide;
+    const int n = f->n;
+    const double h = s->lam > 0 ? -SLOPE_STEP : SLOPE_STEP;
+    double ahead, here;
+    int rc;
+    f->x[0] = 0.0;
+    memcpy(f->x + 1, y, (n - 1) * sizeof *y);
+    if ((rc = f1_at(f, t, s->lam + h, &ahead)) || (rc = f1_at(f, t, s->lam, &here)))
+        return rc;
+    s->t = t;
+    s->rate = s->srate = 0.0;
+    s->slope = (ahead - here) / h;
+    s->branch = s->slope < 0 ? -1.0 : 1.0;
+    s->lt = NAN;  /* no solve yet */
+    memcpy(s->rest, y, (n - 1) * sizeof *y);
+    return 0;
+}
+
+/* The solve at (t, y), reusing the last one if it was made there (as the
+   FSAL stage's is at an accepted sample), with its fold value; a solve
+   past the anchor's time is an accepted sample and moves the anchor. */
+static int slide_at(sl_field *f, double t, const double *y)
+{
+    sl_slide *s = f->slide;
+    const int n = f->n;
+    int same = s->lt == t, rc;
+    for (int i = 1; same && i < n; i++)
+        same = f->x[i] == y[i - 1];
+    if (!same) {
+        double dy[n];
+        if ((rc = slide_solve(f, t, y, dy)))
+            return rc;
+    }
+    if (s->folded)
+        return 0;
+    double slope = s->slope, g;
+    if (s->found) {
+        const double hs = s->llam > 0 ? -SLOPE_STEP : SLOPE_STEP;
+        if ((rc = f1_at(f, t, s->llam + hs, &g)))
+            return rc;
+        slope = (g - s->lf1) / hs;
+    }
+    s->fold = s->found ? s->branch * slope : -fabs(s->lf1);
+    s->folded = 1;
+    if (t > s->t) {
+        const double dt = t - s->t;
+        s->rate = (s->llam - s->lam) / dt;
+        s->srate = (slope - s->slope) / dt;
+        s->t = t;
+        s->lam = s->llam;
+        s->slope = slope;
+        memcpy(s->rest, y, (n - 1) * sizeof *y);
+    }
     return 0;
 }
 
@@ -210,7 +616,7 @@ static int grow(double **p, long cap, long width)
 
 static int push(sl_record *r, const sl_field *f, double t, const double *y)
 {
-    const int n = f->n, lam = f->kind >= SL_SIGMOID;
+    const int n = f->n, lam = f->kind >= SL_SIGMOID, slide = f->kind == SL_SLIDE;
     if (r->len == r->cap) {  /* array("d")'s growth */
         long cap = r->len + 1 + ((r->len + 1) >> 4) + (r->len < 8 ? 3 : 7);
         if (grow(&r->t, cap, 1) || grow(&r->y, cap, n) || (lam && grow(&r->lam, cap, 1)))
@@ -219,13 +625,15 @@ static int push(sl_record *r, const sl_field *f, double t, const double *y)
     }
     double *row = r->y + r->len * n;
     r->t[r->len] = t;
-    memcpy(row, y, n * sizeof *y);
+    row[0] = 0.0;  /* a slide's state is x_rest */
+    memcpy(row + slide, y, (n - slide) * sizeof *y);
     if (f->kind == SL_SIGMOID)
         r->lam[r->len] = sl_sigmoid(f->sigmoid, f->value, y[0]);
     else if (f->kind == SL_LAYER) {
         r->lam[r->len] = y[0];
         row[0] = 0.0;
-    }
+    } else if (slide)
+        r->lam[r->len] = clip1(f->slide->llam);
     r->len++;
     return 0;
 }
@@ -256,6 +664,7 @@ typedef struct {
     const sl_method *m;
     sl_field *f;
     sl_record *r;
+    int n;               /* the state's dimension: f's, or f's - 1 for a slide */
     double rtol, atol;
     long budget, steps;  /* accepted steps allowed and taken, over all parts */
 } sl_loop;
@@ -268,13 +677,20 @@ static int eval(sl_loop *L, double t, const double *y, double *dy)
 
 static int event(sl_loop *L, const sl_event *ev, double t, const double *y, double *g)
 {
+    if (L->f->kind == SL_SLIDE) {  /* the nearer end of the slide: |lam_s| = 1 or a fold */
+        const sl_slide *s = L->f->slide;
+        const int rc = slide_at(L->f, t, y);
+        if (!rc)
+            *g = s->fold < 1.0 - fabs(s->llam) ? s->fold : 1.0 - fabs(s->llam);
+        return rc;
+    }
     if (!ev->py) {
         *g = ev->c0 + ev->c1 * y[0] + ev->c2 * fabs(y[0]);
         return 0;
     }
-    memcpy(L->f->x, y, L->f->n * sizeof *y);
+    memcpy(L->f->x, y, L->n * sizeof *y);
     if (sl_py(ev->py, t, NAN))
-        return -1;
+        return SL_EPY;
     *g = *ev->g;
     return 0;
 }
@@ -289,59 +705,26 @@ static void hermite(int n, double t0, const double *y0, const double *f0, double
         out[i] = a * y0[i] + b * f0[i] + c * y1[i] + d * f1[i];
 }
 
-/* scipy's brentq on g(s) = event(s, hermite(s)) over [xa, xb], where g is
-   fa and fb, of strictly opposite signs */
-static int localize(sl_loop *L, const sl_event *ev, double xa, const double *ya,
-                    const double *fa_, double xb, const double *yb, const double *fb_,
-                    double fpre, double fcur, double *root, double *ys)
+/* the event along a step's interpolant */
+typedef struct {
+    sl_loop *L;
+    const sl_event *ev;
+    double ta, tb;
+    const double *ya, *fa, *yb, *fb;
+    double *ys;
+} sl_step;
+
+static int on_step(void *ctx, double t, double *g)
 {
-    const double tol = 4 * 2.220446049250313e-16;
-    const int n = L->f->n;
-    double xpre = xa, xcur = xb, xblk = 0, fblk = 0, spre = 0, scur = 0;
-    for (int i = 0; i < 100; i++) {
-        if (fpre != 0 && fcur != 0 && (signbit(fpre) != signbit(fcur))) {
-            xblk = xpre;
-            fblk = fpre;
-            spre = scur = xcur - xpre;
-        }
-        if (fabs(fblk) < fabs(fcur)) {
-            xpre = xcur; xcur = xblk; xblk = xpre;
-            fpre = fcur; fcur = fblk; fblk = fpre;
-        }
-        const double delta = (tol + tol * fabs(xcur)) / 2, sbis = (xblk - xcur) / 2;
-        if (fcur == 0 || fabs(sbis) < delta)
-            break;
-        if (fabs(spre) > delta && fabs(fcur) < fabs(fpre)) {
-            double stry;
-            if (xpre == xblk)
-                stry = -fcur * (xcur - xpre) / (fcur - fpre);
-            else {
-                const double dpre = (fpre - fcur) / (xpre - xcur);
-                const double dblk = (fblk - fcur) / (xblk - xcur);
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre));
-            }
-            if (2 * fabs(stry) < fmin(fabs(spre), 3 * fabs(sbis) - delta)) {
-                spre = scur;
-                scur = stry;
-            } else
-                spre = scur = sbis;
-        } else
-            spre = scur = sbis;
-        xpre = xcur;
-        fpre = fcur;
-        xcur += fabs(scur) > delta ? scur : (sbis > 0 ? delta : -delta);
-        hermite(n, xa, ya, fa_, xb, yb, fb_, xcur, ys);
-        if (event(L, ev, xcur, ys, &fcur))
-            return -1;
-    }
-    *root = xcur;
-    return 0;
+    sl_step *c = ctx;
+    hermite(c->L->n, c->ta, c->ya, c->fa, c->tb, c->yb, c->fb, t, c->ys);
+    return event(c->L, c->ev, t, c->ys, g);
 }
 
 static double hinit(sl_loop *L, double t, const double *y, const double *f0, double *y1,
                     double *f1, double hmax, int *rc)
 {
-    const int n = L->f->n;
+    const int n = L->n;
     double dnf = 0, dny = 0, der2 = 0, h, h1;
     for (int i = 0; i < n; i++) {
         const double sk = L->atol + L->rtol * fabs(y[i]);
@@ -369,7 +752,7 @@ static double hinit(sl_loop *L, double t, const double *y, const double *f0, dou
 static int part(sl_loop *L, const sl_event *ev, double t, double t1, double *y, double hmax)
 {
     const sl_method *m = L->m;
-    const int n = L->f->n, S = m->stages;
+    const int n = L->n, S = m->stages;
     double *w = malloc((size_t)(S + 4) * n * sizeof *w);
     if (!w)
         return SL_ENOMEM;
@@ -473,11 +856,11 @@ static int part(sl_loop *L, const sl_event *ev, double t, double t1, double *y, 
             if (g1 <= 0.0 && 0.0 <= g0 && g0 != g1) {  /* a fall through zero */
                 double tr = g0 == 0.0 ? t : xph;
                 memcpy(yold, y, n * sizeof *y);
+                sl_step c = {L, ev, t, xph, yold, k[0], ynew, fnew, ytmp};
                 if (g0 != 0.0 && g1 != 0.0
-                    && localize(L, ev, t, yold, k[0], xph, ynew, fnew, g0, g1, &tr, ytmp)) {
-                    rc = SL_EPY;
+                    && (rc = brent(on_step, &c, t, xph, g0, g1, 4 * DBL_EPSILON,
+                                   4 * DBL_EPSILON, &tr)))
                     goto out;
-                }
                 if (tr > t) {
                     hermite(n, t, yold, k[0], xph, ynew, fnew, tr, y);
                     if (push(L->r, L->f, tr, y)) {
@@ -526,14 +909,10 @@ static int band(sl_loop *L, double t, double t1, double *y, double hmax)
     else if (fabs(y[0]) > eps * (1.0 + 1e-12))
         inside = 0;
     else {  /* on the band edge: the side of the next instant, by dx1/dt */
-        double *dy = malloc(L->f->n * sizeof *dy);
-        if (!dy)
-            return SL_ENOMEM;
-        rc = eval(L, t, y, dy);
+        double dy[L->n];
+        if ((rc = eval(L, t, y, dy)))
+            return rc;
         inside = y[0] * dy[0] < 0;
-        free(dy);
-        if (rc)
-            return SL_EPY;
     }
     for (;;) {
         const double side = y[0] > 0.0 ? 1.0 : -1.0;
@@ -553,15 +932,35 @@ static int band(sl_loop *L, double t, double t1, double *y, double hmax)
     }
 }
 
+static const sl_event EDGE;  /* a slide's, which event() evaluates */
+
+static int run(sl_loop *L, const sl_event *ev, double t0, double t1, double *y, double hmax)
+{
+    sl_field *f = L->f;
+    sl_record *r = L->r;
+    int rc;
+    if (f->kind == SL_SIGMOID)
+        return band(L, t0, t1, y, hmax);
+    if (f->kind != SL_SLIDE)
+        return part(L, ev, t0, t1, y, hmax);
+    /* a slide solves at its start before the loop does, and again at the
+       sample it stops on, which then records that solve's root */
+    if ((rc = slide_start(f, t0, y)) || (rc = slide_at(f, t0, y))
+        || (rc = part(L, &EDGE, t0, t1, y, hmax)) != SL_STOPPED)
+        return rc;
+    const long k = r->len - 1;
+    if ((rc = slide_at(f, r->t[k], r->y + k * f->n + 1)))
+        return rc;
+    r->lam[k] = clip1(f->slide->llam);
+    return SL_STOPPED;
+}
+
 int sl_run(sl_field *f, const sl_event *ev, int dop853, double t0, double t1, double *y,
            double rtol, double atol, double hmax, long budget, sl_record *r)
 {
-    sl_loop L = {dop853 ? &DOP853 : &DOPRI5, f, r, rtol, atol, budget, 0};
-    /* Python callbacks run under the GIL, taken once for the run */
-    const int python = f->kernel < 0 || (ev && ev->py);
-    PyGILState_STATE gil = python ? PyGILState_Ensure() : PyGILState_UNLOCKED;
-    int rc = f->kind == SL_SIGMOID ? band(&L, t0, t1, y, hmax) : part(&L, ev, t0, t1, y, hmax);
-    if (python)
-        PyGILState_Release(gil);
+    const int slide = f->kind == SL_SLIDE;
+    sl_loop L = {dop853 ? &DOP853 : &DOPRI5, f, r, f->n - slide, rtol, atol, budget, 0};
+    int rc;
+    WITH_GIL(f->kernel < 0 || (ev && ev->py), rc = run(&L, ev, t0, t1, y, hmax));
     return rc;
 }

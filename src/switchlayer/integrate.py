@@ -8,10 +8,13 @@ sec. II.4-II.5 and II.10).  A run's one event ends it where it falls
 through zero, localized on the step's cubic Hermite interpolant (ibid.,
 sec. II.6).  Regularized systems replace the discontinuous multiplier by
 a sigmoid of the surface function and are integrated as one smooth
-system, with the step capped at eps/4 inside the transition band.  Free
-flight, regularized and layer runs of a built-in system run entirely in
-C, on its compiled kernel (see ``scenarios``); every other field, and the
-sliding rhs with its event, is called through one Python callback.
+system, with the step capped at eps/4 inside the transition band.  A
+slide runs in the loop too: its rhs solves f1(x; lam) = 0 for lam_s at
+each stage and its event watches the slide's ends (see
+``layer._integrate_sliding``).  Every run of a built-in system runs
+entirely in C, on its compiled kernel (see ``scenarios``); every other
+field is called through one Python callback.  The loop's Brent solver
+also finds the roots of f1 in lam (``_lam_root``).
 """
 
 from __future__ import annotations
@@ -25,13 +28,17 @@ from types import SimpleNamespace
 import numpy as np
 
 from ._build import KERNELS, load
-from .core import SURFACE_TOL, SwitchedField, regime_of
+from .core import SURFACE_TOL, NonFiniteFieldError, SwitchedField, regime_of
 from .sigmoids import KINDS, SigmoidSpec
 
 _loop = load()
 ffi, lib = _loop.ffi, _loop.lib
 # the C run kind and sigmoid of each kind of _solve's (fused, kind, value)
-_KINDS = {"lam": (1, 0), **{k: (2, i) for i, k in enumerate(KINDS)}, "layer": (3, 0)}
+_KINDS = {"lam": (1, 0), **{k: (2, i) for i, k in enumerate(KINDS)}, "layer": (3, 0),
+          "slide": (4, 0)}
+# what a failed lam solve returns, for codes -7 to -9
+_SOLVE_FAILED = {-7: "non-finite field value", -8: "Brent's method did not converge",
+                 -9: "f1 has one sign at both ends of the bracket"}
 
 
 class IntegrationError(RuntimeError):
@@ -124,6 +131,12 @@ def sl_py(handle, t, lam):
     return 0
 
 
+def _reraise():
+    """Raise what the callback that ended the loop raised."""
+    exc, _failure.exc = _failure.exc, None
+    raise exc
+
+
 def _values(v, n: int):
     """A field value that is not a tuple, as a list, or the documented error."""
     if isinstance(v, np.ndarray):
@@ -152,7 +165,11 @@ def _field(rhs, n: int):
     plain = callable(rhs)
     fn = rhs if plain else rhs[0]
     if not plain:
-        (field.kind, field.sigmoid), field.value = _KINDS[rhs[1]], rhs[2]
+        field.kind, field.sigmoid = _KINDS[rhs[1]]
+        if rhs[1] == "slide":
+            field.slide = rhs[2]
+        else:
+            field.value = rhs[2]
         tag = getattr(fn, "kernel", None)
         if tag is not None:
             field.kernel = KERNELS[tag[0]]
@@ -180,7 +197,11 @@ def _solve(rhs, x0, t_span, cfg: IntegratorConfig, event=None, method="dopri5") 
     (``sigmoids.KINDS``) runs the regularized system at lam =
     phi_value(y1) in band parts (see ``integrate_regularized``); "layer"
     runs the layer system y = (lam, x_rest) -> (f1/value, f_rest) at
-    x = (0, x_rest), lam clipped to [-1, 1], and records x and lam apart.
+    x = (0, x_rest), lam clipped to [-1, 1], and records x and lam apart;
+    "slide" runs the sliding system y = x_rest -> f_rest at x = (0, x_rest)
+    and lam_s, from the ``sl_slide`` state ``value`` (see
+    ``layer._integrate_sliding``), and records x = (0, x_rest) and lam_s
+    clipped to [-1, 1], with its own event in place of ``event``.
     A ``fused`` with a ``kernel`` runs as that kernel; anything else is
     called through the Python callback, with a state buffer it must
     neither keep nor modify, and returns n values (see ``SwitchedField``:
@@ -194,7 +215,8 @@ def _solve(rhs, x0, t_span, cfg: IntegratorConfig, event=None, method="dopri5") 
     crossing is localized with Brent's method on the step's cubic Hermite
     interpolant, so the last sample satisfies the event to rounding level.
     An exception from the field or the event ends the run at once and is
-    re-raised here.  ``cfg`` gives tolerances, step cap and a budget of
+    re-raised here; a slide's failed lam solve is an IntegrationError
+    naming the failure.  ``cfg`` gives tolerances, step cap and a budget of
     accepted steps, over all parts of a regularized run; a run that needs
     more, also where that step would be an event stop, raises
     IntegrationError naming ``cfg.max_steps``.  ``method`` is "dopri5" or
@@ -202,8 +224,8 @@ def _solve(rhs, x0, t_span, cfg: IntegratorConfig, event=None, method="dopri5") 
     runs of its own.  The arrays returned own the loop's sample buffers.
     """
     y = np.array(x0, dtype=float)
-    n = y.size
-    field, x, keep = _field(rhs, n)
+    field, x, keep = _field(rhs, y.size + (not callable(rhs) and rhs[1] == "slide"))
+    n = field.n  # a recorded row's width
     ev = ffi.NULL
     if callable(event):
         g = ffi.new("double[]", 1)
@@ -220,8 +242,7 @@ def _solve(rhs, x0, t_span, cfg: IntegratorConfig, event=None, method="dopri5") 
                           float(t_span[1]), ffi.from_buffer("double[]", y), cfg.rel_tol,
                           cfg.abs_tol, cfg.max_step, cfg.max_steps, rec)
         if code == -1:
-            exc, _failure.exc = _failure.exc, None
-            raise exc
+            _reraise()
         if code == -5:
             raise MemoryError("no memory for the integrator's samples")
         if code < 0:  # t of the last sample, which every failing run has
@@ -230,7 +251,8 @@ def _solve(rhs, x0, t_span, cfg: IntegratorConfig, event=None, method="dopri5") 
                 -2: f"step budget of {cfg.max_steps} exceeded",
                 -3: f"integration failed near t={t:.6g}: step size becomes too small",
                 -4: "non-finite state encountered",
-                -6: f"no progress past a transition-band edge at t={t:.6g}"}[code])
+                -6: f"no progress past a transition-band edge at t={t:.6g}",
+                **_SOLVE_FAILED}[code])
         lib.sl_take(rec, n)
         m = rec.len
         return _Run(_take(rec, "t", (m,)), _take(rec, "y", (m, n)),
@@ -238,6 +260,30 @@ def _solve(rhs, x0, t_span, cfg: IntegratorConfig, event=None, method="dopri5") 
                     rec.accepted, rec.rejected, rec.evals)
     finally:
         lib.sl_release(rec)
+
+
+def _lam_root(fused, x, t: float):
+    """``root(a, b)``: the root of f1 = fused(x, t, lam)[0] in lam on [a, b],
+    by the loop's Brent solver, which is scipy's ``brentq`` with ``xtol``
+    ROOT_TOL and ``rtol`` 4 eps.  f1(a) and f1(b) must not share a sign.  A
+    NaN value of f1 raises NonFiniteFieldError, no convergence in 100
+    iterations or ends of one sign RuntimeError."""
+    field, buf, keep = _field((fused, "lam", 0.0), x.size)
+    buf[:] = x
+    out = ffi.new("double *")
+
+    def root(a: float, b: float) -> float:
+        code = lib.sl_root(field, t, a, b, lib.SL_ROOT_TOL, out)
+        if code == -1:
+            _reraise()
+        if code == -7:
+            raise NonFiniteFieldError(f"non-finite f1 value in the lam root search on "
+                                      f"[{a}, {b}] at x={x}, t={t}")
+        if code:
+            raise RuntimeError(f"lam root search on [{a}, {b}]: {_SOLVE_FAILED[code]}")
+        return out[0]
+    root.keep = keep
+    return root
 
 
 def _check_start(sys: SwitchedField, x0, t_span) -> tuple[np.ndarray, float, float]:

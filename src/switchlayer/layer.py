@@ -10,11 +10,9 @@ alternate free flight, crossing, sliding and layer transit.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .core import (
     SURFACE_TOL,
@@ -30,10 +28,13 @@ from .integrate import (
     TrajectorySegment,
     advance_to_surface,
     _check_start,
+    _lam_root,
     _solve,
+    ffi,
+    lib,
 )
 
-ROOT_TOL = 1e-12
+ROOT_TOL = lib.SL_ROOT_TOL  # 1e-12, the loop's tolerance of every lam solve
 DERIV_TOL = 1e-8
 SLIDING_GRID = 512  # uniform lam cells that bracket the polished roots
 _GRID = np.linspace(-1.0, 1.0, SLIDING_GRID + 1).tolist()
@@ -43,10 +44,6 @@ POLISH_TOL = 5e-5  # how far a grid-cell root may lie from the root it polishes
 REAL_TOL = 1e-6  # slack on a root's imaginary part and on [-1, 1]
 _SET_VALUED = "f1 vanishes on a lam-subinterval; sliding is set-valued"
 EQUILIBRIA_GRID = 8  # Newton seeds per search-box axis
-SECANT_STEPS = 8  # secant steps per sliding solve before the bracketed fallback
-SECANT_REACH = 0.05  # how far a secant iterate may go, so it keeps to its branch
-SLOPE_STEP = 1e-7  # difference step of d f1/d lam at an accepted sliding sample
-LAM_REACH = 1.5  # how far past +-1 a sliding root is followed
 FOLD_GAP = 1e-4  # lam offset that tells the flow past a fold from the fold itself
 
 
@@ -159,8 +156,9 @@ def _merged_roots(coeffs) -> list[float]:
     return out
 
 
-def _cell_roots(f1, lo: int, hi: int, vals=None) -> list[float]:
-    """The grid scan's root in cells lo..hi: an end where f1 is 0, else brentq's."""
+def _cell_roots(f1, root, lo: int, hi: int, vals=None) -> list[float]:
+    """The grid scan's root in cells lo..hi: an end where f1 is 0, else Brent's
+    (``root``, see ``integrate._lam_root``)."""
     vals = {i: f1(_GRID[i]) for i in range(lo, hi + 2)} if vals is None else vals
     out = []
     for i in range(lo, hi + 1):
@@ -168,7 +166,7 @@ def _cell_roots(f1, lo: int, hi: int, vals=None) -> list[float]:
         if fa == 0.0 or fb == 0.0:
             out.append(a if fa == 0.0 else b)
         elif fa * fb < 0:
-            out.append(brentq(f1, a, b, xtol=ROOT_TOL, rtol=4 * np.finfo(float).eps))
+            out.append(root(a, b))
     return out
 
 
@@ -182,7 +180,7 @@ def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0
     eigenvalues in [-1, 1] of the colleague matrix; the cluster a multiple
     root splits into is merged.  Each is replaced by the nearest root
     within POLISH_TOL of a cell of the uniform SLIDING_GRID grid: an end
-    where f1 is zero, or brentq's root where f1 changes sign.  A root no
+    where f1 is zero, or Brent's root where f1 changes sign.  A root no
     cell brackets (even multiplicity, two in a cell) is kept as it is.  A
     central difference gives stability, so a multiple root is 'marginal'.
     An f1 unresolved at SLIDING_GRID cells (a kink in lam) gets the roots
@@ -190,11 +188,16 @@ def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0
     (on that scan: on a subinterval) raises DegenerateInclusionError.
     """
     # every lam below lies in [-1, 1]: the Chebyshev points, the grid,
-    # brentq's iterates inside grid cells and the clamped stability points
+    # Brent's iterates inside grid cells and the clamped stability points
     x, feval = _full_state(x_rest, sys.dim), sys.fused
 
     def f1(lam):
         return float(feval(x, t, lam)[0])
+
+    def root(a, b):  # the loop's Brent solver, set up at the first bracket
+        nonlocal root
+        root = _lam_root(feval, x, t)
+        return root(a, b)
 
     coeffs = _chebyshev_f1(feval, x, t)
     if coeffs is None:
@@ -203,13 +206,13 @@ def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0
         tiny = np.abs(fields[:, 0]) < 1e-14
         if (tiny[:-2] & tiny[1:-1] & tiny[2:]).any():
             raise DegenerateInclusionError(_SET_VALUED)
-        found = _cell_roots(f1, 0, SLIDING_GRID - 1, fields[:, 0])
+        found = _cell_roots(f1, root, 0, SLIDING_GRID - 1, fields[:, 0])
     else:
         found = []
         for r in _merged_roots(coeffs):
             lo, hi = (min(max(int((r + d + 1) * SLIDING_GRID / 2), 0), SLIDING_GRID - 1)
                       for d in (-POLISH_TOL, POLISH_TOL))
-            near = [p for p in _cell_roots(f1, lo, hi) if abs(p - r) <= POLISH_TOL]
+            near = [p for p in _cell_roots(f1, root, lo, hi) if abs(p - r) <= POLISH_TOL]
             if near or -1.0 <= r <= 1.0:
                 found.append(min(near, key=lambda p: abs(p - r)) if near else r)
 
@@ -361,127 +364,37 @@ def find_layer_equilibria(sys: SwitchedField, search_box) -> list[LayerEquilibri
     return out
 
 
-def _branch_fallback(f1, lam, f, branch):
-    """(lam, found) where the secant lost the branch: the first root from lam
-    (f = f1(lam)) the way the branch runs, in steps doubling from 1e-3, or,
-    if |f1| turns up first or at the reach, where f1 is nearest zero."""
-    sgn = math.copysign(1.0, f)
-    direction, lo, mid, g_mid, step = -sgn * branch, lam, lam, abs(f), 1e-3
-    while True:
-        a = min(max(mid + direction * step, -LAM_REACH), LAM_REACH)
-        g = sgn * f1(a)
-        if g <= 0.0:
-            return brentq(f1, *sorted((mid, a)), xtol=ROOT_TOL), True
-        if g > g_mid:  # the least |f1| lies in (lo, a): a root if it dips through 0
-            m = minimize_scalar(lambda v: sgn * f1(v), bounds=sorted((lo, a)),
-                                method="bounded", options={"xatol": 1e-10}).x
-            if sgn * f1(m) > 0.0:
-                return m, False
-            return brentq(f1, *sorted((lo, m)), xtol=ROOT_TOL), True
-        if abs(a) == LAM_REACH:
-            return a, False
-        lo, mid, g_mid, step = mid, a, g, 2.0 * step
-
-
 def _integrate_sliding(sys, x_surface, t_span, cfg, root: SlidingSolution):
     """Slide on the root lam_s(t, x_rest) of f1 = 0 to t_end, |lam_s| = 1 or a fold.
 
-    Each field call solves for lam_s by secant from the anchor (lam and d f1/d lam
-    at the last accepted sample, carried forward at their rates), so within a step
-    lam_s is a function of (t, x_rest); ``_branch_fallback`` covers points past a
-    fold or the reach.  Returns (segment, side, root): side is None at t_end, else the
-    boundary the fast flow leaves by; root is where a fold's flow sticks again.
+    The slide runs in the step loop (``_solve``'s "slide" kind, in
+    ``_loop.c``).  Each field call solves for lam_s by secant from the
+    anchor (lam and d f1/d lam at the last accepted sample, carried forward
+    at their rates), so within a step lam_s is a function of (t, x_rest);
+    where the secant leaves the branch past a fold or the reach, a
+    bracketed fallback takes the first root the branch's way, or the
+    least |f1|.  The run's event is min(1 - |lam_s|, fold value), the
+    fold value being the branch-signed d f1/d lam at a root, or -|f1|
+    where none was found.  Returns (segment, side, root): side is None at
+    t_end, else the boundary the fast flow leaves by; root is where a
+    fold's flow sticks again.
     """
-    fused, dim, tol = sys.fused, sys.dim, 10 * ROOT_TOL
-    reach, secant_reach, secant_steps = LAM_REACH, SECANT_REACH, SECANT_STEPS
-    t0, y0 = float(t_span[0]), np.array(x_surface[1:], dtype=float)
-    x0, lam0 = _full_state(y0, dim), root.lam_s
-    h = -SLOPE_STEP if lam0 > 0 else SLOPE_STEP
-    slope = (fused(x0, t0, lam0 + h)[0] - fused(x0, t0, lam0)[0]) / h
-    branch = -1.0 if slope < 0 else 1.0  # sign of d f1/d lam along the branch
-    anchor = (t0, lam0, 0.0, slope, 0.0, y0.tolist())  # t, lam, d lam/dt, s = d f1/d lam, ds/dt, x_rest
-    last, lams = None, array("d")  # last: [t, x, lam, F, found, fold value] of a solve
-    # the surface state (0, x_rest), filled element-wise by each field call;
-    # `last` holds this buffer, and every reader of last[1] (at, the fallback
-    # below, the end-of-run re-solve) reads it before the next field call
-    x, rest = np.zeros(dim), range(1, dim)
-
-    def rhs(y, t):
-        # d x_rest/dt at lam_s(t, y); the solve is kept in `last`
-        nonlocal last
-        for i in rest:
-            x[i] = y.item(i - 1)
-        ta, lam, rate, slope, srate, _ = anchor
-        dt = t - ta
-        lam = start = lam + rate * dt
-        if not -reach <= lam <= reach:
-            lam = start = math.copysign(reach, lam)
-        slope += srate * dt
-        F = fused(x, t, lam)
-        for _ in range(secant_steps):
-            f = F[0]
-            if not slope * branch > 0.0:  # not the branch's sign: past a fold
-                break
-            nxt = lam - f / slope
-            # converged, or a step below one ulp of lam: f1 is at its rounding
-            # floor, which far from the origin can lie above tol
-            if abs(f) < tol or nxt == lam:
-                last = [t, x, lam, F, True, None]
-                return F[1:]
-            if not (abs(nxt - start) <= secant_reach and abs(nxt) <= reach):
-                break
-            F = fused(x, t, nxt)
-            lam, slope = nxt, (F[0] - f) / (nxt - lam)
-        f = fused(x, t, anchor[1])[0]
-        if not math.isfinite(f):
-            raise IntegrationError("non-finite field value")
-        lam, found = _branch_fallback(lambda v: fused(x, t, v)[0], anchor[1], f, branch)
-        last = [t, x, lam, fused(x, t, lam), found, None]
-        return last[3][1:]
-
-    def at(t, y):
-        # the solve at (t, y), the FSAL stage's at an accepted sample, with its
-        # fold value: branch-signed d f1/d lam, or -|f1| past a fold; y may be
-        # the loop's state buffer, so the anchor keeps its values as a list
-        nonlocal anchor
-        rest_now = y.tolist()
-        if not (last and last[0] == t and last[1][1:].tolist() == rest_now):
-            rhs(y, t)
-        _, x, lam, F, found, fold = last
-        if fold is None:
-            hs = -SLOPE_STEP if lam > 0 else SLOPE_STEP
-            slope = (fused(x, t, lam + hs)[0] - F[0]) / hs if found else anchor[3]
-            last[5] = branch * slope if found else -abs(F[0])
-            if t > anchor[0]:  # accepted: record lam, move the anchor
-                dt = t - anchor[0]
-                anchor = (t, lam, (lam - anchor[1]) / dt, slope, (slope - anchor[3]) / dt,
-                          rest_now)
-                lams.append(lam)
-        return last
-
-    def edge(t, y):
-        # the nearer end of the slide, both read from one solve: |lam_s| = 1 or a fold
-        _, _, lam, _, _, fold = at(t, y)
-        return min(1.0 - abs(lam), fold)
-
+    fused, dim = sys.fused, sys.dim
+    rest = ffi.new("double[]", dim - 1)
+    slide = ffi.new("sl_slide *", {"lam": root.lam_s, "rest": rest})
     try:
-        lams.append(at(t0, y0)[2])
-        run = _solve(rhs, y0, t_span, cfg, edge)
+        run = _solve((fused, "slide", slide), x_surface[1:], t_span, cfg)
     except IntegrationError as exc:
-        t, lam, _, _, _, y = anchor
-        raise IntegrationError(f"sliding phase at t={t:.6g}, x_rest={y}, "
-                               f"lam={lam:.6g}: {exc}") from exc
-    del lams[run.t.size:]
-    if run.stopped:  # the located crossing, inside the last step
-        _, _, lams[-1], _, _, fold = at(run.t[-1], run.y[-1])
-    x_arr = np.zeros((run.t.size, dim))
-    x_arr[:, 1:] = run.y
-    seg = TrajectorySegment(run.t, x_arr, "sliding", lam=np.clip(lams, -1, 1))
-    if not run.stopped or 1.0 - abs(lams[-1]) <= fold:  # t_end, or a boundary exit
-        return seg, math.copysign(1.0, lams[-1]) if run.stopped else None, None
+        raise IntegrationError(f"sliding phase at t={slide.t:.6g}, "
+                               f"x_rest={ffi.unpack(rest, dim - 1)}, "
+                               f"lam={slide.lam:.6g}: {exc}") from exc
+    seg = TrajectorySegment(run.t, run.y, "sliding", lam=run.lam)
+    lam = slide.llam  # unclipped, with its fold value: the last sample's solve
+    if not run.stopped or 1.0 - abs(lam) <= slide.fold:  # t_end, or a boundary exit
+        return seg, math.copysign(1.0, lam) if run.stopped else None, None
     # a fold: past it f1 keeps one sign near lam, the way the fast flow goes;
     # it sticks at the nearest root beyond FOLD_GAP that way, or leaves the layer
-    te, xe, lam = seg.t_final, seg.x_final, lams[-1]
+    te, xe = seg.t_final, seg.x_final
     side = math.copysign(1.0, fused(xe, te, lam + FOLD_GAP)[0] + fused(xe, te, lam - FOLD_GAP)[0])
     ahead = [r for r in find_sliding_modes(sys, xe[1:], te) if (r.lam_s - lam) * side > FOLD_GAP]
     return seg, side, min(ahead, key=lambda r: abs(r.lam_s - lam), default=None)

@@ -1,7 +1,7 @@
 """Shared test setup.
 
-The first integrator/brentq call in a process pays a one-time setup cost
-(lazy scipy imports, cffi type caches, code objects).  Warm those up once per
+The first integrator or root-finder call in a process pays a one-time setup
+cost (cffi type caches, code objects).  Warm those up once per
 session so the acceptance criteria's runtime budgets measure the actual
 computations rather than library cold-start.
 """

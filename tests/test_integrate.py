@@ -29,6 +29,7 @@ from switchlayer import (
     make_example1,
     make_example2,
 )
+from switchlayer import integrate, layer
 from switchlayer.cli import trajectory_table
 from switchlayer.integrate import IntegrationError, _solve
 
@@ -512,6 +513,50 @@ class TestCompiledFields:
             assert runs[0].transitions == runs[1].transitions
             for a, b in zip(runs[0].segments, runs[1].segments, strict=True):
                 self.assert_same(a, b)
+
+    @pytest.mark.parametrize("sys, x0, t_end", [
+        *[(make_circuit(p), circuit_iv_to_state(i, v, p), 20.0)
+          for p in (CircuitParams(), _HALF) for i, v in ((3.0, 1.9), (3.5, 6.0))],
+        (make_circuit(_HALF), circuit_iv_to_state(0.0, 0.0, _HALF), 200.0),  # criterion 3
+        (make_example1(), [0.0, 0.4], 5.0),
+        (make_example1("filippov"), [0.0, 0.4], 5.0),
+        (make_example2(), [-0.5, 0.3], 5.0),
+    ], ids=["circuit_0_a", "circuit_0_b", "circuit_half_a", "circuit_half_b", "escape",
+            "example1", "example1_filippov", "example2"])
+    def test_sliding_equals_the_python_path(self, sys, x0, t_end):
+        runs = [integrate_hybrid(s, x0, (0.0, t_end), self.CFG) for s in (sys, python_path(sys))]
+        assert "stick" in [k for _, k in runs[0].transitions]
+        assert runs[0].transitions == runs[1].transitions
+        for a, b in zip(runs[0].segments, runs[1].segments, strict=True):
+            self.assert_same(a, b)
+
+    def test_built_in_slide_calls_no_python(self, monkeypatch):
+        # the field's Python body raises while a run is in the loop; with
+        # the circuit's kernel tag the run never calls it
+        circuit, inside = make_circuit(_HALF), []
+
+        def fused(x, t, lam):
+            if inside:
+                raise AssertionError("the loop called the Python field")
+            return circuit.fused(x, t, lam)
+        solve = integrate._solve
+
+        def armed(*args, **kwargs):
+            inside.append(args)
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(integrate, "_solve", armed)
+        monkeypatch.setattr(layer, "_solve", armed)
+        x0 = circuit_iv_to_state(3.0, 1.9, _HALF)
+        with pytest.raises(AssertionError, match="the loop called"):  # untagged: it runs
+            integrate_hybrid(dataclasses.replace(circuit, fused=fused), x0, (0.0, 20.0), self.CFG)
+        fused.kernel = circuit.fused.kernel
+        traj = integrate_hybrid(dataclasses.replace(circuit, fused=fused), x0, (0.0, 20.0),
+                                self.CFG)
+        assert [k for _, k in traj.transitions] == ["stick"]
+        assert traj.segments[-1].regime == "sliding" and traj.t_final == 20.0
 
     @pytest.mark.parametrize("kind", ["free", "regularized", "layer"])
     def test_replaced_fused_is_the_one_that_runs(self, kind):

@@ -37,6 +37,7 @@ from switchlayer import (
     make_example2,
     to_hidden_form,
 )
+from switchlayer.layer import _integrate_sliding
 
 from fields import lam_tracker, tautology
 
@@ -780,6 +781,45 @@ class TestSlidingRobustness:
         # t = 0.01, then x2 slides on at rate 1: x_rest = t at the printed t
         t, x_rest = re.search(r"t=(\S+), x_rest=\[(\S+)\]", str(err.value)).groups()
         assert float(x_rest) == pytest.approx(float(t), abs=1e-5)
+
+    def test_slide_solves_once_per_stage(self):
+        # example 1 slides on f1 = lam = 0, where the carried anchor is the
+        # root: one field call a solve.  An accepted DOPRI5 step makes six
+        # stage solves, takes its sample's solve from the last stage's, and
+        # adds one call for d f1/d lam there.  Seven calls start the slide:
+        # the anchor's slope (2), the start's solve and slope (2), the
+        # loop's first stage and its slope (2), and the first-step probe.
+        sys, calls = make_example1(), []
+        counted = dataclasses.replace(sys, fused=lambda x, t, lam: calls.append(t)
+                                      or sys.fused(x, t, lam))
+        root = find_sliding_modes(sys, np.array([0.4]))[0]
+        seg, side, _ = _integrate_sliding(counted, np.array([0.0, 0.4]), (0.0, 2.0),
+                                          IntegratorConfig(max_step=0.05), root)
+        assert side is None and seg.t.size == 42
+        assert len(calls) == 7 * (seg.t.size - 1) + 7
+
+    @staticmethod
+    def failing_example2(value):
+        # example 2 slides on lam = -1/sqrt(2) with x2 rising at rate 1;
+        # from x2 = 0.5 on, f1 is value() instead
+        def fused(x, t, lam):
+            return (2.0 * lam * lam - 1.0 if x[1] < 0.5 else value(), 1.0)
+        return dataclasses.replace(make_example2("nonlinear"), fused=fused)
+
+    def test_non_finite_f1_mid_slide_names_phase_and_state(self):
+        sys = self.failing_example2(lambda: math.nan)
+        with pytest.raises(IntegrationError,
+                           match=r"sliding phase at t=0\.\d+, x_rest=\[0\.\d+\], "
+                                 r"lam=-0\.707107: non-finite field value"):
+            integrate_hybrid(sys, np.array([-0.01, 0.0]), (0.0, 1.0))
+
+    def test_field_error_mid_slide_keeps_its_type(self):
+        def boom():
+            raise ValueError("boom at x2 = 0.5")
+        sys = self.failing_example2(boom)
+        with pytest.raises(ValueError, match="boom at x2 = 0.5") as err:
+            integrate_hybrid(sys, np.array([-0.01, 0.0]), (0.0, 1.0))
+        assert not isinstance(err.value, IntegrationError)
 
 
 class TestIntegrateLayerOnly:

@@ -1,19 +1,24 @@
-"""The compiled step loop: its build, and its kernels against their Python evaluators.
+"""The compiled step loop: its build, its kernels against their Python
+evaluators, and its ports of scipy's root finder and minimiser.
 
 A built-in field is declared once and evaluated twice: by its Python
 ``fused`` and by its C kernel, which the loop runs.  Both must give the
 same floats, bit for bit, as must the loop's sigmoids and layer rhs and
-their Python statements.
+their Python statements.  The loop's Brent root finder and bounded
+minimiser must make scipy's calls and return scipy's floats, and fail
+where scipy's raise or report no success.
 """
 
 import math
 import os
 import subprocess
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize_scalar
 
 from switchlayer import (
     CircuitParams,
@@ -25,6 +30,7 @@ from switchlayer import (
     make_example1,
     make_example2,
 )
+from switchlayer.core import NonFiniteFieldError
 from switchlayer.scenarios import FIELDS
 from switchlayer.sigmoids import KINDS
 
@@ -126,3 +132,168 @@ def test_missing_compiler_is_an_import_error(tmp_path):
     assert proc.returncode == 1
     assert "ImportError" in proc.stderr and "needs a C compiler" in proc.stderr
     assert not list(tmp_path.iterdir())
+
+
+STALE = "_loop_0000000000000000" + EXTENSION_SUFFIXES[0]
+
+
+def test_build_prunes_stale_modules_in_its_first_directory_only(tmp_path):
+    # the first directory stands for the package's __pycache__, the shared
+    # one for ~/.cache/switchlayer, which a build reaches when the first
+    # cannot be made (here: under a file)
+    own, shared = tmp_path / "own", tmp_path / "shared"
+    other_abi = "_loop_0000000000000000.cpython-399-x86_64-linux-gnu.so"
+    for d in (own, shared):
+        d.mkdir()
+        for name in (STALE, other_abi, "notes.txt"):
+            (d / name).write_text("")
+    (tmp_path / "file").write_text("")
+    code = ("import sys\nfrom switchlayer import _build\n"
+            "print(_build.load([sys.argv[1]]).__file__)\n"
+            "print(_build.load([sys.argv[2], sys.argv[3]]).__file__)")
+    proc = run_child(code, str(own), str(tmp_path / "file" / "sub"), str(shared))
+    assert proc.returncode == 0, proc.stderr
+    first, second = map(Path, proc.stdout.split())
+    assert first.parent == own and second.parent == shared and first.name == second.name
+    assert sorted(p.name for p in own.iterdir()) == sorted([first.name, other_abi, "notes.txt"])
+    assert sorted(p.name for p in shared.iterdir()) == sorted(
+        [first.name, STALE, other_abi, "notes.txt"])
+
+
+# -- Brent's root finder and the bounded minimiser, against scipy's ----------
+
+def f1_field(f1):
+    """A loop field whose f1 is ``f1(lam)``, and the lam values it is called at."""
+    calls = []
+
+    def fused(x, t, lam):
+        calls.append(lam)
+        return (f1(lam), 0.0)
+    field, _, keep = integrate._field((fused, "lam", 0.0), 2)
+    return field, calls, keep
+
+
+def c_root(f1, a, b, xtol=1e-12):
+    field, calls, _ = f1_field(f1)
+    out = ffi.new("double *")
+    return lib.sl_root(field, 0.0, a, b, xtol, out), out[0], calls
+
+
+def c_min(f1, sgn, a, b):
+    field, calls, _ = f1_field(f1)
+    out = ffi.new("double *")
+    return lib.sl_minimize(field, 0.0, sgn, a, b, out), out[0], calls
+
+
+def scipy_root(f1, a, b, xtol=1e-12):
+    calls = []
+    root = brentq(lambda v: calls.append(v) or f1(v), a, b, xtol=xtol,
+                  rtol=4 * np.finfo(float).eps)
+    return root, calls
+
+
+def scipy_min(f1, sgn, a, b):
+    calls = []
+    res = minimize_scalar(lambda v: calls.append(v) or sgn * f1(v), bounds=(a, b),
+                          method="bounded", options={"xatol": 1e-10})
+    return res, calls
+
+
+def polynomial(rng):
+    """A seeded f1: a random cubic times (lam - r), r a dyadic root, so that
+    f1(r) is exactly 0."""
+    c, r = rng.normal(size=4), rng.choice([-0.75, -0.25, 0.25, 0.5])
+    return (lambda lam: (lam - r) * (((c[3] * lam + c[2]) * lam + c[1]) * lam + c[0])), r
+
+
+def assert_root_case(f1, a, b):
+    code, got, calls = c_root(f1, a, b)
+    want, want_calls = scipy_root(f1, a, b)
+    assert code == 0 and got.hex() == float(want).hex()
+    assert calls == want_calls
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_brent_is_brentq(seed):
+    rng = np.random.default_rng(300 + seed)
+    f1, r = polynomial(rng)
+    # a bracket around the dyadic root, and one that ends on it
+    a, b = r - rng.uniform(0.01, 0.2), r + rng.uniform(0.01, 0.2)
+    if f1(a) * f1(b) < 0:
+        assert_root_case(f1, a, b)
+    assert_root_case(f1, r, r + 0.3) if seed % 2 else assert_root_case(f1, r - 0.3, r)
+    # a root no grid point hits
+    g = lambda lam: f1(lam) + 1e-3 * (lam - r + 0.1)  # noqa: E731
+    lo, hi = r - 0.05, r + 0.05
+    if g(lo) * g(hi) < 0:
+        assert_root_case(g, lo, hi)
+    # a steep sigmoid, on which Brent turns interpolation steps down
+    k = rng.uniform(2.0, 30.0)
+    assert_root_case(lambda lam: math.tanh(k * (lam - r - 0.01)) + 0.1 * lam, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_minimiser_is_minimize_scalar_bounded(seed):
+    rng = np.random.default_rng(400 + seed)
+    m, k, c = rng.uniform(-1.0, 1.0), rng.uniform(0.1, 10.0), rng.normal(size=2)
+    cases = [
+        # an interior minimum: a quartic well around m, tilted
+        (lambda lam: k * (lam - m) ** 2 * (1.0 + (lam - m) ** 2) + c[0] * (lam - m) * 1e-2,
+         1.0, m - rng.uniform(0.05, 1.0), m + rng.uniform(0.05, 1.0)),
+        # monotonic on the bracket: the minimum at an end, either sign
+        (lambda lam: c[1] + k * lam + lam ** 3, 1.0 if seed % 2 else -1.0,
+         m - 0.5, m + rng.uniform(0.001, 0.5)),
+        # a dip through zero, as the sliding fallback meets one
+        (lambda lam: (lam - m) ** 2 - 1e-4 * k, -1.0, m - 0.3, m + 0.2),
+    ]
+    for f1, sgn, a, b in cases:
+        code, got, calls = c_min(f1, sgn, a, b)
+        res, want_calls = scipy_min(f1, sgn, a, b)
+        assert res.success and code == 0
+        assert got.hex() == float(res.x).hex() and calls == want_calls
+
+
+def test_root_search_failures_are_errors():
+    # where brentq raises, the C Brent returns an error code, never a root:
+    # no convergence in 100 iterations (a jump at 0 and xtol 1e-300) ...
+    jump = lambda lam: math.copysign(1.0, lam)  # noqa: E731
+    assert c_root(jump, -1.0, 1.0, xtol=1e-300)[0] == -8
+    with pytest.raises(RuntimeError, match="converge"):
+        scipy_root(jump, -1.0, 1.0, xtol=1e-300)
+    # ... a NaN value, here at the upper end ...
+    nan_above = lambda lam: lam - 0.3 if lam < 0.5 else math.nan  # noqa: E731
+    assert c_root(nan_above, -1.0, 1.0)[0] == -7
+    with pytest.raises(ValueError, match="NaN"):
+        scipy_root(nan_above, -1.0, 1.0)
+    # ... and one sign at both ends
+    assert c_root(lambda lam: lam * lam + 1.0, -1.0, 1.0)[0] == -9
+    with pytest.raises(ValueError, match="different signs"):
+        scipy_root(lambda lam: lam * lam + 1.0, -1.0, 1.0)
+    # where minimize_scalar reports no success, so does the C minimiser
+    code, _, _ = c_min(lambda lam: math.nan, 1.0, -1.0, 1.0)
+    assert code == -7 and not scipy_min(lambda lam: math.nan, 1.0, -1.0, 1.0)[0].success
+
+
+def test_lam_root_raises_typed_errors():
+    x = np.array([0.0, 0.5])
+
+    def fused(x, t, lam):
+        return (lam - 0.3 if lam < 0.5 else math.nan, 0.0)
+    root = integrate._lam_root(fused, x, 0.0)
+    assert root(-1.0, 0.4) == brentq(lambda v: fused(x, 0.0, v)[0], -1.0, 0.4, xtol=1e-12)
+    with pytest.raises(NonFiniteFieldError, match="lam root search"):
+        root(-1.0, 1.0)
+    with pytest.raises(RuntimeError, match="one sign at both ends"):
+        root(0.35, 0.4)
+
+
+@pytest.mark.parametrize("name", ["circuit", "example2_nonlinear"])
+def test_brent_on_a_kernel_is_brentq_on_its_python_evaluator(name):
+    fused, x = SYSTEMS[name].fused, np.array([0.0, 2.5])
+    f1 = lambda lam: fused(x, 0.0, lam)[0]  # noqa: E731
+    a, b = (-1.0, 1.0) if f1(-1.0) * f1(1.0) < 0 else (0.0, 1.0)
+    field, buf, _ = integrate._field((fused, "lam", 0.0), 2)
+    buf[:] = x
+    out = ffi.new("double *")
+    assert field.kernel >= 0 and lib.sl_root(field, 0.0, a, b, 1e-12, out) == 0
+    assert out[0].hex() == scipy_root(f1, a, b)[0].hex()
