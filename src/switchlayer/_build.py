@@ -1,4 +1,5 @@
-"""Build and load the step loop: ``_loop.c`` and the kernels of ``scenarios.FIELDS``.
+"""Build and load the compiled module: ``_loop.c``, which holds the step loop
+and the formatter of the CLI's CSV tables, and the kernels of ``scenarios.FIELDS``.
 
 cffi compiles it in API mode on the first import, in a child process the
 import waits for, so setuptools never loads into the importing process.
@@ -47,6 +48,8 @@ int sl_minimize(sl_field *, double, double, double, double, double *);
 static const double SL_ROOT_TOL;
 double sl_sigmoid(int, double, double);
 void sl_take(sl_record *, int); void sl_release(sl_record *); void sl_free(void *);
+long sl_csv(char *, long, const double *, long, int, const long *, const int *, int,
+            const char *, const long *);
 """
 
 # run in a child process: compile the source from stdin outside the limited API

@@ -1,4 +1,5 @@
-/* The one step loop of switchlayer: Dormand-Prince DOPRI5 and DOP853.
+/* The one step loop of switchlayer, Dormand-Prince DOPRI5 and DOP853, and
+ * the formatter of the command line's CSV tables (sl_csv).
  *
  * The two explicit Runge-Kutta pairs and their step-size control follow
  * Hairer's Fortran codes dopri5.f and dop853.f (Hairer, Norsett & Wanner,
@@ -38,9 +39,14 @@
  * Samples are recorded as they are accepted, into buffers from
  * PyMem_RawMalloc (so tracemalloc sees them) that grow as array("d")
  * grows; sl_take trims them to their length.
+ *
+ * sl_csv prints a table's numbers with %.17g in the C locale, a NaN always
+ * as nan, which is the text of Python's format(v, ".17g"), byte for byte.
  */
 #include <float.h>
+#include <locale.h>
 #include <math.h>
+#include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -656,6 +662,75 @@ void sl_release(sl_record *r)
     PyMem_RawFree(r->y);
     PyMem_RawFree(r->lam);
     r->t = r->y = r->lam = NULL;
+}
+
+/* ---- CSV rows ---------------------------------------------------------- */
+
+/* copy len bytes of s to *p, or fail with -1 if fewer are left before end */
+static int put(char **p, const char *end, const char *s, long len)
+{
+    if (len > end - *p)
+        return -1;
+    memcpy(*p, s, len);
+    *p += len;
+    return 0;
+}
+
+/* Write rows of CSV text into out, which holds cap bytes.  Row r holds the
+   w values v[r][0..w-1] of the C-contiguous block v, printed with %.17g,
+   and ns text columns at the ascending places slot[0..ns-1], comma-joined
+   in place order and ended by a newline.  Run k of rows, ends[k - 1] to
+   ends[k] - 1 (ends[-1] = 0; the last end is rows), shares its texts:
+   text column s is text[off[i] .. off[i + 1]), i = k ns + s.  glibc
+   prints a NaN whose sign bit is set as -nan, so every NaN is printed nan,
+   as Python's format(v, ".17g") prints it.  Returns the bytes written, or
+   -1 if they do not fit in cap. */
+static long csv_rows(char *out, long cap, const double *v, long rows, int w,
+                     const long *ends, const int *slot, int ns, const char *text,
+                     const long *off)
+{
+    char *p = out;
+    const char *const end = out + cap;
+    for (long r = 0; r < rows; r++) {
+        while (r == *ends) {  /* the next run; an empty one holds no row */
+            ends++;
+            off += ns;
+        }
+        for (int j = 0, s = 0; j < w + ns; j++) {
+            if (j && put(&p, end, ",", 1))
+                return -1;
+            if (s < ns && slot[s] == j) {
+                if (put(&p, end, text + off[s], off[s + 1] - off[s]))
+                    return -1;
+                s++;
+                continue;
+            }
+            const double x = *v++;
+            const int m = isnan(x) ? snprintf(p, end - p, "nan")
+                                   : snprintf(p, end - p, "%.17g", x);
+            if (m < 0 || m >= end - p)
+                return -1;
+            p += m;
+        }
+        if (put(&p, end, "\n", 1))
+            return -1;
+    }
+    return p - out;
+}
+
+/* csv_rows in the C locale: a program may set LC_NUMERIC, which snprintf
+   reads (a decimal comma) and Python's format does not. */
+long sl_csv(char *out, long cap, const double *v, long rows, int w, const long *ends,
+            const int *slot, int ns, const char *text, const long *off)
+{
+    const locale_t c = newlocale(LC_ALL_MASK, "C", (locale_t)0);
+    if (c == (locale_t)0)
+        return -1;
+    const locale_t caller = uselocale(c);
+    const long n = csv_rows(out, cap, v, rows, w, ends, slot, ns, text, off);
+    uselocale(caller);
+    freelocale(c);
+    return n;
 }
 
 /* ---- one run of the step loop ---------------------------------------- */

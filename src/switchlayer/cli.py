@@ -2,9 +2,11 @@
 
 Subcommands: simulate, sweep, amplitude, sliding, equilibria.  All take a
 JSON config document; outputs are deterministic CSV or JSON (no
-timestamps), with numbers printed to 17 significant digits.  Sweep member
-k goes to the output path with ``_k`` before the file name's extension (the
-format's when it has none).  A missing output directory, an empty output
+timestamps), with numbers printed to 17 significant digits.  A CSV table
+is formatted in C from its columns (``Table``), numbers with ``%.17g`` and
+NaN always as ``nan``: byte-identical to Python's ``format(v, ".17g")``.
+Sweep member k goes to the output path with ``_k`` before the file name's
+extension (the format's when it has none).  A missing output directory, an empty output
 path and an output path that is a directory (except a sweep's base) are
 ConfigErrors.
 
@@ -28,13 +30,15 @@ import json
 import math
 import os
 import sys
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate
 
 import numpy as np
 
 from .core import SwitchedField
-from .integrate import IntegrationError, IntegratorConfig, integrate_regularized
+from .integrate import IntegrationError, IntegratorConfig, ffi, integrate_regularized, lib
 from .layer import (
     DegenerateInclusionError,
     HybridTrajectory,
@@ -219,19 +223,85 @@ class RunConfig:
         return path, fmt or self.format
 
 
-# -- trajectory table ---------------------------------------------------
+# -- tables -------------------------------------------------------------
 
 
-def trajectory_table(result: HybridTrajectory) -> tuple[list[str], list[tuple]]:
-    """Flatten segments to rows (t, regime, x1..xn, lambda), lambda nan if untracked."""
+@dataclass(eq=False)
+class Table(Sequence):
+    """Rows held by column: the number columns as one C-contiguous float64
+    block, the str columns in runs of rows that share them.  Its items are
+    the rows, tuples of Python floats and strs in the header's order."""
+
+    values: np.ndarray            # (rows, number columns)
+    slots: tuple[int, ...]        # the str columns' places in a row
+    texts: list[tuple[str, ...]]  # each run's str values, one per slot
+    ends: list[int]               # run k holds rows ends[k - 1] to ends[k] - 1
+
+    def __post_init__(self):  # sl_csv reads the block and the runs' texts by these
+        self.values = np.ascontiguousarray(self.values, dtype=float)
+        ends, cols = [0, *self.ends], self.values.shape[-1] + len(self.slots)
+        if (self.values.ndim != 2 or ends != sorted(ends) or ends[-1] != len(self.values)
+                or list(self.slots) != sorted(set(self.slots) & set(range(cols)))
+                or len(self.texts) != len(self.ends)
+                or any(len(texts) != len(self.slots) for texts in self.texts)):
+            raise ValueError("a table's slots must be ascending places in a row, and its "
+                             "runs must hold its rows, each with one text a slot")
+
+    @classmethod
+    def of_rows(cls, width: int, rows) -> "Table":
+        """Rows of ``width`` values, one run each; a column's kind is its first row's."""
+        slots = tuple(j for j, v in enumerate(rows[0] if rows else ()) if isinstance(v, str))
+        values, texts = array("d"), []
+        for row in rows:
+            if len(row) != width:
+                raise TypeError(f"a row of {len(row)} values in a table of {width} columns")
+            values.extend([v for j, v in enumerate(row) if j not in slots])  # a str: TypeError
+            texts.append(tuple(str(row[j]) for j in slots))
+        return cls(np.reshape(values, (len(rows), width - len(slots))), slots, texts,
+                   list(range(1, len(rows) + 1)))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i):
+        return self._rows[i]
+
+    @functools.cached_property
+    def _rows(self) -> list[tuple]:  # built at the first index
+        cells = np.empty((len(self), self.values.shape[1] + len(self.slots)), dtype=object)
+        numbers = [j for j in range(cells.shape[1]) if j not in self.slots]
+        cells[:, numbers] = self.values.astype(object)  # Python floats
+        for start, end, texts in zip([0, *self.ends], self.ends, self.texts):
+            cells[start:end, list(self.slots)] = texts
+        return list(map(tuple, cells.tolist()))
+
+    def csv(self) -> memoryview:
+        """The rows as CSV text, formatted by the compiled ``sl_csv`` into one
+        buffer, sized for 25 bytes a number (the most ``%.17g`` prints)."""
+        width, texts = self.values.shape[1], [t.encode() for run in self.texts for t in run]
+        longest = max(map(len, texts), default=0)
+        cap = len(self) * (25 * width + (1 + longest) * len(self.slots) + 1)
+        buf = bytearray(cap)
+        n = lib.sl_csv(ffi.from_buffer(buf), cap, ffi.from_buffer("double[]", self.values),
+                       len(self), width, self.ends, self.slots, len(self.slots),
+                       b"".join(texts), [0, *accumulate(map(len, texts))])
+        if n < 0:
+            raise RuntimeError("CSV text outgrew its bound")
+        return memoryview(buf)[:n]
+
+
+def trajectory_table(result: HybridTrajectory) -> tuple[list[str], Table]:
+    """The segments' rows (t, regime, x1..xn, lambda), lambda nan if untracked."""
     segs = result.segments
     n = segs[0].x.shape[1]
     header = ["t", "regime"] + [f"x{i+1}" for i in range(n)] + ["lambda"]
-    rows = []
-    for seg in segs:
-        lam = seg.lam.tolist() if seg.lam is not None else repeat(math.nan)
-        rows += zip(seg.t.tolist(), repeat(seg.regime), *seg.x.T.tolist(), lam)
-    return header, rows
+    ends = list(accumulate(seg.t.size for seg in segs))
+    values = np.empty((ends[-1], n + 2))
+    for seg, end in zip(segs, ends):
+        block = values[end - seg.t.size:end]
+        block[:, 0], block[:, 1:-1] = seg.t, seg.x
+        block[:, -1] = seg.lam if seg.lam is not None else math.nan
+    return header, Table(values, (1,), [(seg.regime,) for seg in segs], ends)
 
 
 def _json_text(doc) -> str:
@@ -239,24 +309,23 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def write_table(path: str, header: list[str], rows: list, fmt: str) -> None:
-    """Write rows as CSV or JSON.
+def write_table(path: str, header: list[str], rows, fmt: str) -> None:
+    """Write a Table, or a list of rows, as CSV or JSON.
 
     Every row of a table has the header's columns, each column one kind:
-    str (or a subclass) or number.  One ``%`` template, built from the
-    first row, formats every CSV row: ``%s`` for a str, ``%.17g`` for
-    anything else.  A row of another length raises TypeError.
+    str (or a subclass) or number, as in the first row.  A row of another
+    length, or a str in a number column, raises TypeError.  CSV numbers
+    are printed in C with ``%.17g``, NaN always as ``nan``: the text of
+    Python's ``format(v, ".17g")``, byte for byte.
     """
     if fmt == "csv":
-        lines = [",".join(header)]
-        if rows:
-            template = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0])
-            lines += [template % tuple(row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        table = rows if isinstance(rows, Table) else Table.of_rows(len(header), rows)
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            fh.write(table.csv())
     else:  # json; RunConfig.parse and --format admit only FORMATS
-        text = _json_text({"columns": header, "rows": rows})
-    with open(path, "w") as fh:
-        fh.write(text)
+        with open(path, "w") as fh:
+            fh.write(_json_text({"columns": header, "rows": list(rows)}))
 
 
 def run_simulation(cfg: RunConfig) -> HybridTrajectory:
@@ -304,8 +373,7 @@ def amplitude_of(result, window: tuple[float, float], average: float = 0.0) -> d
 
 def cmd_simulate(cfg: RunConfig, out: str | None, fmt: str | None) -> int:
     path, fmt = cfg.target(out, fmt)
-    header, rows = trajectory_table(run_simulation(cfg))
-    write_table(path, header, rows, fmt)
+    write_table(path, *trajectory_table(run_simulation(cfg)), fmt)
     return 0
 
 
@@ -335,8 +403,7 @@ def cmd_sweep(doc: dict, parameter: str, values: list, out: str | None,
     for k, (value, cfg) in enumerate(zip(values, members)):
         result = run_simulation(cfg)
         path = f"{stem}_{k}{ext}"
-        header, rows = trajectory_table(result)
-        write_table(path, header, rows, fmt)
+        write_table(path, *trajectory_table(result), fmt)
         t0, t1 = cfg.t_span
         window = (0.5 * (t0 + t1), t1)
         try:

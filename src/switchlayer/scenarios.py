@@ -13,6 +13,7 @@ the same operation order, so they give the same floats.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -45,12 +46,9 @@ def components_read(name: str) -> list[int]:
     return [i for i in range(len(comps)) if re.search(rf"\bx{i + 1}\b", text)]
 
 
-def declared_field(name: str, **params: float):
-    """The Python fused evaluator of a declared field, tagged with its kernel.
-
-    The tag is the function's ``kernel`` attribute, (name, parameter
-    values), so a system whose ``fused`` is replaced runs the replacement.
-    """
+@functools.cache  # compiled once a process
+def _maker(name: str):
+    """``make(*parameter values)`` of a declared field: a new ``fused`` a call."""
     names, lets, comps = FIELDS[name]
     read = components_read(name)
     src = (f"def make({', '.join(names)}):\n    def fused(x, t, lam):\n"
@@ -60,8 +58,17 @@ def declared_field(name: str, **params: float):
            + f"        return ({', '.join(comps)})\n    return fused\n")
     namespace = {"cos": math.cos}
     exec(src, namespace)
-    values = tuple(float(params[k]) for k in names)
-    fused = namespace["make"](*values)
+    return namespace["make"]
+
+
+def declared_field(name: str, **params: float):
+    """The Python fused evaluator of a declared field, tagged with its kernel.
+
+    The tag is the function's ``kernel`` attribute, (name, parameter
+    values), so a system whose ``fused`` is replaced runs the replacement.
+    """
+    values = tuple(float(params[k]) for k in FIELDS[name][0])
+    fused = _maker(name)(*values)
     fused.kernel = (name, values)
     return fused
 

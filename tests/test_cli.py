@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,6 +178,20 @@ class TestWriteTable:
         with pytest.raises(TypeError):
             write_table(str(tmp_path / "t.csv"), self.HEADER, [*self.ROWS, row], "csv")
 
+    def test_str_in_a_number_column_raises(self, tmp_path):
+        row = ["set_valued", "1.5", *self.ROWS[2][2:]]
+        with pytest.raises(TypeError):
+            write_table(str(tmp_path / "t.csv"), self.HEADER, [*self.ROWS, row], "csv")
+
+    @pytest.mark.parametrize("slots, ends, texts", [
+        ((1,), [2], [("a",)]), ((1,), [1, 3, 2], [("a",)] * 3), ((1,), [1, 3], [("a",), ()]),
+        ((1,), [3], []), ((3,), [3], [("a",)]), ((2, 0), [3], [("a", "b")]),
+        ((1, 1), [3], [("a", "b")])])
+    def test_table_runs_must_hold_its_rows(self, slots, ends, texts):
+        # sl_csv reads a row's numbers by the places its slots leave
+        with pytest.raises(ValueError, match="runs"):
+            cli.Table(np.zeros((3, 2)), slots, texts, ends)
+
     def test_csv_of_no_rows_is_its_header(self, tmp_path):
         out = tmp_path / "t.csv"
         write_table(str(out), self.HEADER, [], "csv")
@@ -197,6 +215,8 @@ class TestWriteTable:
         assert {seg.lam is None for seg in result.segments} == {True, False}
         assert header == ["t", "regime", "x1", "x2", "lambda"]
         assert len(rows) == len(want)
+        # indexing gives the rows iteration gives (repr: nan != nan)
+        assert [repr(rows[k]) for k in range(-len(rows), len(rows))] == 2 * list(map(repr, rows))
         for got, row in zip(rows, want):
             assert [type(v) for v in got] == [type(v) for v in row]
             assert [v if isinstance(v, str) else float(v).hex() for v in got] == \
@@ -616,3 +636,64 @@ class TestEquilibria:
                            {"scenario": "example2",
                             "output": {"path": str(tmp_path / "x.csv")}})
         assert main(["equilibria", "--config", cfg]) == 2
+
+
+def old_rule_csv(result):
+    """A run's trajectory CSV by the rule the CLI wrote it with before its
+    numbers were printed in C: ``format(v, ".17g")`` for each number."""
+    n = result.segments[0].x.shape[1]
+    lines = [",".join(["t", "regime", *(f"x{i+1}" for i in range(n)), "lambda"])]
+    for seg in result.segments:
+        lam = seg.lam.tolist() if seg.lam is not None else [math.nan] * seg.t.size
+        for t, x, v in zip(seg.t.tolist(), seg.x.tolist(), lam):
+            lines.append(",".join([format(t, ".17g"), seg.regime,
+                                   *(format(c, ".17g") for c in [*x, v])]))
+    return "\n".join(lines) + "\n"
+
+
+class TestOldRuleOracle:
+    """The CSV files are byte for byte what the per-value rule printed."""
+
+    def test_simulate_hybrid_circuit_with_free_and_sliding_segments(self, tmp_path):
+        doc = base_config(scenario={"name": "circuit", "params": {"sigma": 0.5}},
+                          initial_iv=[0.0, 0.0], t_span=[0.0, 20.0])
+        doc.pop("initial_state")
+        out = tmp_path / "h.csv"
+        assert main(["simulate", "--config", write_config(tmp_path / "c.json", doc),
+                     "--out", str(out)]) == 0
+        result = run_simulation(RunConfig.parse(doc))
+        regimes = {seg.regime for seg in result.segments}
+        assert "sliding" in regimes and regimes & {"free_plus", "free_minus"}
+        assert out.read_bytes() == old_rule_csv(result).encode()
+
+    def test_sweep_tanh_members(self, tmp_path):
+        doc = base_config(scenario={"name": "circuit", "params": {"sigma": 0.3}},
+                          mode="regularized", sigmoid={"kind": "tanh", "eps": 0.1},
+                          initial_state=[0.0, 3.0], t_span=[0.0, 1.0],
+                          output={"path": str(tmp_path / "sw.csv")})
+        assert main(["sweep", "--config", write_config(tmp_path / "c.json", doc),
+                     "--parameter", "sigmoid.eps", "--values", "[0.01, 0.001]"]) == 0
+        for k, eps in enumerate([0.01, 0.001]):
+            member = dict(doc, sigmoid={"kind": "tanh", "eps": eps})
+            want = old_rule_csv(run_simulation(RunConfig.parse(member)))
+            assert (tmp_path / f"sw_{k}.csv").read_bytes() == want.encode()
+        assert want.count("\n") > 4000  # eps = 1e-3: the ε/4 band cap sets the rows
+
+
+def test_amplitude_out_file_is_its_stdout(tmp_path, capsys):
+    out = tmp_path / "a.json"
+    cfg = write_config(tmp_path / "c.json", base_config())
+    assert main(["amplitude", "--config", cfg, "--window", "0.4", "1.0",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode()
+
+
+def test_module_entry_point_exits_2_on_a_bad_config(tmp_path):
+    cfg = write_config(tmp_path / "c.json", base_config(scenario="lorenz"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "switchlayer.cli", "simulate",
+                           "--config", cfg], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert "config error: bad scenario entry" in proc.stderr

@@ -1,18 +1,21 @@
-"""The compiled step loop: its build, its kernels against their Python
-evaluators, and its ports of scipy's root finder and minimiser.
+"""The compiled module: its build, its kernels against their Python
+evaluators, its ports of scipy's root finder and minimiser, and its CSV
+formatter against Python's ``format(v, ".17g")``.
 
 A built-in field is declared once and evaluated twice: by its Python
 ``fused`` and by its C kernel, which the loop runs.  Both must give the
 same floats, bit for bit, as must the loop's sigmoids and layer rhs and
 their Python statements.  The loop's Brent root finder and bounded
 minimiser must make scipy's calls and return scipy's floats, and fail
-where scipy's raise or report no success.
+where scipy's raise or report no success.  The formatter must print
+every float64 as Python does, byte for byte.
 """
 
 import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -297,3 +300,75 @@ def test_brent_on_a_kernel_is_brentq_on_its_python_evaluator(name):
     out = ffi.new("double *")
     assert field.kernel >= 0 and lib.sl_root(field, 0.0, a, b, 1e-12, out) == 0
     assert out[0].hex() == scipy_root(f1, a, b)[0].hex()
+
+
+# -- the CSV formatter --------------------------------------------------
+
+
+def c_csv(values, texts=()):
+    """The loop's CSV text of a column of values, one a row, after the text
+    columns ``texts`` (one run for every row)."""
+    cap = values.size * (25 + sum(len(t) + 1 for t in texts))
+    buf = ffi.new("char[]", cap)
+    chars = [t.encode() for t in texts]
+    offsets = [0]
+    for c in chars:
+        offsets.append(offsets[-1] + len(c))
+    n = lib.sl_csv(buf, cap, ffi.from_buffer("double[]", values), values.size, 1,
+                   [values.size], list(range(len(texts))), len(texts), b"".join(chars),
+                   offsets)
+    assert n >= 0
+    return ffi.buffer(buf, n)[:].decode()
+
+
+def python_csv(values, texts=()):
+    """The same text by the rule the CLI printed numbers with before."""
+    head = "".join(t + "," for t in texts)
+    return "".join(head + format(v, ".17g") + "\n" for v in values.tolist())
+
+
+def test_csv_numbers_are_python_format_on_random_bit_patterns():
+    rng = np.random.default_rng(20261020)
+    exponents = set()
+    for _ in range(10):  # 10^6 values, a tenth at a time
+        bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64)
+        exponents |= set(np.unique(bits >> np.uint64(52) & np.uint64(0x7FF)).tolist())
+        values = bits.view(np.float64)
+        assert c_csv(values) == python_csv(values)
+    assert exponents == set(range(2048))  # every exponent, subnormal to inf and nan
+
+
+def exact_ties(rng, count):
+    """Doubles whose exact decimal value has 18 significant digits, the last
+    a 5: each is a tie at 17 digits.  k binary fractional digits give k
+    decimal ones ending in 5, after an integer part of 18 - k digits."""
+    out = []
+    for k in range(2, 12):
+        for _ in range(count):
+            whole = int(rng.integers(10 ** (17 - k), min(10 ** (18 - k), 2 ** (53 - k))))
+            x = whole + (2 * int(rng.integers(0, 2 ** (k - 1))) + 1) / 2**k
+            digits = format(Decimal(x), "f").replace(".", "").lstrip("0")
+            assert len(digits) == 18 and digits[-1] == "5"
+            out.append(x)
+    return out
+
+
+def test_csv_numbers_are_python_format_on_ties_and_edges():
+    values = np.array(
+        [2251799813685248.25, 2251799813685248.75, 4503599627370495.5, 0.0, -0.0,
+         math.inf, -math.inf, math.nan, math.copysign(math.nan, -1.0), 5e-324,
+         sys.float_info.min, 1e22, 1e23, sys.float_info.max, -sys.float_info.max,
+         *exact_ties(np.random.default_rng(7), 50)])
+    values = np.concatenate([values, -values])
+    assert math.copysign(1.0, values[8]) == -1.0  # glibc would print this one -nan
+    assert c_csv(values) == python_csv(values)
+    assert c_csv(values, ("free_plus", "", "a,b")) == python_csv(values, ("free_plus", "", "a,b"))
+
+
+def test_csv_text_that_does_not_fit_is_an_error():
+    values = np.array([1.0 / 3.0, 2.0])
+    buf = ffi.new("char[]", 64)
+    for cap in (0, 5, 20, 21, 22, 23):  # "0.33333333333333331\n2\n" is 22 bytes
+        code = lib.sl_csv(buf, cap, ffi.from_buffer("double[]", values), 2, 1, [2], [], 0,
+                          b"", [0])
+        assert code == (22 if cap >= 22 else -1)

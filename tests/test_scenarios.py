@@ -19,6 +19,7 @@ from switchlayer import (
     make_example1,
     make_example2,
     mu_of_lambda,
+    scenarios,
     to_hidden_form,
 )
 
@@ -294,6 +295,22 @@ class TestCircuit:
             CircuitParams(R=-1.0)
         with pytest.raises(ValueError):
             CircuitParams(sigma=1.0)
+
+    def test_each_circuit_gets_its_own_tagged_field(self, monkeypatch):
+        # the field's source is compiled once a process; each call still
+        # gives a new fused, with its own parameters and kernel tag
+        compiled = []
+        monkeypatch.setattr(scenarios, "exec", lambda *a: compiled.append(exec(*a)),
+                            raising=False)
+        scenarios._maker.cache_clear()
+        a, b = (make_circuit(CircuitParams(sigma=s)) for s in (0.0, 0.5))
+        assert make_circuit().fused is not a.fused
+        assert a.fused.kernel == ("circuit", (5.0, 3.75, 2.5, 5.0, 6.0, 0.0))
+        assert b.fused.kernel == ("circuit", (5.0, 3.75, 2.5, 5.0, 6.0, 0.5))
+        x = np.array([1.5, 2.0])
+        assert a.fused(x, 0.0, 0.2) != b.fused(x, 0.0, 0.2)
+        assert b.fused(x, 0.0, 0.2) == make_circuit(CircuitParams(sigma=0.5)).fused(x, 0.0, 0.2)
+        assert len(compiled) == 1
 
     @pytest.mark.parametrize("bad", [{"L": math.nan}, {"R": math.inf}, {"C": math.inf},
                                      {"V0": math.nan}, {"Vb": math.inf}], ids=repr)
