@@ -1,10 +1,15 @@
 """Build and load the compiled module: ``_loop.c``, which holds the step loop
-and the formatter of the CLI's CSV tables, and the kernels of ``scenarios.FIELDS``.
+and the formatter of the CLI's CSV tables, the kernels of ``scenarios.FIELDS``,
+and the 128-bit truncated powers of ten from which the formatter's exact
+digit generator, ``sl_g17``, takes a number's 17 digits.  The kernels and
+the table are generated here, the table from exact Python integers, and
+appended to ``_loop.c``'s text; glibc's ``snprintf`` prints only what
+``sl_g17`` cannot decide.
 
 cffi compiles it in API mode on the first import, in a child process the
 import waits for, so setuptools never loads into the importing process.
-The module is named by a hash of the C source, the kernels and the Python
-ABI, and cached in the package's ``__pycache__``, or in
+The module is named by a hash of that source (the table with it), CDEF
+and the Python ABI, and cached in the package's ``__pycache__``, or in
 ``~/.cache/switchlayer`` where that is read-only.  A build into the
 package's own directory removes the modules earlier sources left there;
 the shared cache, which other checkouts may use, is never pruned.
@@ -31,6 +36,9 @@ from .scenarios import FIELDS, components_read
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 KERNELS = {name: k for k, name in enumerate(sorted(FIELDS))}  # index in sl_kernel
+# the q of sl_g17's 10^q: q = 16 - k for the decimal exponents k of doubles,
+# floor(log10 2^-1074) = -324 to floor(log10 DBL_MAX) = 308
+Q_RANGE = range(16 - 308, 16 + 324 + 1)
 
 CDEF = """
 typedef struct { double t, lam, rate, slope, srate; double *rest; double branch;
@@ -50,6 +58,7 @@ double sl_sigmoid(int, double, double);
 void sl_take(sl_record *, int); void sl_release(sl_record *); void sl_free(void *);
 long sl_csv(char *, long, const double *, long, int, const long *, const int *, int,
             const char *, const long *);
+int sl_g17(double, char *);
 """
 
 # run in a child process: compile the source from stdin outside the limited API
@@ -83,21 +92,58 @@ def kernel_source() -> str:
     return "\n".join(out + ["    }", "}", ""])
 
 
+def pow10_table() -> list[tuple[int, int]]:
+    """(T, E) for each q in Q_RANGE: T = floor(10^q 2^-E) in [2^127, 2^128),
+    so 10^q = (T + d) 2^E with 0 <= d < 1, and d = 0 for 0 <= q <= 55."""
+    powers = [1]  # 10^0 to 10^340, each from the last
+    while len(powers) <= max(-Q_RANGE[0], Q_RANGE[-1]):
+        powers.append(10 * powers[-1])
+    table = []
+    for q in Q_RANGE:
+        p = powers[abs(q)]
+        if q >= 0:
+            e = p.bit_length() - 128
+            table.append((p >> e if e >= 0 else p << -e, e))
+        else:  # 2^127 < 2^(127 + bits) / 10^-q < 2^128, as 10^-q is no power of 2
+            e = -p.bit_length() - 127
+            table.append(((1 << -e) // p, e))
+    return table
+
+
+def pow10_source() -> str:
+    """``pow10_at(q)``, the entry of ``pow10_table`` for 10^q, in C."""
+    rows = ",\n".join(["        {%#x, %#x, %d}" % (t >> 64, t & (2**64 - 1), e)
+                       for t, e in pow10_table()])
+    return (f"static const sl_pow10 *pow10_at(int q)\n{{\n"
+            f"    static const sl_pow10 table[] = {{\n{rows}}};\n"
+            f"    return &table[q - ({Q_RANGE[0]})];\n}}\n")
+
+
+def source() -> str:
+    """The module's C source: ``_loop.c``, the kernels and the powers of ten."""
+    with open(os.path.join(HERE, "_loop.c")) as fh:
+        return "\n".join((fh.read(), kernel_source(), pow10_source()))
+
+
+def module_name(source: str) -> str:
+    """The module's name, a hash of its source, CDEF and the Python ABI."""
+    key = "\0".join((source, CDEF, EXTENSION_SUFFIXES[0], _cffi_backend.__version__))
+    return "_loop_" + hashlib.sha256(key.encode()).hexdigest()[:16]
+
+
 def load(dirs: list[str] | None = None):
     """The compiled module: loaded from the first of ``dirs`` that holds
     it, else built into the first writable one.  A build into ``dirs[0]``
     removes the other ``_loop_*`` modules of this ABI there."""
-    with open(os.path.join(HERE, "_loop.c")) as fh:
-        source = fh.read() + "\n" + kernel_source()
-    key = "\0".join((source, CDEF, EXTENSION_SUFFIXES[0], _cffi_backend.__version__))
-    name = "_loop_" + hashlib.sha256(key.encode()).hexdigest()[:16]
+    text = source()
+    name = module_name(text)
     file = name + EXTENSION_SUFFIXES[0]
     if dirs is None:
         dirs = [os.path.join(HERE, "__pycache__"),
                 os.path.join(os.path.expanduser("~"), ".cache", "switchlayer")]
     found = next((d for d in dirs if os.path.isfile(os.path.join(d, file))), None)
     if found is None:
-        found = _build(name, file, source, dirs)
+        found = _build(name, file, text, dirs)
     spec = importlib.util.spec_from_file_location(name, os.path.join(found, file))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

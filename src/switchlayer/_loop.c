@@ -40,12 +40,20 @@
  * PyMem_RawMalloc (so tracemalloc sees them) that grow as array("d")
  * grows; sl_take trims them to their length.
  *
- * sl_csv prints a table's numbers with %.17g in the C locale, a NaN always
- * as nan, which is the text of Python's format(v, ".17g"), byte for byte.
+ * sl_csv prints a table's numbers as Python's format(v, ".17g") does, byte
+ * for byte.  Their digits come from sl_g17, an exact generator in the
+ * manner of Ryu (Adams 2018) and Eisel-Lemire: the value's 64-bit
+ * significand times a 128-bit truncated power of ten (pow10_at, a table
+ * _build generates from exact integers and appends to this file) gives the
+ * 17 digits and the fraction below them, rounded half to even.  Where the
+ * truncation leaves the rounding undecided, sl_csv asks glibc's %.17g in
+ * the C locale instead; a search of every binade (tests/test_loop.py)
+ * finds no double that is.
  */
 #include <float.h>
 #include <locale.h>
 #include <math.h>
+#include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
@@ -101,6 +109,8 @@ static int sl_py(void *handle, double t, double lam);
 static double clip1(double v) { return v < -1.0 ? -1.0 : (v > 1.0 ? 1.0 : v); }
 static void sl_kernel(int k, const double *x_, double t, double lam, const double *p_,
                       double *f_);
+typedef struct { uint64_t hi, lo; int e; } sl_pow10;  /* 10^q ~ (hi 2^64 + lo) 2^e */
+static const sl_pow10 *pow10_at(int q);
 
 double sl_sigmoid(int kind, double eps, double v)
 {
@@ -676,15 +686,126 @@ static int put(char **p, const char *end, const char *s, long len)
     return 0;
 }
 
+#define E17 100000000000000000ULL  /* 10^17 */
+
+/* x to 17 significant digits, as %.17g prints it, into out, which holds 25
+   bytes: -d.dddde-XX at most.  A NaN is nan whatever its sign, as Python
+   prints it (glibc prints -nan).  Returns the length, or -1 if the
+   truncated power of ten leaves the rounding undecided.
+   x = m 2^e with m in [2^63, 2^64), and k = floor(log10 x) is k0 =
+   floor(log10 2^(e + 63)) or k0 + 1.  The 192-bit product P of m and the
+   table's 10^q, q = 16 - k, holds x 10^q = D + f, 10^16 <= D < 10^17,
+   with its units at bit S; an integer part of 10^17 or more says k =
+   k0 + 1.  The table is exact for 0 <= q <= 55, so an exact half rounds
+   to even; any other q truncates 10^q, and x 10^q lies in (P, P + 2^64)
+   2^-S, which decides the rounding unless P is within 2^64 below the
+   half.  Outside that range of q no double is a 17-digit tie. */
+int sl_g17(double x, char *out)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    if (isnan(x)) {
+        memcpy(out, "nan", 3);
+        return 3;
+    }
+    char *p = out;
+    if (bits >> 63)
+        *p++ = '-';
+    if (isinf(x)) {
+        memcpy(p, "inf", 3);
+        return p + 3 - out;
+    }
+    if (x == 0) {
+        *p++ = '0';
+        return p - out;
+    }
+    const int be = (int)(bits >> 52 & 0x7FF);
+    uint64_t m = bits & ((1ULL << 52) - 1);
+    int e = be ? be - 1075 : -1074;
+    if (be)
+        m |= 1ULL << 52;
+    const int z = __builtin_clzll(m);
+    m <<= z;
+    e -= z;
+    int k = ((e + 63) * 78913) >> 18;  /* floor((e + 63) log10 2) for |e + 63| < 1100 */
+    uint64_t d;
+    for (;;) {
+        const int q = 16 - k;
+        const sl_pow10 *t = pow10_at(q);
+        const unsigned __int128 a = (unsigned __int128)m * t->lo;
+        const unsigned __int128 top = (unsigned __int128)m * t->hi + (uint64_t)(a >> 64);
+        const uint64_t low = (uint64_t)a;       /* P = top 2^64 + low */
+        const int s = -(e + t->e) - 64;         /* S - 64, in 67..74 */
+        d = (uint64_t)(top >> s);
+        if (d >= E17) {
+            k++;
+            continue;
+        }
+        const unsigned __int128 half = (unsigned __int128)1 << (s - 1);
+        const unsigned __int128 f = top & ((half << 1) - 1);  /* f 2^64 + low */
+        const int exact = q >= 0 && q <= 55;
+        if (!exact && f == half - 1 && low)
+            return -1;
+        if (f > half || (f == half && (low || !exact || d & 1)))
+            d++;
+        break;
+    }
+    if (d == E17) {
+        d /= 10;
+        k++;
+    }
+    char g[17];
+    uint32_t hi = (uint32_t)(d / 100000000), lo = (uint32_t)(d % 100000000);
+    for (int i = 16; i > 8; i--, lo /= 10)
+        g[i] = (char)('0' + lo % 10);
+    for (int i = 8; i >= 0; i--, hi /= 10)
+        g[i] = (char)('0' + hi % 10);
+    int n = 17;
+    while (g[n - 1] == '0')
+        n--;
+    if (k < -4 || k >= 17) {  /* d.ddde+XX */
+        *p++ = g[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, g + 1, n - 1);
+            p += n - 1;
+        }
+        *p++ = 'e';
+        *p++ = k < 0 ? '-' : '+';
+        const int a = k < 0 ? -k : k;
+        if (a >= 100)
+            *p++ = (char)('0' + a / 100);
+        *p++ = (char)('0' + a / 10 % 10);
+        *p++ = (char)('0' + a % 10);
+    } else if (k < 0) {  /* 0.000ddd */
+        *p++ = '0';
+        *p++ = '.';
+        memset(p, '0', -k - 1);
+        p += -k - 1;
+        memcpy(p, g, n);
+        p += n;
+    } else if (n <= k + 1) {  /* ddd000 */
+        memcpy(p, g, n);
+        memset(p + n, '0', k + 1 - n);
+        p += k + 1;
+    } else {  /* ddd.ddd */
+        memcpy(p, g, k + 1);
+        p += k + 1;
+        *p++ = '.';
+        memcpy(p, g + k + 1, n - k - 1);
+        p += n - k - 1;
+    }
+    return p - out;
+}
+
 /* Write rows of CSV text into out, which holds cap bytes.  Row r holds the
-   w values v[r][0..w-1] of the C-contiguous block v, printed with %.17g,
-   and ns text columns at the ascending places slot[0..ns-1], comma-joined
-   in place order and ended by a newline.  Run k of rows, ends[k - 1] to
-   ends[k] - 1 (ends[-1] = 0; the last end is rows), shares its texts:
-   text column s is text[off[i] .. off[i + 1]), i = k ns + s.  glibc
-   prints a NaN whose sign bit is set as -nan, so every NaN is printed nan,
-   as Python's format(v, ".17g") prints it.  Returns the bytes written, or
-   -1 if they do not fit in cap. */
+   w values v[r][0..w-1] of the C-contiguous block v, printed by sl_g17
+   (by snprintf's %.17g where it declines), and ns text columns at the
+   ascending places slot[0..ns-1], comma-joined in place order and ended by
+   a newline.  Run k of rows, ends[k - 1] to ends[k] - 1 (ends[-1] = 0; the
+   last end is rows), shares its texts: text column s is text[off[i] ..
+   off[i + 1]), i = k ns + s.  Returns the bytes written, or -1 if they do
+   not fit in cap. */
 static long csv_rows(char *out, long cap, const double *v, long rows, int w,
                      const long *ends, const int *slot, int ns, const char *text,
                      const long *off)
@@ -705,12 +826,13 @@ static long csv_rows(char *out, long cap, const double *v, long rows, int w,
                 s++;
                 continue;
             }
-            const double x = *v++;
-            const int m = isnan(x) ? snprintf(p, end - p, "nan")
-                                   : snprintf(p, end - p, "%.17g", x);
-            if (m < 0 || m >= end - p)
+            char g[32];
+            int m = sl_g17(*v, g);
+            if (m < 0)  /* undecided: glibc's digits, which are exact */
+                m = snprintf(g, sizeof g, "%.17g", *v);
+            v++;
+            if (put(&p, end, g, m))
                 return -1;
-            p += m;
         }
         if (put(&p, end, "\n", 1))
             return -1;
@@ -718,8 +840,9 @@ static long csv_rows(char *out, long cap, const double *v, long rows, int w,
     return p - out;
 }
 
-/* csv_rows in the C locale: a program may set LC_NUMERIC, which snprintf
-   reads (a decimal comma) and Python's format does not. */
+/* csv_rows in the C locale, for its snprintf on the values sl_g17
+   declines: a program may set LC_NUMERIC, which snprintf reads (a decimal
+   comma) and Python's format does not. */
 long sl_csv(char *out, long cap, const double *v, long rows, int w, const long *ends,
             const int *slot, int ns, const char *text, const long *off)
 {

@@ -3,8 +3,10 @@
 Subcommands: simulate, sweep, amplitude, sliding, equilibria.  All take a
 JSON config document; outputs are deterministic CSV or JSON (no
 timestamps), with numbers printed to 17 significant digits.  A CSV table
-is formatted in C from its columns (``Table``), numbers with ``%.17g`` and
-NaN always as ``nan``: byte-identical to Python's ``format(v, ".17g")``.
+is formatted in C from its columns (``Table``), each number by an exact
+table-driven digit generator (``snprintf``'s ``%.17g`` only where it
+cannot decide), NaN always as ``nan``: byte-identical to Python's
+``format(v, ".17g")``.
 Sweep member k goes to the output path with ``_k`` before the file name's
 extension (the format's when it has none).  A missing output directory, an empty output
 path and an output path that is a directory (except a sweep's base) are
@@ -277,7 +279,9 @@ class Table(Sequence):
 
     def csv(self) -> memoryview:
         """The rows as CSV text, formatted by the compiled ``sl_csv`` into one
-        buffer, sized for 25 bytes a number (the most ``%.17g`` prints)."""
+        buffer, sized for 25 bytes a number (the most ``%.17g`` prints).  Its
+        digits come from ``sl_g17``, an exact generator on a table of powers
+        of ten, with ``snprintf`` only where that cannot decide."""
         width, texts = self.values.shape[1], [t.encode() for run in self.texts for t in run]
         longest = max(map(len, texts), default=0)
         cap = len(self) * (25 * width + (1 + longest) * len(self.slots) + 1)
@@ -315,8 +319,10 @@ def write_table(path: str, header: list[str], rows, fmt: str) -> None:
     Every row of a table has the header's columns, each column one kind:
     str (or a subclass) or number, as in the first row.  A row of another
     length, or a str in a number column, raises TypeError.  CSV numbers
-    are printed in C with ``%.17g``, NaN always as ``nan``: the text of
-    Python's ``format(v, ".17g")``, byte for byte.
+    are printed in C by ``Table.csv``, an exact table-driven digit
+    generator with ``snprintf``'s ``%.17g`` where it cannot decide, NaN
+    always as ``nan``: the text of Python's ``format(v, ".17g")``, byte for
+    byte, at most 25 bytes a number.
     """
     if fmt == "csv":
         table = rows if isinstance(rows, Table) else Table.of_rows(len(header), rows)

@@ -8,7 +8,8 @@ same floats, bit for bit, as must the loop's sigmoids and layer rhs and
 their Python statements.  The loop's Brent root finder and bounded
 minimiser must make scipy's calls and return scipy's floats, and fail
 where scipy's raise or report no success.  The formatter must print
-every float64 as Python does, byte for byte.
+every float64 as Python does, byte for byte, and its table of powers of
+ten must be exact and decide the rounding of every double.
 """
 
 import math
@@ -16,6 +17,7 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -33,6 +35,7 @@ from switchlayer import (
     make_example1,
     make_example2,
 )
+from switchlayer import _build
 from switchlayer.core import NonFiniteFieldError
 from switchlayer.scenarios import FIELDS
 from switchlayer.sigmoids import KINDS
@@ -372,3 +375,148 @@ def test_csv_text_that_does_not_fit_is_an_error():
         code = lib.sl_csv(buf, cap, ffi.from_buffer("double[]", values), 2, 1, [2], [], 0,
                           b"", [0])
         assert code == (22 if cap >= 22 else -1)
+
+
+# -- sl_g17, the digit generator, and its table of powers of ten ---------
+
+
+def g17(x):
+    """sl_g17's text of x, or None where it declines."""
+    out = ffi.new("char[32]")
+    n = lib.sl_g17(x, out)
+    return None if n < 0 else ffi.buffer(out, n)[:].decode()
+
+
+def powers_of_ten():
+    """Every power of ten from 1e-323 to 1e308, with both neighbours."""
+    p = np.array([float(f"1e{n}") for n in range(-323, 309)])
+    return np.concatenate([np.nextafter(p, 0), p, np.nextafter(p, np.inf)])
+
+
+def switch_points():
+    """Where %g turns from exponent to fixed notation and back, 2 ulps round."""
+    out = []
+    for p in (1e-5, 1e-4, 1e16, 1e17):
+        below, above = math.nextafter(p, 0), math.nextafter(p, math.inf)
+        out += [math.nextafter(below, 0), below, p, above, math.nextafter(above, math.inf)]
+    return np.array(out)
+
+
+def carries():
+    """The doubles below a power of ten whose 17 digits round up to it."""
+    out = []
+    for n in range(-323, 309):
+        p = float(f"1e{n}")
+        below = p if Decimal(p) < Decimal(f"1e{n}") else math.nextafter(p, 0)
+        if Decimal(format(below, ".17g")) == Decimal(f"1e{n}"):
+            out.append(below)
+    assert len(out) == 14  # 1e-305, 1e-243, ..., 1e-14 among them
+    return np.array(out)
+
+
+def subnormals():
+    rng = np.random.default_rng(3)
+    bits = rng.integers(1, 2**52, size=20_000, dtype=np.uint64)
+    return np.concatenate([bits.view(np.float64), np.arange(1, 2001) * 5e-324,
+                           [sys.float_info.min - 5e-324], np.ldexp(1.0, np.arange(-1074, -1022))])
+
+
+def trajectory_like():
+    """Times k 0.05, states uniform in +-20 and integers over 1000."""
+    rng = np.random.default_rng(5)
+    return np.concatenate([np.arange(20_001) * 0.05, rng.uniform(-20, 20, 100_000),
+                           np.arange(-100_000, 100_000) / 1000])
+
+
+@pytest.mark.parametrize("values", [powers_of_ten, switch_points, carries, subnormals,
+                                    trajectory_like])
+def test_g17_is_python_format_on_boundaries(values):
+    values = values()
+    values = np.concatenate([values, -values])
+    assert c_csv(values) == python_csv(values)
+    texts = [(g17(v), format(v, ".17g")) for v in values.tolist()]
+    assert [ours for ours, _ in texts if ours is not None] == [
+        python for ours, python in texts if ours is not None]
+
+
+def first_in(a, m, lo, hi):
+    """The least x >= 0 with lo <= a x mod m <= hi, for 0 <= lo <= hi < m, or
+    None: Euclid's recursion on the modulus."""
+    a %= m
+    if lo == 0:
+        return 0
+    if a == 0:
+        return None
+    x = -(-lo // a)
+    if a * x <= hi:
+        return x
+    y = first_in(m % a, a, -hi % a, -lo % a)
+    return None if y is None else -(-(lo + m * y) // a)
+
+
+def below_halves(band):
+    """Every positive finite double x whose product P = m T in sl_g17, taken
+    at q = 16 - k0 or 15 - k0 outside the exact range 0..55, lies less than
+    2^band below P's half, with each such q.  sl_g17 declines x exactly when
+    that holds for band = 64 and its final q.  By binade: the significands
+    m2 of bit length L and exponent e2 (x = m2 2^e2) shift to m = m2 2^z,
+    z = 64 - L, so P mod 2^S = (m2 T mod 2^(S - z)) 2^z."""
+    table = dict(zip(_build.Q_RANGE, _build.pow10_table()))
+    found = []
+    for bits, e2 in [(53, e2) for e2 in range(-1074, 972)] + [(b, -1074) for b in range(1, 53)]:
+        z = 64 - bits
+        k0 = ((e2 - z + 63) * 78913) >> 18
+        for q in (16 - k0, 15 - k0):
+            if 0 <= q <= 55:
+                continue
+            t, e = table[q]
+            s = -(e2 - z + e)
+            mod, start, stop = 1 << (s - z), 1 << (bits - 1), 1 << bits
+            lo = -(-((1 << (s - 1)) - (1 << band) + 1) >> z)
+            hi = ((1 << (s - 1)) - 1) >> z
+            while start < stop:
+                b = t * start % mod
+                window = ([((lo - b) % mod, (hi - b) % mod)] if (lo - b) % mod <= (hi - b) % mod
+                          else [((lo - b) % mod, mod - 1), (0, (hi - b) % mod)])
+                steps = [j for w in window if (j := first_in(t, mod, *w)) is not None]
+                if not steps or start + min(steps) >= stop:
+                    break
+                start += min(steps)
+                found.append((math.ldexp(start, e2), q))
+                start += 1
+    return found
+
+
+def test_no_double_is_undecided():
+    # the 3,824 (binade, q) cases outside the exact range, each searched
+    # whole: no double takes the fallback to snprintf
+    assert below_halves(64) == []
+
+
+def test_g17_on_doubles_next_below_a_half():
+    # a band 2^20 wider than sl_g17's finds doubles just below a 17-digit
+    # half (S >= 131, so within 2^(84 - 131) of it): the hardest to round
+    found = below_halves(84)
+    assert len(found) > 100
+    for x, q in found:
+        fraction = Fraction(x) * Fraction(10) ** q % 1
+        assert 0 < Fraction(1, 2) - fraction < Fraction(1, 2**46)
+    values = np.array([x for x, _ in found])
+    assert c_csv(values) == python_csv(values)
+    assert [g17(x) for x, _ in found] == [format(x, ".17g") for x, _ in found]
+
+
+def test_pow10_table_is_exact():
+    for q, (t, e) in zip(_build.Q_RANGE, _build.pow10_table(), strict=True):
+        assert 2**127 <= t < 2**128
+        assert t == math.floor(Fraction(10) ** q / Fraction(2) ** e)
+        assert (t * Fraction(2) ** e == Fraction(10) ** q) == (0 <= q <= 55)
+
+
+def test_module_name_covers_the_table(monkeypatch):
+    name = _build.module_name(_build.source())
+    assert Path(integrate._loop.__file__).name.startswith(name + ".")
+    table = _build.pow10_table()
+    t, e = table[300]
+    monkeypatch.setattr(_build, "pow10_table", lambda: [*table[:300], (t ^ 1, e), *table[301:]])
+    assert _build.module_name(_build.source()) != name
