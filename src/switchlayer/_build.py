@@ -3,8 +3,7 @@ and the formatter of the CLI's CSV tables, the kernels of ``scenarios.FIELDS``,
 and the 128-bit truncated powers of ten from which the formatter's exact
 digit generator, ``sl_g17``, takes a number's 17 digits.  The kernels and
 the table are generated here, the table from exact Python integers, and
-appended to ``_loop.c``'s text; glibc's ``snprintf`` prints only what
-``sl_g17`` cannot decide.
+appended to ``_loop.c``'s text.
 
 cffi compiles it in API mode on the first import, in a child process the
 import waits for, so setuptools never loads into the importing process.
@@ -13,7 +12,8 @@ and the Python ABI, and cached in the package's ``__pycache__``, or in
 ``~/.cache/switchlayer`` where that is read-only.  A build into the
 package's own directory removes the modules earlier sources left there;
 the shared cache, which other checkouts may use, is never pruned.
-Building needs a C compiler.
+Building needs gcc or clang on a 64-bit target (``sl_g17`` multiplies in
+``unsigned __int128``).
 """
 
 from __future__ import annotations

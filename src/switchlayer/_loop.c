@@ -45,16 +45,15 @@
  * manner of Ryu (Adams 2018) and Eisel-Lemire: the value's 64-bit
  * significand times a 128-bit truncated power of ten (pow10_at, a table
  * _build generates from exact integers and appends to this file) gives the
- * 17 digits and the fraction below them, rounded half to even.  Where the
- * truncation leaves the rounding undecided, sl_csv asks glibc's %.17g in
- * the C locale instead; a search of every binade (tests/test_loop.py)
- * finds no double that is.
+ * 17 digits and the fraction below them, rounded half to even.  The
+ * truncation never leaves a rounding undecided: a search of every binade
+ * (tests/test_loop.py) finds no double whose product comes within its
+ * error of a half.  The 64x64 -> 128-bit products use unsigned __int128,
+ * which gcc and clang give on 64-bit targets.
  */
 #include <float.h>
-#include <locale.h>
 #include <math.h>
 #include <stdint.h>
-#include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -690,8 +689,7 @@ static int put(char **p, const char *end, const char *s, long len)
 
 /* x to 17 significant digits, as %.17g prints it, into out, which holds 25
    bytes: -d.dddde-XX at most.  A NaN is nan whatever its sign, as Python
-   prints it (glibc prints -nan).  Returns the length, or -1 if the
-   truncated power of ten leaves the rounding undecided.
+   prints it (glibc prints -nan).  Returns the length.
    x = m 2^e with m in [2^63, 2^64), and k = floor(log10 x) is k0 =
    floor(log10 2^(e + 63)) or k0 + 1.  The 192-bit product P of m and the
    table's 10^q, q = 16 - k, holds x 10^q = D + f, 10^16 <= D < 10^17,
@@ -699,7 +697,8 @@ static int put(char **p, const char *end, const char *s, long len)
    k0 + 1.  The table is exact for 0 <= q <= 55, so an exact half rounds
    to even; any other q truncates 10^q, and x 10^q lies in (P, P + 2^64)
    2^-S, which decides the rounding unless P is within 2^64 below the
-   half.  Outside that range of q no double is a 17-digit tie. */
+   half; no double's P is (tests/test_loop.py searches every binade).
+   Outside that range of q no double is a 17-digit tie. */
 int sl_g17(double x, char *out)
 {
     uint64_t bits;
@@ -724,9 +723,12 @@ int sl_g17(double x, char *out)
     int e = be ? be - 1075 : -1074;
     if (be)
         m |= 1ULL << 52;
-    const int z = __builtin_clzll(m);
-    m <<= z;
-    e -= z;
+    m <<= 11;
+    e -= 11;
+    while (!(m >> 63)) {  /* a subnormal */
+        m <<= 1;
+        e--;
+    }
     int k = ((e + 63) * 78913) >> 18;  /* floor((e + 63) log10 2) for |e + 63| < 1100 */
     uint64_t d;
     for (;;) {
@@ -744,8 +746,6 @@ int sl_g17(double x, char *out)
         const unsigned __int128 half = (unsigned __int128)1 << (s - 1);
         const unsigned __int128 f = top & ((half << 1) - 1);  /* f 2^64 + low */
         const int exact = q >= 0 && q <= 55;
-        if (!exact && f == half - 1 && low)
-            return -1;
         if (f > half || (f == half && (low || !exact || d & 1)))
             d++;
         break;
@@ -799,16 +799,14 @@ int sl_g17(double x, char *out)
 }
 
 /* Write rows of CSV text into out, which holds cap bytes.  Row r holds the
-   w values v[r][0..w-1] of the C-contiguous block v, printed by sl_g17
-   (by snprintf's %.17g where it declines), and ns text columns at the
-   ascending places slot[0..ns-1], comma-joined in place order and ended by
-   a newline.  Run k of rows, ends[k - 1] to ends[k] - 1 (ends[-1] = 0; the
-   last end is rows), shares its texts: text column s is text[off[i] ..
-   off[i + 1]), i = k ns + s.  Returns the bytes written, or -1 if they do
-   not fit in cap. */
-static long csv_rows(char *out, long cap, const double *v, long rows, int w,
-                     const long *ends, const int *slot, int ns, const char *text,
-                     const long *off)
+   w values v[r][0..w-1] of the C-contiguous block v, printed by sl_g17, and
+   ns text columns at the ascending places slot[0..ns-1], comma-joined in
+   place order and ended by a newline.  Run k of rows, ends[k - 1] to
+   ends[k] - 1 (ends[-1] = 0; the last end is rows), shares its texts: text
+   column s is text[off[i] .. off[i + 1]), i = k ns + s.  Returns the bytes
+   written, or -1 if they do not fit in cap. */
+long sl_csv(char *out, long cap, const double *v, long rows, int w, const long *ends,
+            const int *slot, int ns, const char *text, const long *off)
 {
     char *p = out;
     const char *const end = out + cap;
@@ -826,34 +824,14 @@ static long csv_rows(char *out, long cap, const double *v, long rows, int w,
                 s++;
                 continue;
             }
-            char g[32];
-            int m = sl_g17(*v, g);
-            if (m < 0)  /* undecided: glibc's digits, which are exact */
-                m = snprintf(g, sizeof g, "%.17g", *v);
-            v++;
-            if (put(&p, end, g, m))
+            char g[25];
+            if (put(&p, end, g, sl_g17(*v++, g)))
                 return -1;
         }
         if (put(&p, end, "\n", 1))
             return -1;
     }
     return p - out;
-}
-
-/* csv_rows in the C locale, for its snprintf on the values sl_g17
-   declines: a program may set LC_NUMERIC, which snprintf reads (a decimal
-   comma) and Python's format does not. */
-long sl_csv(char *out, long cap, const double *v, long rows, int w, const long *ends,
-            const int *slot, int ns, const char *text, const long *off)
-{
-    const locale_t c = newlocale(LC_ALL_MASK, "C", (locale_t)0);
-    if (c == (locale_t)0)
-        return -1;
-    const locale_t caller = uselocale(c);
-    const long n = csv_rows(out, cap, v, rows, w, ends, slot, ns, text, off);
-    uselocale(caller);
-    freelocale(c);
-    return n;
 }
 
 /* ---- one run of the step loop ---------------------------------------- */

@@ -4,9 +4,8 @@ Subcommands: simulate, sweep, amplitude, sliding, equilibria.  All take a
 JSON config document; outputs are deterministic CSV or JSON (no
 timestamps), with numbers printed to 17 significant digits.  A CSV table
 is formatted in C from its columns (``Table``), each number by an exact
-table-driven digit generator (``snprintf``'s ``%.17g`` only where it
-cannot decide), NaN always as ``nan``: byte-identical to Python's
-``format(v, ".17g")``.
+table-driven digit generator, NaN always as ``nan``: byte-identical to
+Python's ``format(v, ".17g")``.
 Sweep member k goes to the output path with ``_k`` before the file name's
 extension (the format's when it has none).  A missing output directory, an empty output
 path and an output path that is a directory (except a sweep's base) are
@@ -281,7 +280,7 @@ class Table(Sequence):
         """The rows as CSV text, formatted by the compiled ``sl_csv`` into one
         buffer, sized for 25 bytes a number (the most ``%.17g`` prints).  Its
         digits come from ``sl_g17``, an exact generator on a table of powers
-        of ten, with ``snprintf`` only where that cannot decide."""
+        of ten."""
         width, texts = self.values.shape[1], [t.encode() for run in self.texts for t in run]
         longest = max(map(len, texts), default=0)
         cap = len(self) * (25 * width + (1 + longest) * len(self.slots) + 1)
@@ -320,9 +319,8 @@ def write_table(path: str, header: list[str], rows, fmt: str) -> None:
     str (or a subclass) or number, as in the first row.  A row of another
     length, or a str in a number column, raises TypeError.  CSV numbers
     are printed in C by ``Table.csv``, an exact table-driven digit
-    generator with ``snprintf``'s ``%.17g`` where it cannot decide, NaN
-    always as ``nan``: the text of Python's ``format(v, ".17g")``, byte for
-    byte, at most 25 bytes a number.
+    generator, NaN always as ``nan``: the text of Python's
+    ``format(v, ".17g")``, byte for byte, at most 25 bytes a number.
     """
     if fmt == "csv":
         table = rows if isinstance(rows, Table) else Table.of_rows(len(header), rows)

@@ -381,10 +381,9 @@ def test_csv_text_that_does_not_fit_is_an_error():
 
 
 def g17(x):
-    """sl_g17's text of x, or None where it declines."""
-    out = ffi.new("char[32]")
-    n = lib.sl_g17(x, out)
-    return None if n < 0 else ffi.buffer(out, n)[:].decode()
+    """sl_g17's text of x."""
+    out = ffi.new("char[25]")
+    return ffi.buffer(out, lib.sl_g17(x, out))[:].decode()
 
 
 def powers_of_ten():
@@ -434,9 +433,7 @@ def test_g17_is_python_format_on_boundaries(values):
     values = values()
     values = np.concatenate([values, -values])
     assert c_csv(values) == python_csv(values)
-    texts = [(g17(v), format(v, ".17g")) for v in values.tolist()]
-    assert [ours for ours, _ in texts if ours is not None] == [
-        python for ours, python in texts if ours is not None]
+    assert [g17(v) for v in values.tolist()] == [format(v, ".17g") for v in values.tolist()]
 
 
 def first_in(a, m, lo, hi):
@@ -457,10 +454,11 @@ def first_in(a, m, lo, hi):
 def below_halves(band):
     """Every positive finite double x whose product P = m T in sl_g17, taken
     at q = 16 - k0 or 15 - k0 outside the exact range 0..55, lies less than
-    2^band below P's half, with each such q.  sl_g17 declines x exactly when
-    that holds for band = 64 and its final q.  By binade: the significands
-    m2 of bit length L and exponent e2 (x = m2 2^e2) shift to m = m2 2^z,
-    z = 64 - L, so P mod 2^S = (m2 T mod 2^(S - z)) 2^z."""
+    2^band below P's half, with each such q.  sl_g17's truncated table leaves
+    x's rounding undecided exactly when that holds for band = 64 and its
+    final q.  By binade: the significands m2 of bit length L and exponent e2
+    (x = m2 2^e2) shift to m = m2 2^z, z = 64 - L, so
+    P mod 2^S = (m2 T mod 2^(S - z)) 2^z."""
     table = dict(zip(_build.Q_RANGE, _build.pow10_table()))
     found = []
     for bits, e2 in [(53, e2) for e2 in range(-1074, 972)] + [(b, -1074) for b in range(1, 53)]:
@@ -489,7 +487,7 @@ def below_halves(band):
 
 def test_no_double_is_undecided():
     # the 3,824 (binade, q) cases outside the exact range, each searched
-    # whole: no double takes the fallback to snprintf
+    # whole: sl_g17 decides every double's rounding, so it needs no fallback
     assert below_halves(64) == []
 
 
