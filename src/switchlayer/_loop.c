@@ -1,5 +1,6 @@
-/* The one step loop of switchlayer, Dormand-Prince DOPRI5 and DOP853, and
- * the formatter of the command line's CSV tables (sl_csv).
+/* The one step loop of switchlayer, Dormand-Prince DOPRI5 and DOP853, the
+ * search for sliding modes (sl_modes) and the formatter of the command
+ * line's CSV tables (sl_csv).
  *
  * The two explicit Runge-Kutta pairs and their step-size control follow
  * Hairer's Fortran codes dopri5.f and dop853.f (Hairer, Norsett & Wanner,
@@ -36,6 +37,18 @@
  * ch. 5).  Both return an error code where scipy's would raise or report
  * no success, never a silent result.
  *
+ * sl_modes finds every root of f1(x; lam) in [-1, 1], the sliding modes,
+ * as Boyd's proxy rootfinder does (Boyd 2013, "Finding the zeros of a
+ * univariate equation", SIAM Review 55): f1 sampled at Chebyshev-Lobatto
+ * points until its Chebyshev coefficients (by FFT) are resolved, the
+ * roots of the series as the eigenvalues of its colleague matrix, found by
+ * EISPACK's balanc and hqr (sl_eig; Wilkinson & Reinsch 1971), clusters
+ * merged, and each root polished by the Brent solver on its cell of a
+ * uniform grid, whose sign-change scan also serves an f1 with a kink.  It
+ * makes the calls, at the same lam values and in the same order, that the
+ * numpy search it replaced made (tests/sliding_reference.py), and returns
+ * its polished roots bit for bit.
+ *
  * Samples are recorded as they are accepted, into buffers from
  * PyMem_RawMalloc (so tracemalloc sees them) that grow as array("d")
  * grows; sl_take trims them to their length.
@@ -60,7 +73,7 @@
 enum { SL_PLAIN, SL_FIXED, SL_SIGMOID, SL_LAYER, SL_SLIDE };
 enum { SL_DONE = 0, SL_STOPPED = 1, SL_EPY = -1, SL_EBUDGET = -2, SL_ESMALL = -3,
        SL_ENONFINITE = -4, SL_ENOMEM = -5, SL_ESTUCK = -6, SL_EFIELD = -7, SL_ECONV = -8,
-       SL_ESIGN = -9 };
+       SL_ESIGN = -9, SL_EDEGEN = -10, SL_EEIG = -11 };
 
 /* the lam solves' constants: the root tolerance of every Brent solve in lam
    (layer.py's ROOT_TOL), and the sliding solve's (see slide_solve) */
@@ -519,6 +532,557 @@ static int slide_at(sl_field *f, double t, const double *y)
         memcpy(s->rest, y, (n - 1) * sizeof *y);
     }
     return 0;
+}
+
+/* ---- sliding modes: the roots of f1 in lam ----------------------------- */
+
+/* find_sliding_modes' constants (layer.py reads them).  f1 is resolved once
+   the upper half of its Chebyshev coefficients is below SL_CHEB_TOL
+   max|f1|; no gap inside a cluster of colleague-matrix roots is wider than
+   SL_CLUSTER_MAX; a root is polished to a root of the uniform SL_GRID-cell
+   grid within SL_POLISH_TOL of it; SL_REAL_TOL is the slack on a root's
+   imaginary part and on [-1, 1]; a root whose central difference of f1 is
+   at most SL_DERIV_TOL is marginal. */
+#define SL_GRID 512
+static const double SL_CHEB_TOL = 1e-13, SL_CLUSTER_MAX = 1e-2, SL_POLISH_TOL = 5e-5,
+                    SL_REAL_TOL = 1e-6, SL_DERIV_TOL = 1e-8;
+enum { SL_ATTRACTING, SL_REPELLING, SL_MARGINAL };
+
+/* the uniform grid's point i, as np.linspace(-1, 1, SL_GRID + 1) has it */
+static double grid_at(int i) { return -1.0 + i * (2.0 / SL_GRID); }
+
+/* f at lam into F, every component finite; where[0] = lam if one is not */
+static int sample(sl_field *f, double t, double lam, double *F, double *where)
+{
+    const int rc = field_at(f, t, lam, F);
+    for (int i = 0; !rc && i < f->n; i++)
+        if (!isfinite(F[i])) {
+            where[0] = lam;
+            return SL_ENONFINITE;
+        }
+    return rc;
+}
+
+/* The DFT of (re, im), 2n points, in place, by radix 2: its twiddles
+   exp(-i pi m / n) are cs[m] - i cs[|n/2 - m|], from cs[m] = cos(pi m / n). */
+static void fft(double *re, double *im, int n, const double *cs)
+{
+    const int N = 2 * n;
+    for (int i = 1, j = 0; i < N; i++) {  /* the bit-reversed order */
+        int bit = N >> 1;
+        for (; j & bit; bit >>= 1)
+            j ^= bit;
+        j ^= bit;
+        if (i < j) {
+            double s = re[i]; re[i] = re[j]; re[j] = s;
+            s = im[i]; im[i] = im[j]; im[j] = s;
+        }
+    }
+    for (int len = 2; len <= N; len <<= 1) {
+        const int half = len / 2, stride = N / len;
+        for (int i = 0; i < N; i += len)
+            for (int j = 0; j < half; j++) {
+                const int m = j * stride;
+                const double wr = cs[m], wi = -cs[abs(n / 2 - m)];
+                double *ur = re + i + j, *ui = im + i + j;
+                const double vr = ur[half] * wr - ui[half] * wi,
+                             vi = ur[half] * wi + ui[half] * wr;
+                ur[half] = *ur - vr;
+                ui[half] = *ui - vi;
+                *ur += vr;
+                *ui += vi;
+            }
+    }
+}
+
+/* max(m, |v|), NaN once either is, as numpy's max of |values| is */
+static double absmax(double m, double v) { return isnan(m) || fabs(v) <= m ? m : fabs(v); }
+
+/* f1's Chebyshev coefficients on [-1, 1], into c: f1 is sampled at the
+   Chebyshev-Lobatto points cos(pi k / n), n = 16, 32, ... SL_GRID (libm's
+   cos, which gives numpy's values), reusing the old samples, until the
+   upper half of the coefficients, the DCT of the samples, is below
+   SL_CHEB_TOL max|f1|; they are cut after the last one above it.  Returns
+   their count, or 0 if f1 is not resolved at SL_GRID cells. */
+static int chebyshev(sl_field *f, double t, double *c, double *where)
+{
+    double v[SL_GRID + 1], cs[SL_GRID + 1], re[2 * SL_GRID], im[2 * SL_GRID], F[f->n];
+    int n = 16, rc;
+    for (int k = 0; k <= n; k++) {  /* cs: the points, which are the DFT's twiddles too */
+        cs[k] = cos(k * (M_PI / n));
+        if ((rc = sample(f, t, cs[k], F, where)))
+            return rc;
+        v[k] = F[0];
+    }
+    for (;;) {
+        double scale = 0.0, upper = 0.0;
+        for (int k = 0; k <= n; k++)
+            scale = absmax(scale, v[k]);
+        if (scale < 1e-14)
+            return SL_EDEGEN;
+        for (int k = 0; k < 2 * n; k++) {  /* the samples' even extension */
+            re[k] = v[k <= n ? k : 2 * n - k];
+            im[k] = 0.0;
+        }
+        fft(re, im, n, cs);
+        for (int k = 0; k <= n; k++)
+            c[k] = re[k] / n;
+        c[0] /= 2;
+        c[n] /= 2;
+        for (int k = n / 2 + 1; k <= n; k++)
+            upper = absmax(upper, c[k]);
+        const double tol = SL_CHEB_TOL * scale;
+        if (upper <= tol) {
+            int m = n;
+            while (m > 0 && !(fabs(c[m]) > tol))
+                m--;
+            return m + 1;
+        }
+        if (n == SL_GRID)
+            return 0;
+        for (int k = n; k > 0; k--) {  /* the old points are the even ones */
+            v[2 * k] = v[k];
+            cs[2 * k] = cs[k];
+        }
+        n *= 2;
+        for (int k = 1; k < n; k += 2) {
+            cs[k] = cos(k * (M_PI / n));
+            if ((rc = sample(f, t, cs[k], F, where)))
+                return rc;
+            v[k] = F[0];
+        }
+    }
+}
+
+/* The eigenvalues of the upper Hessenberg matrix a (n x n, row-major, which
+   it overwrites) into (wr, wi).  The matrix is balanced by powers of 2,
+   without permutations, which keeps it Hessenberg (EISPACK's balanc), and
+   its eigenvalues found by the Francis double-shift QR iteration (EISPACK's
+   hqr): Wilkinson & Reinsch 1971, *Handbook for Automatic Computation*
+   vol. II, contributions II/11 and II/14, in the 0-based form of Press et
+   al., *Numerical Recipes in C*, 2nd ed., sec. 11.5-11.6.  A complex pair
+   is wr -+ i wi.  Returns 0, or SL_EEIG if a value is not finite or the
+   iteration takes more than 30 n steps. */
+int sl_eig(double *a, int n, double *wr, double *wi)
+{
+#define A(i, j) a[(i) * n + (j)]
+    for (int i = 0; i < n * n; i++)
+        if (!isfinite(a[i]))
+            return SL_EEIG;
+    for (int done = 0; !done;) {  /* balanc */
+        done = 1;
+        for (int i = 0; i < n; i++) {
+            double c = 0.0, r = 0.0;
+            for (int j = 0; j < n; j++)
+                if (j != i) {
+                    c += fabs(A(j, i));
+                    r += fabs(A(i, j));
+                }
+            if (c == 0.0 || r == 0.0)
+                continue;
+            const double s = c + r;
+            double g = r / 2.0, f = 1.0;
+            while (c < g) {
+                f *= 2.0;
+                c *= 4.0;
+            }
+            g = r * 2.0;
+            while (c > g) {
+                f /= 2.0;
+                c /= 4.0;
+            }
+            if ((c + r) / f < 0.95 * s) {
+                done = 0;
+                for (int j = 0; j < n; j++)
+                    A(i, j) /= f;
+                for (int j = 0; j < n; j++)
+                    A(j, i) *= f;
+            }
+        }
+    }
+    double anorm = 0.0, t = 0.0;  /* hqr */
+    for (int i = 0; i < n; i++)
+        for (int j = i > 0 ? i - 1 : 0; j < n; j++)
+            anorm += fabs(A(i, j));
+    int nn = n - 1, budget = 30 * n;
+    while (nn >= 0) {
+        int its = 0, l;
+        do {
+            for (l = nn; l >= 1; l--) {  /* a negligible subdiagonal element */
+                double s = fabs(A(l - 1, l - 1)) + fabs(A(l, l));
+                if (s == 0.0)
+                    s = anorm;
+                if (fabs(A(l, l - 1)) + s == s) {
+                    A(l, l - 1) = 0.0;
+                    break;
+                }
+            }
+            double x = A(nn, nn);
+            if (l == nn) {  /* one root */
+                wr[nn] = x + t;
+                wi[nn--] = 0.0;
+                continue;
+            }
+            double y = A(nn - 1, nn - 1), w = A(nn, nn - 1) * A(nn - 1, nn);
+            if (l == nn - 1) {  /* two roots */
+                const double p = 0.5 * (y - x), q = p * p + w;
+                double z = sqrt(fabs(q));
+                x += t;
+                if (q >= 0.0) {
+                    z = p + copysign(z, p);
+                    wr[nn - 1] = wr[nn] = x + z;
+                    if (z != 0.0)
+                        wr[nn] = x - w / z;
+                    wi[nn - 1] = wi[nn] = 0.0;
+                } else {
+                    wr[nn - 1] = wr[nn] = x + p;
+                    wi[nn - 1] = -(wi[nn] = z);
+                }
+                nn -= 2;
+                continue;
+            }
+            if (budget-- == 0)
+                return SL_EEIG;
+            if (its == 10 || its == 20) {  /* an exceptional shift */
+                t += x;
+                for (int i = 0; i <= nn; i++)
+                    A(i, i) -= x;
+                const double s = fabs(A(nn, nn - 1)) + fabs(A(nn - 1, nn - 2));
+                y = x = 0.75 * s;
+                w = -0.4375 * s * s;
+            }
+            ++its;
+            int m;
+            double p = 0.0, q = 0.0, r = 0.0, z;
+            for (m = nn - 2; m >= l; m--) {  /* two small subdiagonal elements */
+                z = A(m, m);
+                r = x - z;
+                double s = y - z;
+                p = (r * s - w) / A(m + 1, m) + A(m, m + 1);
+                q = A(m + 1, m + 1) - z - r - s;
+                r = A(m + 2, m + 1);
+                s = fabs(p) + fabs(q) + fabs(r);
+                p /= s;
+                q /= s;
+                r /= s;
+                if (m == l)
+                    break;
+                const double u = fabs(A(m, m - 1)) * (fabs(q) + fabs(r));
+                const double v = fabs(p) * (fabs(A(m - 1, m - 1)) + fabs(z)
+                                            + fabs(A(m + 1, m + 1)));
+                if (u + v == v)
+                    break;
+            }
+            for (int i = m + 2; i <= nn; i++) {
+                A(i, i - 2) = 0.0;
+                if (i != m + 2)
+                    A(i, i - 3) = 0.0;
+            }
+            for (int k = m; k <= nn - 1; k++) {  /* the double QR step on rows l..nn */
+                if (k != m) {
+                    p = A(k, k - 1);
+                    q = A(k + 1, k - 1);
+                    r = k != nn - 1 ? A(k + 2, k - 1) : 0.0;
+                    if ((x = fabs(p) + fabs(q) + fabs(r)) != 0.0) {
+                        p /= x;
+                        q /= x;
+                        r /= x;
+                    }
+                }
+                const double s = copysign(sqrt(p * p + q * q + r * r), p);
+                if (s == 0.0)
+                    continue;
+                if (k == m) {
+                    if (l != m)
+                        A(k, k - 1) = -A(k, k - 1);
+                } else
+                    A(k, k - 1) = -s * x;
+                p += s;
+                x = p / s;
+                y = q / s;
+                z = r / s;
+                q /= p;
+                r /= p;
+                for (int j = k; j <= nn; j++) {
+                    p = A(k, j) + q * A(k + 1, j);
+                    if (k != nn - 1) {
+                        p += r * A(k + 2, j);
+                        A(k + 2, j) -= p * z;
+                    }
+                    A(k + 1, j) -= p * y;
+                    A(k, j) -= p * x;
+                }
+                const int mmin = nn < k + 3 ? nn : k + 3;
+                for (int i = l; i <= mmin; i++) {
+                    p = x * A(i, k) + y * A(i, k + 1);
+                    if (k != nn - 1) {
+                        p += z * A(i, k + 2);
+                        A(i, k + 2) -= p * r;
+                    }
+                    A(i, k + 1) -= p * q;
+                    A(i, k) -= p;
+                }
+            }
+        } while (l < nn - 1);
+    }
+    return 0;
+#undef A
+}
+
+/* The roots of the Chebyshev series c[0..m-1], as numpy's chebroots finds
+   them: none for m < 2, -c0/c1 for m = 2, else the eigenvalues of its
+   colleague matrix (chebcompanion).  Returns their count. */
+static int cheb_roots(const double *c, int m, double *wr, double *wi)
+{
+    if (m < 2)
+        return 0;
+    if (m == 2) {
+        wr[0] = -c[0] / c[1];
+        wi[0] = 0.0;
+        return 1;
+    }
+    const int d = m - 1;
+    const double h = sqrt(0.5);
+    double *a = calloc((size_t)d * d, sizeof *a);
+    if (!a)
+        return SL_ENOMEM;
+    for (int i = 0; i + 1 < d; i++)
+        a[i * d + i + 1] = a[(i + 1) * d + i] = i ? 0.5 : h;
+    for (int i = 0; i < d; i++)
+        a[i * d + d - 1] -= (c[i] / c[d]) * ((i ? h : 1.0) / h) * 0.5;
+    const int rc = sl_eig(a, d, wr, wi);
+    free(a);
+    return rc ? rc : d;
+}
+
+/* |p^(k)(x)| for the series p = c[0..m-1] at the complex x = (xr, xi), by
+   numpy's chebder and chebval, complex products written out as numpy's */
+static double chebder_abs(const double *c, int m, int k, double xr, double xi)
+{
+    double b0[SL_GRID + 1], b1[SL_GRID + 1], *d = b0, *der = b1;
+    if (k >= m)
+        return 0.0;
+    memcpy(d, c, m * sizeof *d);
+    for (int i = 0; i < k; i++, m--) {
+        double *s = d;
+        for (int j = m - 1; j > 2; j--) {
+            der[j - 1] = (2 * j) * d[j];
+            d[j - 2] += (j * d[j]) / (j - 2);
+        }
+        if (m - 1 > 1)
+            der[1] = 4 * d[2];
+        der[0] = d[1];
+        d = der;
+        der = s;
+    }
+    if (m == 1)
+        return fabs(d[0]);
+    double c0r = d[m - 2], c0i = 0.0, c1r = d[m - 1], c1i = 0.0;  /* Clenshaw */
+    for (int i = 3; i <= m; i++) {
+        const double tr = c0r, ti = c0i;
+        c0r = d[m - i] - c1r;
+        c0i = -c1i;
+        const double pr = c1r * (2 * xr) - c1i * (2 * xi), pi = c1r * (2 * xi) + c1i * (2 * xr);
+        c1r = tr + pr;
+        c1i = ti + pi;
+    }
+    return hypot(c0r + (c1r * xr - c1i * xi), c0i + (c1r * xi + c1i * xr));
+}
+
+/* The real roots in [-1, 1] of the series c[0..m-1] from its roots z (by
+   real, then imaginary part), each cluster merged, into out; returns their
+   count.  A k-fold root splits by about (eta / |p^(k)(r) / k!|)^(1/k), eta =
+   SL_CHEB_TOL sum|c|: a run of k roots that close to their mean, with no gap
+   wider than SL_CLUSTER_MAX, is one root.  A run that is not is split at
+   its widest gap, and its right part is taken first. */
+static int merged_roots(const double *c, int m, const double *zr, const double *zi,
+                        int nz, double *out)
+{
+    int lo[SL_GRID], hi[SL_GRID], runs = nz > 0, count = 0;
+    double eta = 0.0;
+    for (int i = 0; i < m; i++)
+        eta += fabs(c[i]);
+    eta *= SL_CHEB_TOL;
+    lo[0] = 0;
+    hi[0] = nz;
+    while (runs) {
+        runs--;
+        const int s = lo[runs], e = hi[runs], k = e - s;
+        double mr = 0.0, mi = 0.0;
+        for (int i = s; i < e; i++) {
+            mr += zr[i];
+            mi += zi[i];
+        }
+        mr /= k;
+        mi /= k;
+        if (k > 1) {
+            double gap = -1.0, dev = 0.0, fact = 1.0;
+            int at = s + 1;
+            for (int i = s; i + 1 < e; i++) {
+                const double g = hypot(zr[i + 1] - zr[i], zi[i + 1] - zi[i]);
+                if (g > gap) {
+                    gap = g;
+                    at = i + 1;
+                }
+            }
+            int split = gap > SL_CLUSTER_MAX;
+            if (!split) {
+                for (int i = s; i < e; i++)
+                    dev = fmax(dev, hypot(zr[i] - mr, zi[i] - mi));
+                for (int i = 2; i <= k; i++)
+                    fact *= i;
+                split = pow(dev, k) * chebder_abs(c, m, k, mr, mi) > eta * fact;
+            }
+            if (split) {
+                lo[runs] = s;
+                hi[runs++] = at;
+                lo[runs] = at;
+                hi[runs++] = e;
+                continue;
+            }
+        }
+        if (fabs(mi) <= SL_REAL_TOL && fabs(mr) <= 1.0 + SL_REAL_TOL)
+            out[count++] = mr;
+    }
+    return count;
+}
+
+/* The grid scan's roots in cells lo..hi, given f1 at their ends (vals[0] at
+   point lo): an end where f1 is 0, else Brent's root where f1 changes
+   sign, appended to out[*count]; where holds a failed search's bracket. */
+static int cell_roots(sl_field *f, double t, int lo, int hi, const double *vals,
+                      double *out, int *count, double *where)
+{
+    for (int i = lo; i <= hi; i++) {
+        const double a = grid_at(i), b = grid_at(i + 1), fa = vals[i - lo],
+                     fb = vals[i + 1 - lo];
+        if (fa == 0.0 || fb == 0.0)
+            out[(*count)++] = fa == 0.0 ? a : b;
+        else if (fa * fb < 0) {
+            const int rc = lam_root(f, t, a, b, SL_ROOT_TOL, &out[*count]);
+            if (rc) {
+                where[0] = a;
+                where[1] = b;
+                return rc;
+            }
+            ++*count;
+        }
+    }
+    return 0;
+}
+
+/* The roots of f1 on the grid near each merged root r: the nearest within
+   SL_POLISH_TOL of r, else r itself if it lies in [-1, 1]. */
+static int polish(sl_field *f, double t, const double *merged, int nm, double *found,
+                  int *nf, double *where)
+{
+    double F[f->n];
+    for (int j = 0; j < nm; j++) {
+        const double r = merged[j];
+        int cell[2];
+        for (int e = 0; e < 2; e++) {
+            const int i = (int)((r + (e ? SL_POLISH_TOL : -SL_POLISH_TOL) + 1) * SL_GRID / 2);
+            cell[e] = i < 0 ? 0 : (i > SL_GRID - 1 ? SL_GRID - 1 : i);
+        }
+        double vals[3], near[2];  /* r +- SL_POLISH_TOL spans at most two cells */
+        int nc = 0, rc;
+        for (int i = cell[0]; i <= cell[1] + 1; i++) {
+            if ((rc = field_at(f, t, grid_at(i), F)))
+                return rc;
+            vals[i - cell[0]] = F[0];
+        }
+        if ((rc = cell_roots(f, t, cell[0], cell[1], vals, near, &nc, where)))
+            return rc;
+        double best = r, gap = INFINITY;
+        for (int i = 0; i < nc; i++)
+            if (fabs(near[i] - r) <= SL_POLISH_TOL && fabs(near[i] - r) < gap) {
+                best = near[i];
+                gap = fabs(near[i] - r);
+            }
+        if (gap < INFINITY || (-1.0 <= r && r <= 1.0))
+            found[(*nf)++] = best;
+    }
+    return 0;
+}
+
+/* The roots of f1 in [-1, 1] (see layer.find_sliding_modes) at the field's
+   state x and time t, as rows (lam, stability, f2..fn at lam) of out, which
+   holds SL_GRID + 1 of them.  Returns their count, or an error, with where
+   (out's first two values) holding the lam of a non-finite sample
+   (SL_ENONFINITE) or the bracket of a failed root search: SL_EDEGEN for f1
+   = 0 on a subinterval, SL_EEIG, SL_ENOMEM or a Brent search's code. */
+static int modes(sl_field *f, double t, double *out)
+{
+    const int n = f->n;
+    double c[SL_GRID + 1], found[SL_GRID + 1], F[n], *where = out;
+    int nf = 0, m = chebyshev(f, t, c, where), rc;
+    if (m < 0)
+        return m;
+    if (m == 0) {  /* a kink: the roots of every grid cell */
+        double vals[SL_GRID + 1];
+        for (int i = 0; i <= SL_GRID; i++) {
+            if ((rc = sample(f, t, grid_at(i), F, where)))
+                return rc;
+            vals[i] = F[0];
+        }
+        for (int i = 2; i <= SL_GRID; i++)
+            if (fabs(vals[i - 2]) < 1e-14 && fabs(vals[i - 1]) < 1e-14 && fabs(vals[i]) < 1e-14)
+                return SL_EDEGEN;
+        if ((rc = cell_roots(f, t, 0, SL_GRID - 1, vals, found, &nf, where)))
+            return rc;
+    } else {
+        double zr[SL_GRID], zi[SL_GRID], merged[SL_GRID];
+        int nz = cheb_roots(c, m, zr, zi), kept = 0;
+        if (nz < 0)
+            return nz;
+        for (int i = 0; i < nz; i++) {  /* sorted by (real, imaginary) part */
+            const double r = zr[i], s = zi[i];
+            if (!(fabs(s) <= SL_CLUSTER_MAX))
+                continue;
+            int j = kept++;
+            for (; j > 0 && (zr[j - 1] > r || (zr[j - 1] == r && zi[j - 1] > s)); j--) {
+                zr[j] = zr[j - 1];
+                zi[j] = zi[j - 1];
+            }
+            zr[j] = r;
+            zi[j] = s;
+        }
+        const int nm = merged_roots(c, m, zr, zi, kept, merged);
+        if ((rc = polish(f, t, merged, nm, found, &nf, where)))
+            return rc;
+    }
+    for (int i = 1; i < nf; i++) {  /* a stable sort */
+        const double r = found[i];
+        int j = i;
+        for (; j > 0 && found[j - 1] > r; j--)
+            found[j] = found[j - 1];
+        found[j] = r;
+    }
+    int count = 0;
+    for (int i = 0; i < nf; i++) {
+        const double r = found[i];
+        double *row = out + count * (n + 1);
+        if (count && r - row[-(n + 1)] <= 1e-9)
+            continue;
+        const double lo = r - 1e-6 > -1.0 ? r - 1e-6 : -1.0, hi = r + 1e-6 < 1.0 ? r + 1e-6 : 1.0;
+        double fhi, flo;
+        if ((rc = f1_at(f, t, hi, &fhi)) || (rc = f1_at(f, t, lo, &flo))
+            || (rc = field_at(f, t, r, F)))
+            return rc;
+        const double d = (fhi - flo) / (hi - lo);
+        row[0] = r;
+        row[1] = fabs(d) <= SL_DERIV_TOL ? SL_MARGINAL : (d < 0 ? SL_ATTRACTING : SL_REPELLING);
+        memcpy(row + 2, F + 1, (n - 1) * sizeof *F);
+        count++;
+    }
+    return count;
+}
+
+int sl_modes(sl_field *f, double t, double *out)
+{
+    int rc;
+    WITH_GIL(f->kernel < 0, rc = modes(f, t, out));
+    return rc;
 }
 
 /* ---- the two methods ------------------------------------------------ */

@@ -13,8 +13,9 @@ slide runs in the loop too: its rhs solves f1(x; lam) = 0 for lam_s at
 each stage and its event watches the slide's ends (see
 ``layer._integrate_sliding``).  Every run of a built-in system runs
 entirely in C, on its compiled kernel (see ``scenarios``); every other
-field is called through one Python callback.  The loop's Brent solver
-also finds the roots of f1 in lam (``_lam_root``).
+field is called through one Python callback.  The compiled module also
+finds the roots of f1 in lam, the sliding modes, with the same field
+struct (``_field``; see ``layer.find_sliding_modes``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ._build import KERNELS, load
-from .core import SURFACE_TOL, NonFiniteFieldError, SwitchedField, regime_of
+from .core import SURFACE_TOL, SwitchedField, regime_of
 from .sigmoids import KINDS, SigmoidSpec
 
 _loop = load()
@@ -260,30 +261,6 @@ def _solve(rhs, x0, t_span, cfg: IntegratorConfig, event=None, method="dopri5") 
                     rec.accepted, rec.rejected, rec.evals)
     finally:
         lib.sl_release(rec)
-
-
-def _lam_root(fused, x, t: float):
-    """``root(a, b)``: the root of f1 = fused(x, t, lam)[0] in lam on [a, b],
-    by the loop's Brent solver, which is scipy's ``brentq`` with ``xtol``
-    ROOT_TOL and ``rtol`` 4 eps.  f1(a) and f1(b) must not share a sign.  A
-    NaN value of f1 raises NonFiniteFieldError, no convergence in 100
-    iterations or ends of one sign RuntimeError."""
-    field, buf, keep = _field((fused, "lam", 0.0), x.size)
-    buf[:] = x
-    out = ffi.new("double *")
-
-    def root(a: float, b: float) -> float:
-        code = lib.sl_root(field, t, a, b, lib.SL_ROOT_TOL, out)
-        if code == -1:
-            _reraise()
-        if code == -7:
-            raise NonFiniteFieldError(f"non-finite f1 value in the lam root search on "
-                                      f"[{a}, {b}] at x={x}, t={t}")
-        if code:
-            raise RuntimeError(f"lam root search on [{a}, {b}]: {_SOLVE_FAILED[code]}")
-        return out[0]
-    root.keep = keep
-    return root
 
 
 def _check_start(sys: SwitchedField, x0, t_span) -> tuple[np.ndarray, float, float]:

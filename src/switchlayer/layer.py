@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     SURFACE_TOL,
     DimensionMismatchError,
+    NonFiniteFieldError,
     SwitchedField,
     eval_field,
     regime_of,
@@ -27,21 +28,25 @@ from .integrate import (
     IntegrationError,
     TrajectorySegment,
     advance_to_surface,
+    _SOLVE_FAILED,
     _check_start,
-    _lam_root,
+    _field,
+    _reraise,
     _solve,
     ffi,
     lib,
 )
 
 ROOT_TOL = lib.SL_ROOT_TOL  # 1e-12, the loop's tolerance of every lam solve
-DERIV_TOL = 1e-8
-SLIDING_GRID = 512  # uniform lam cells that bracket the polished roots
-_GRID = np.linspace(-1.0, 1.0, SLIDING_GRID + 1).tolist()
-CHEB_TOL = 1e-13  # resolved once upper-half coefficients < CHEB_TOL * max|f1|
-CLUSTER_MAX = 1e-2  # widest gap inside a cluster of colleague-matrix roots
-POLISH_TOL = 5e-5  # how far a grid-cell root may lie from the root it polishes
-REAL_TOL = 1e-6  # slack on a root's imaginary part and on [-1, 1]
+# find_sliding_modes' constants, set in _loop.c
+DERIV_TOL = lib.SL_DERIV_TOL  # 1e-8: a smaller central difference is a marginal root
+SLIDING_GRID = lib.SL_GRID  # 512 uniform lam cells that bracket the polished roots
+CHEB_TOL = lib.SL_CHEB_TOL  # 1e-13: resolved once upper-half coefficients < CHEB_TOL * max|f1|
+CLUSTER_MAX = lib.SL_CLUSTER_MAX  # 1e-2, the widest gap inside a cluster of roots
+POLISH_TOL = lib.SL_POLISH_TOL  # 5e-5: how far a grid-cell root may lie from the root it polishes
+REAL_TOL = lib.SL_REAL_TOL  # 1e-6, the slack on a root's imaginary part and on [-1, 1]
+_MODES_MAX = SLIDING_GRID + 1  # sl_modes finds at most a root a grid point
+_STABILITY = ("attracting", "repelling", "marginal")  # by sl_modes' tag
 _SET_VALUED = "f1 vanishes on a lam-subinterval; sliding is set-valued"
 EQUILIBRIA_GRID = 8  # Newton seeds per search-box axis
 FOLD_GAP = 1e-4  # lam offset that tells the flow past a fold from the fold itself
@@ -109,65 +114,22 @@ def _full_state(x_rest, dim: int) -> np.ndarray:
     return x
 
 
-def _chebyshev_f1(feval, x, t: float):
-    """f1's Chebyshev coefficients on [-1, 1], or None if not resolved."""
-    n, v = 16, None
-    lams = np.cos(np.arange(n + 1) * (np.pi / n))
-    while True:
-        fields = np.array([feval(x, t, lm) for lm in lams.tolist()])
-        _check_finite(fields, x, "[-1, 1]")
-        v = fields[:, 0] if v is None else np.insert(v, np.arange(1, v.size), fields[:, 0])
-        scale = np.abs(v).max()
-        if scale < 1e-14:
-            raise DegenerateInclusionError(_SET_VALUED)
-        c = np.fft.rfft(np.concatenate((v, v[-2:0:-1]))).real / n  # even extension
-        c[[0, n]] /= 2
-        tol = CHEB_TOL * scale
-        if np.abs(c[n // 2 + 1:]).max() <= tol:
-            return c[:np.flatnonzero(np.abs(c) > tol)[-1] + 1]
-        if n == SLIDING_GRID:
-            return None
-        n *= 2
-        lams = np.cos(np.arange(1, n, 2) * (np.pi / n))
-
-
-def _merged_roots(coeffs) -> list[float]:
-    """Real roots in [-1, 1] of a Chebyshev series p, each cluster merged.
-
-    A k-fold root splits by about (eta / |p^(k)(r) / k!|)**(1/k), eta =
-    CHEB_TOL * sum|coeffs|: k roots that close to their mean are one root.
-    """
-    cheb = np.polynomial.chebyshev
-    z = [r for r in np.sort_complex(cheb.chebroots(coeffs)).tolist()
-         if abs(r.imag) <= CLUSTER_MAX]
-    eta = CHEB_TOL * np.abs(coeffs).sum()
-    out, runs = [], [z] if z else []
-    while runs:
-        run = runs.pop()
-        k, mean = len(run), sum(run) / len(run)
-        gaps = [abs(b - a) for a, b in zip(run, run[1:])]
-        if k > 1 and (max(gaps) > CLUSTER_MAX or max(abs(r - mean) for r in run) ** k
-                      * abs(cheb.chebval(mean, cheb.chebder(coeffs, k)))
-                      > eta * math.factorial(k)):
-            i = gaps.index(max(gaps)) + 1
-            runs += [run[:i], run[i:]]
-        elif abs(mean.imag) <= REAL_TOL and abs(mean.real) <= 1.0 + REAL_TOL:
-            out.append(mean.real)
-    return out
-
-
-def _cell_roots(f1, root, lo: int, hi: int, vals=None) -> list[float]:
-    """The grid scan's root in cells lo..hi: an end where f1 is 0, else Brent's
-    (``root``, see ``integrate._lam_root``)."""
-    vals = {i: f1(_GRID[i]) for i in range(lo, hi + 2)} if vals is None else vals
-    out = []
-    for i in range(lo, hi + 1):
-        a, b, fa, fb = _GRID[i], _GRID[i + 1], vals[i], vals[i + 1]
-        if fa == 0.0 or fb == 0.0:
-            out.append(a if fa == 0.0 else b)
-        elif fa * fb < 0:
-            out.append(root(a, b))
-    return out
+def _modes_failed(code: int, where, x, t: float):
+    """Raise the error of a failed ``sl_modes`` call."""
+    if code == -1:
+        _reraise()
+    if code == -10:
+        raise DegenerateInclusionError(_SET_VALUED)
+    if code == -4:
+        raise NonFiniteFieldError(f"non-finite field value(s) at x={x}, lam={where[0]}")
+    if code == -11:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    if code == -5:
+        raise MemoryError("no memory for the colleague matrix")
+    bracket = f"lam root search on [{where[0]}, {where[1]}]"
+    if code == -7:
+        raise NonFiniteFieldError(f"non-finite f1 value in the {bracket} at x={x}, t={t}")
+    raise RuntimeError(f"{bracket}: {_SOLVE_FAILED[code]}")
 
 
 def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0
@@ -185,47 +147,24 @@ def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0
     central difference gives stability, so a multiple root is 'marginal'.
     An f1 unresolved at SLIDING_GRID cells (a kink in lam) gets the roots
     of every grid cell instead.  No roots means the flow crosses; f1 = 0
-    (on that scan: on a subinterval) raises DegenerateInclusionError.
+    (on that scan: on a subinterval) raises DegenerateInclusionError, and
+    a sample with a non-finite component NonFiniteFieldError, at once.
+
+    The whole search runs in the step loop's module (``sl_modes`` in
+    ``_loop.c``), on the field's compiled kernel when it has one, else
+    through one Python callback per evaluation; every lam it evaluates
+    lies in [-1, 1].  An exception from the field is re-raised as it is.
     """
-    # every lam below lies in [-1, 1]: the Chebyshev points, the grid,
-    # Brent's iterates inside grid cells and the clamped stability points
-    x, feval = _full_state(x_rest, sys.dim), sys.fused
-
-    def f1(lam):
-        return float(feval(x, t, lam)[0])
-
-    def root(a, b):  # the loop's Brent solver, set up at the first bracket
-        nonlocal root
-        root = _lam_root(feval, x, t)
-        return root(a, b)
-
-    coeffs = _chebyshev_f1(feval, x, t)
-    if coeffs is None:
-        fields = np.array([feval(x, t, lm) for lm in _GRID])
-        _check_finite(fields, x, "[-1, 1]")
-        tiny = np.abs(fields[:, 0]) < 1e-14
-        if (tiny[:-2] & tiny[1:-1] & tiny[2:]).any():
-            raise DegenerateInclusionError(_SET_VALUED)
-        found = _cell_roots(f1, root, 0, SLIDING_GRID - 1, fields[:, 0])
-    else:
-        found = []
-        for r in _merged_roots(coeffs):
-            lo, hi = (min(max(int((r + d + 1) * SLIDING_GRID / 2), 0), SLIDING_GRID - 1)
-                      for d in (-POLISH_TOL, POLISH_TOL))
-            near = [p for p in _cell_roots(f1, root, lo, hi) if abs(p - r) <= POLISH_TOL]
-            if near or -1.0 <= r <= 1.0:
-                found.append(min(near, key=lambda p: abs(p - r)) if near else r)
-
-    out: list[SlidingSolution] = []
-    for r in sorted(found):
-        if out and r - out[-1].lam_s <= 1e-9:
-            continue
-        lo, hi = max(-1.0, r - 1e-6), min(1.0, r + 1e-6)
-        d = (f1(hi) - f1(lo)) / (hi - lo)
-        stab = ("marginal" if abs(d) <= DERIV_TOL
-                else "attracting" if d < 0 else "repelling")
-        out.append(SlidingSolution(r, stab, feval(x, t, r)[1:]))
-    return out
+    field, x, keep = _field((sys.fused, "lam", 0.0), sys.dim)
+    x[1:] = _check_rest(x_rest, sys.dim)  # the state (0, x_rest) of every call
+    w = sys.dim + 1
+    out = ffi.new("double[]", _MODES_MAX * w)
+    count = lib.sl_modes(field, t, out)
+    if count < 0:
+        _modes_failed(count, out, x, t)
+    rows = ffi.unpack(out, count * w)
+    return [SlidingSolution(rows[i], _STABILITY[int(rows[i + 1])], rows[i + 2:i + w])
+            for i in range(0, count * w, w)]
 
 
 def classify_surface_point(sys: SwitchedField, x_rest, t: float,

@@ -186,18 +186,18 @@ class TestIntegrateSmooth:
         assert np.array_equal(outer.t, plain.t) and np.array_equal(outer.y, plain.y)
 
     def test_finished_runs_are_freed(self):
+        # on a compiled kernel, so the runs make no Python call; what a
+        # Python callback keeps is test_run_retains_under_2_kb's
         cfg = IntegratorConfig(max_step=1e-3)
+        rhs = (make_duffing().fused, "lam", 0.5)
 
-        def field(x, t):
-            return np.array([x[1], -x[0]])
-
-        _solve(field, np.array([1.0, 0.0]), (0.0, 0.1), cfg)
+        _solve(rhs, np.array([1.0, 0.0]), (0.0, 0.1), cfg)
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for _ in range(10):  # 10k accepted steps each
-                _solve(field, np.array([1.0, 0.0]), (0.0, 10.0), cfg)
+            for _ in range(10):
+                assert _solve(rhs, np.array([1.0, 0.0]), (0.0, 10.0), cfg).accepted >= 10_000
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:

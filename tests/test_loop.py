@@ -1,6 +1,7 @@
 """The compiled module: its build, its kernels against their Python
-evaluators, its ports of scipy's root finder and minimiser, and its CSV
-formatter against Python's ``format(v, ".17g")``.
+evaluators, its ports of scipy's root finder and minimiser, its
+eigenvalue routine against LAPACK's, and its CSV formatter against
+Python's ``format(v, ".17g")``.
 
 A built-in field is declared once and evaluated twice: by its Python
 ``fused`` and by its C kernel, which the loop runs.  Both must give the
@@ -29,6 +30,8 @@ from switchlayer import (
     CircuitParams,
     DuffingParams,
     SigmoidSpec,
+    SwitchedField,
+    find_sliding_modes,
     integrate,
     make_circuit,
     make_duffing,
@@ -281,16 +284,28 @@ def test_root_search_failures_are_errors():
 
 
 def test_lam_root_raises_typed_errors():
-    x = np.array([0.0, 0.5])
+    # find_sliding_modes polishes the root of f1 = lam - 0.3 by the loop's
+    # Brent on the grid cell [0.296875, 0.30078125]; ``value(lam, f1)``
+    # replaces f1 where the search should fail
+    def modes(value):
+        sys = SwitchedField(dim=2, fused=lambda x, t, lam: (value(lam, lam - 0.3), 1.0))
+        return find_sliding_modes(sys, np.array([0.0]))
 
-    def fused(x, t, lam):
-        return (lam - 0.3 if lam < 0.5 else math.nan, 0.0)
-    root = integrate._lam_root(fused, x, 0.0)
-    assert root(-1.0, 0.4) == brentq(lambda v: fused(x, 0.0, v)[0], -1.0, 0.4, xtol=1e-12)
-    with pytest.raises(NonFiniteFieldError, match="lam root search"):
-        root(-1.0, 1.0)
+    (root,) = modes(lambda lam, f1: f1)
+    assert root.lam_s == brentq(lambda v: v - 0.3, 0.296875, 0.30078125, xtol=1e-12,
+                                rtol=4 * np.finfo(float).eps)
+    # a NaN off the grid points near the root, which Brent's first iterate meets
+    with pytest.raises(NonFiniteFieldError, match=r"lam root search on "
+                                                  r"\[0\.296875, 0\.30078125\] at x="):
+        modes(lambda lam, f1: math.nan if 0.29 < lam < 0.31 and lam * 256 % 1 else f1)
+    # f1 at the cell's left end changes sign between the scan and the search
+    seen = []
+
+    def flips(lam, f1):
+        seen.append(lam)
+        return 1.0 if lam == 0.296875 and seen.count(lam) > 1 else f1
     with pytest.raises(RuntimeError, match="one sign at both ends"):
-        root(0.35, 0.4)
+        modes(flips)
 
 
 @pytest.mark.parametrize("name", ["circuit", "example2_nonlinear"])
@@ -303,6 +318,42 @@ def test_brent_on_a_kernel_is_brentq_on_its_python_evaluator(name):
     out = ffi.new("double *")
     assert field.kernel >= 0 and lib.sl_root(field, 0.0, a, b, 1e-12, out) == 0
     assert out[0].hex() == scipy_root(f1, a, b)[0].hex()
+
+
+# -- the eigenvalues of sl_modes' colleague matrices ---------------------
+
+
+def c_eig(a):
+    """sl_eig's eigenvalues of the upper Hessenberg matrix a."""
+    n = a.shape[0]
+    wr, wi = ffi.new("double[]", n), ffi.new("double[]", n)
+    assert lib.sl_eig(ffi.from_buffer("double[]", np.array(a, dtype=float)), n, wr, wi) == 0
+    return np.array(ffi.unpack(wr, n)) + 1j * np.array(ffi.unpack(wi, n))
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["normal", "1e-12..1e12"])
+@pytest.mark.parametrize("seed", range(12))
+def test_eigenvalues_are_lapacks(seed, wide):
+    # colleague matrices of degree 2 to 64; coefficients of magnitudes
+    # 1e-12 to 1e12 give rows and columns that only balancing evens out
+    rng = np.random.default_rng(500 + seed)
+    for d in (2, 3, 4, 5, 8, 13, 21, 34, 64):
+        c = rng.standard_normal(d + 1)
+        if wide:
+            c *= 10.0 ** rng.uniform(-12.0, 12.0, d + 1)
+        a = np.polynomial.chebyshev.chebcompanion(c)
+        got, want = np.sort_complex(c_eig(a)), np.sort_complex(np.linalg.eigvals(a))
+        assert np.abs(got - want).max() <= 1e-10 * np.linalg.norm(a)
+
+
+def test_eigenvalue_failures_are_errors():
+    n = 3
+    wr, wi = ffi.new("double[]", n), ffi.new("double[]", n)
+    a = np.polynomial.chebyshev.chebcompanion([1.0, 2.0, 0.5, 1.0])
+    a[0, 2] = math.inf
+    assert lib.sl_eig(ffi.from_buffer("double[]", a), n, wr, wi) == -11
+    a[0, 2] = math.nan
+    assert lib.sl_eig(ffi.from_buffer("double[]", a), n, wr, wi) == -11
 
 
 # -- the CSV formatter --------------------------------------------------
