@@ -1,7 +1,8 @@
 """Build and load the compiled module: ``_loop.c``, which holds the step loop,
 the search for sliding modes (the roots of f1 in lam, with its eigenvalue
-routine ``sl_eig``) and the formatter of the CLI's CSV tables, the kernels
-of ``scenarios.FIELDS``,
+routine ``sl_eig``), the layer field's stacked rows and central-difference
+Jacobians for the layer equilibria (``sl_rows``, ``sl_jac``) and the
+formatter of the CLI's CSV tables, the kernels of ``scenarios.FIELDS``,
 and the 128-bit truncated powers of ten from which the formatter's exact
 digit generator, ``sl_g17``, takes a number's 17 digits.  The kernels and
 the table are generated here, the table from exact Python integers, and
@@ -64,6 +65,8 @@ static const double SL_REAL_TOL;
 static const double SL_DERIV_TOL;
 int sl_modes(sl_field *, double, double *);
 int sl_eig(double *, int, double *, double *);
+int sl_rows(sl_field *, double, const double *, long, double *);
+int sl_jac(sl_field *, double, const double *, long, double, double *);
 double sl_sigmoid(int, double, double);
 void sl_take(sl_record *, int); void sl_release(sl_record *); void sl_free(void *);
 long sl_csv(char *, long, const double *, long, int, const long *, const int *, int,

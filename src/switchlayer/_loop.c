@@ -1,6 +1,7 @@
 /* The one step loop of switchlayer, Dormand-Prince DOPRI5 and DOP853, the
- * search for sliding modes (sl_modes) and the formatter of the command
- * line's CSV tables (sl_csv).
+ * search for sliding modes (sl_modes), the layer field's rows and
+ * Jacobians for the layer equilibria (sl_rows, sl_jac) and the formatter
+ * of the command line's CSV tables (sl_csv).
  *
  * The two explicit Runge-Kutta pairs and their step-size control follow
  * Hairer's Fortran codes dopri5.f and dop853.f (Hairer, Norsett & Wanner,
@@ -48,6 +49,13 @@
  * makes the calls, at the same lam values and in the same order, that the
  * numpy search it replaced made (tests/sliding_reference.py), and returns
  * its polished roots bit for bit.
+ *
+ * sl_rows and sl_jac evaluate the layer field of a Newton sweep of
+ * layer.find_layer_equilibria: f at x = (0, z2..zn) and lam = z1 clipped
+ * to [-1, 1] for each stacked row z, and its central-difference Jacobians,
+ * in numpy's order of operations and in the order of calls of the numpy
+ * search they replaced (tests/equilibria_reference.py), whose floats they
+ * give bit for bit.  Newton's linear algebra stays numpy's.
  *
  * Samples are recorded as they are accepted, into buffers from
  * PyMem_RawMalloc (so tracemalloc sees them) that grow as array("d")
@@ -661,8 +669,11 @@ static int chebyshev(sl_field *f, double t, double *c, double *where)
    hqr): Wilkinson & Reinsch 1971, *Handbook for Automatic Computation*
    vol. II, contributions II/11 and II/14, in the 0-based form of Press et
    al., *Numerical Recipes in C*, 2nd ed., sec. 11.5-11.6.  A complex pair
-   is wr -+ i wi.  Returns 0, or SL_EEIG if a value is not finite or the
-   iteration takes more than 30 n steps. */
+   is wr -+ i wi.  hqr's budget of 30 n steps is spent on its own shifts;
+   the plain Francis iteration can cycle on two double roots, so a run past
+   it gets an exceptional shift every 10 steps, as LAPACK's dlahqr does, for
+   30 n steps more.  Returns 0, or SL_EEIG if a value is not finite or the
+   iteration takes more than 60 n steps. */
 int sl_eig(double *a, int n, double *wr, double *wi)
 {
 #define A(i, j) a[(i) * n + (j)]
@@ -704,7 +715,7 @@ int sl_eig(double *a, int n, double *wr, double *wi)
     for (int i = 0; i < n; i++)
         for (int j = i > 0 ? i - 1 : 0; j < n; j++)
             anorm += fabs(A(i, j));
-    int nn = n - 1, budget = 30 * n;
+    int nn = n - 1, budget = 30 * n, cycling = 0;
     while (nn >= 0) {
         int its = 0, l;
         do {
@@ -741,9 +752,13 @@ int sl_eig(double *a, int n, double *wr, double *wi)
                 nn -= 2;
                 continue;
             }
-            if (budget-- == 0)
-                return SL_EEIG;
-            if (its == 10 || its == 20) {  /* an exceptional shift */
+            if (budget-- == 0) {
+                if (cycling)
+                    return SL_EEIG;
+                cycling = 1;
+                budget = 30 * n;
+            }
+            if (its == 10 || its == 20 || (cycling && its % 10 == 0)) {  /* an exceptional shift */
                 t += x;
                 for (int i = 0; i <= nn; i++)
                     A(i, i) -= x;
@@ -1082,6 +1097,65 @@ int sl_modes(sl_field *f, double t, double *out)
 {
     int rc;
     WITH_GIL(f->kernel < 0, rc = modes(f, t, out));
+    return rc;
+}
+
+/* ---- layer equilibria: the layer field at stacked rows ------------------ */
+
+/* f at x = (0, z2..zn) and lam = z1 clipped to the layer, into F */
+static int layer_at(sl_field *f, double t, const double *z, double *F)
+{
+    f->x[0] = 0.0;
+    memcpy(f->x + 1, z + 1, (f->n - 1) * sizeof *z);
+    return field_at(f, t, clip1(z[0]), F);
+}
+
+static int rows(sl_field *f, double t, const double *Z, long m, double *out)
+{
+    int rc = 0;
+    for (long i = 0; !rc && i < m; i++)
+        rc = layer_at(f, t, Z + i * f->n, out + i * f->n);
+    return rc;
+}
+
+/* The central-difference Jacobians of layer_at at the m rows of Z, into J,
+   (m, n, n) row-major, in numpy's order of operations: for each column j,
+   f at every row z + e, then at every row z - e, where e is h in component
+   j and +0.0 in the others (so z + e turns a -0.0 into +0.0, z - e keeps
+   it), and J[i, r, j] = (f_r(z + e) - f_r(z - e)) / (2 h). */
+static int jac(sl_field *f, double t, const double *Z, long m, double h, double *J)
+{
+    const int n = f->n;
+    double z[n], F[n];
+    for (int j = 0; j < n; j++)
+        for (int minus = 0; minus < 2; minus++)
+            for (long i = 0; i < m; i++) {
+                const double *zi = Z + i * n;
+                double *col = J + i * n * n + j;
+                for (int k = 0; k < n; k++) {
+                    const double e = k == j ? h : 0.0;
+                    z[k] = minus ? zi[k] - e : zi[k] + e;
+                }
+                const int rc = layer_at(f, t, z, F);
+                if (rc)
+                    return rc;
+                for (int r = 0; r < n; r++)  /* f(z + e) waits in J for f(z - e) */
+                    col[r * n] = minus ? (col[r * n] - F[r]) / (2.0 * h) : F[r];
+            }
+    return 0;
+}
+
+int sl_rows(sl_field *f, double t, const double *Z, long m, double *out)
+{
+    int rc;
+    WITH_GIL(f->kernel < 0, rc = rows(f, t, Z, m, out));
+    return rc;
+}
+
+int sl_jac(sl_field *f, double t, const double *Z, long m, double h, double *J)
+{
+    int rc;
+    WITH_GIL(f->kernel < 0, rc = jac(f, t, Z, m, h, J));
     return rc;
 }
 

@@ -14,8 +14,11 @@ each stage and its event watches the slide's ends (see
 ``layer._integrate_sliding``).  Every run of a built-in system runs
 entirely in C, on its compiled kernel (see ``scenarios``); every other
 field is called through one Python callback.  The compiled module also
-finds the roots of f1 in lam, the sliding modes, with the same field
-struct (``_field``; see ``layer.find_sliding_modes``).
+finds the roots of f1 in lam, the sliding modes, and evaluates the layer
+field and its central-difference Jacobians at the stacked rows of a
+Newton sweep for the layer equilibria, with the same field struct
+(``_field``; see ``layer.find_sliding_modes`` and
+``layer.find_layer_equilibria``).
 """
 
 from __future__ import annotations
@@ -160,11 +163,13 @@ def _take(rec, name: str, shape) -> np.ndarray:
 def _field(rhs, n: int):
     """The loop's ``sl_field`` for ``rhs`` (see ``_solve``), the state buffer
     of its Python calls, and the objects the struct points into."""
-    x, slopes = np.zeros(n), ffi.new("double[]", n)
-    keep = [slopes, ffi.from_buffer("double[]", x)]
-    field = ffi.new("sl_field *", {"kernel": -1, "n": n, "f": slopes, "x": keep[1]})
+    x = np.zeros(n)
+    keep = [ffi.from_buffer("double[]", x)]
+    field = ffi.new("sl_field *")  # zeroed: kind SL_PLAIN
+    field.n, field.x = n, keep[0]
     plain = callable(rhs)
     fn = rhs if plain else rhs[0]
+    tag = None
     if not plain:
         field.kind, field.sigmoid = _KINDS[rhs[1]]
         if rhs[1] == "slide":
@@ -172,11 +177,13 @@ def _field(rhs, n: int):
         else:
             field.value = rhs[2]
         tag = getattr(fn, "kernel", None)
-        if tag is not None:
-            field.kernel = KERNELS[tag[0]]
-            keep.append(par := ffi.new("double[]", tag[1]))
-            field.par = par
-    if field.kernel < 0:
+    if tag is not None:
+        field.kernel = KERNELS[tag[0]]
+        keep.append(par := ffi.new("double[]", tag[1]))
+        field.par = par
+    else:
+        slopes = ffi.new("double[]", n)
+
         def call(t, lam):
             v = fn(x, t) if plain else fn(x, t, lam)
             if type(v) is not tuple:
@@ -185,8 +192,8 @@ def _field(rhs, n: int):
                 slopes[0:n] = v
             except ValueError:
                 raise ValueError(f"field returned {len(v)} values for dimension {n}") from None
-        keep.append(handle := ffi.new_handle(call))
-        field.py = handle
+        keep += [slopes, handle := ffi.new_handle(call)]
+        field.kernel, field.f, field.py = -1, slopes, handle
     return field, x, keep
 
 

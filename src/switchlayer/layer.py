@@ -49,6 +49,7 @@ _MODES_MAX = SLIDING_GRID + 1  # sl_modes finds at most a root a grid point
 _STABILITY = ("attracting", "repelling", "marginal")  # by sl_modes' tag
 _SET_VALUED = "f1 vanishes on a lam-subinterval; sliding is set-valued"
 EQUILIBRIA_GRID = 8  # Newton seeds per search-box axis
+JACOBIAN_STEP = 1e-7  # the central differences' step in each component
 FOLD_GAP = 1e-4  # lam offset that tells the flow past a fold from the fold itself
 
 
@@ -97,6 +98,13 @@ class HybridTrajectory:
     @property
     def x_final(self) -> np.ndarray:
         return self.segments[-1].x_final
+
+
+def _solution(lam_s: float, stability: str, sliding_field: np.ndarray) -> SlidingSolution:
+    """A SlidingSolution of values already converted, made without its __init__."""
+    sol = object.__new__(SlidingSolution)
+    sol.__dict__.update(lam_s=lam_s, stability=stability, sliding_field=sliding_field)
+    return sol
 
 
 def _check_rest(x_rest, dim: int) -> np.ndarray:
@@ -157,14 +165,13 @@ def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0
     """
     field, x, keep = _field((sys.fused, "lam", 0.0), sys.dim)
     x[1:] = _check_rest(x_rest, sys.dim)  # the state (0, x_rest) of every call
-    w = sys.dim + 1
-    out = ffi.new("double[]", _MODES_MAX * w)
-    count = lib.sl_modes(field, t, out)
+    out = np.empty((_MODES_MAX, sys.dim + 1))
+    count = lib.sl_modes(field, t, ffi.from_buffer("double[]", out))
     if count < 0:
-        _modes_failed(count, out, x, t)
-    rows = ffi.unpack(out, count * w)
-    return [SlidingSolution(rows[i], _STABILITY[int(rows[i + 1])], rows[i + 2:i + w])
-            for i in range(0, count * w, w)]
+        _modes_failed(count, out[0].tolist(), x, t)
+    rows = out[:count].copy()  # each sliding field is a view of its row
+    return [_solution(row[0], _STABILITY[int(row[1])], v)
+            for row, v in zip(rows.tolist(), rows[:, 2:])]
 
 
 def classify_surface_point(sys: SwitchedField, x_rest, t: float,
@@ -198,17 +205,6 @@ def classify_surface_point(sys: SwitchedField, x_rest, t: float,
     return "cross", None
 
 
-def _layer_jacobians(F, Z: np.ndarray, h: float = 1e-7) -> np.ndarray:
-    """Central-difference Jacobians of F at each row of Z, shape (m, n, n)."""
-    m, n = Z.shape
-    J = np.empty((m, n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        J[:, :, j] = (F(Z + e) - F(Z - e)) / (2 * h)
-    return J
-
-
 def _check_rows_finite(values: np.ndarray, Z: np.ndarray) -> None:
     """NonFiniteFieldError at the first row of Z whose values are not all finite."""
     bad = ~np.isfinite(values.reshape(len(Z), -1)).all(axis=1)
@@ -226,45 +222,64 @@ def find_layer_equilibria(sys: SwitchedField, search_box) -> list[LayerEquilibri
     the stacked seeds still active and solves their steps in one stacked
     solve.  A seed whose Jacobian is singular, or whose step is not finite
     or longer than 1e6, is dropped; the rest go on.  After the sweeps,
-    the converged seeds are filtered to the box and merged within 1e-6 in
-    seed order, and each survivor is classified by the eigenvalues of the
-    layer Jacobian.
+    the converged seeds are filtered to the box and merged in seed order:
+    a seed is kept if it lies farther than 1e-6 from every one kept before
+    it.  Each survivor is classified by the eigenvalues of the layer
+    Jacobian.
+
+    The field values at the stacked rows and their central-difference
+    Jacobians (step JACOBIAN_STEP) are each one call into the step loop's
+    module (``sl_rows`` and ``sl_jac`` in ``_loop.c``), on the field's
+    compiled kernel when it has one, else through one Python callback per
+    row and difference; each row z = (lam, x_rest) is evaluated at the
+    state (0, x_rest) and lam clipped to [-1, 1].  Newton's linear algebra
+    and the eigenvalues stay numpy's.  An exception from the field is
+    re-raised as it is.
     """
     if sys.time_dependent:
         raise ValueError("layer equilibria require an autonomous layer")
     box = [(float(lo), float(hi)) for lo, hi in search_box]
     if len(box) != sys.dim:
         raise ValueError(f"search_box must give {sys.dim} (lam, x_rest) intervals")
-    if not all(lo <= hi for lo, hi in box):  # False for NaN too
+    if not all(lo <= hi for lo, hi in box):  # False for NaN
         raise ValueError(f"search_box intervals must have lo <= hi, got {box}")
 
-    fused = sys.fused
+    n = sys.dim
+    # owned holds the buffers the struct points into: it must outlive the search
+    field, _, owned = _field((sys.fused, "lam", 0.0), n)
 
     def F(Z):
-        # row by row: the state on the surface is (0, x_rest), at the row's
-        # lam clipped to the layer
-        X = Z.copy()
-        X[:, 0] = 0.0
-        lams = np.clip(Z[:, 0], -1, 1).tolist()
-        return np.array([fused(x, 0.0, lam) for x, lam in zip(X, lams)])
+        out = np.empty_like(Z)
+        if lib.sl_rows(field, 0.0, ffi.from_buffer("double[]", Z), len(Z),
+                       ffi.from_buffer("double[]", out)):
+            _reraise()
+        return out
+
+    def jacobians(Z):
+        J = np.empty((len(Z), n, n))
+        if lib.sl_jac(field, 0.0, ffi.from_buffer("double[]", Z), len(Z), JACOBIAN_STEP,
+                      ffi.from_buffer("double[]", J)):
+            _reraise()
+        return J
 
     axes = [np.linspace(lo, hi, EQUILIBRIA_GRID) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     Z = np.stack([m.ravel() for m in mesh], axis=1)
     seed = np.arange(len(Z))  # the seed each row of Z started from
-    roots = {}
+    seeds, roots = [], []  # the converged rows and their seeds
     for _ in range(60):
         if not seed.size:
             break
         Fz = F(Z)
         done = np.max(np.abs(Fz), axis=1) < ROOT_TOL
-        roots.update(zip(seed[done].tolist(), Z[done]))
+        seeds.append(seed[done])
+        roots.append(Z[done])
         Z, Fz, seed = Z[~done], Fz[~done], seed[~done]
         if not seed.size:
             break
         # F first: a non-finite F would poison the differences in J
         _check_rows_finite(Fz, Z)
-        J = _layer_jacobians(F, Z)
+        J = jacobians(Z)
         _check_rows_finite(J, Z)
         # slogdet's sign is 0 exactly where solve would raise: both factor with getrf
         ok = np.linalg.slogdet(J)[0] != 0
@@ -273,19 +288,23 @@ def find_layer_equilibria(sys: SwitchedField, search_box) -> list[LayerEquilibri
         keep = np.isfinite(step).all(axis=1) & (np.linalg.norm(step, axis=1) <= 1e6)
         Z, seed = (Z - step)[keep], seed[keep]
 
-    found: list[np.ndarray] = []
-    for z in (roots[k] for k in sorted(roots)):
-        if not (-1.0 - 1e-9 <= z[0] <= 1.0 + 1e-9):
-            continue
-        if any(z[i] < lo - 1e-6 or z[i] > hi + 1e-6
-               for i, (lo, hi) in enumerate(box)):
-            continue
-        if all(np.linalg.norm(z - w) > 1e-6 for w in found):
-            found.append(z)
+    roots = np.concatenate(roots)[np.argsort(np.concatenate(seeds))]
+    lo, hi = np.array(box).T
+    lam = roots[:, 0]
+    inside = ((-1.0 - 1e-9 <= lam) & (lam <= 1.0 + 1e-9)
+              & ~((roots < lo - 1e-6) | (roots > hi + 1e-6)).any(axis=1))
+    rest, kept = roots[inside], []
+    while len(rest):  # the first left is kept, and drops every root near it
+        kept.append(rest[0])
+        rest = rest[1:][np.linalg.norm(rest[1:] - rest[0], axis=1) > 1e-6]
+    if not kept:
+        return []
 
+    found = np.array(kept)
     out = []
-    for z, J in zip(found, _layer_jacobians(F, np.array(found)) if found else ()):
-        eigs = np.linalg.eigvals(J)
+    for z, eigs in zip(found, np.linalg.eigvals(jacobians(found))):
+        if not eigs.imag.any():  # real, as eigvals gives them for one matrix
+            eigs = eigs.real
         re = eigs.real
         if np.any(np.abs(re) <= 1e-8):
             cls = "nonhyperbolic"

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -209,6 +209,7 @@ class TestChebyshevRoots:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.floats(-0.95, 0.95), st.integers(1, 3)),
                     min_size=1, max_size=4))
+    @example([(0.050000000000000044, 2), (-0.09765625, 2)])  # hqr cycled on its colleague matrix
     def test_root_multiset(self, draws):
         distinct = []
         for r, m in sorted(draws):

@@ -1,7 +1,8 @@
 """The compiled module: its build, its kernels against their Python
 evaluators, its ports of scipy's root finder and minimiser, its
-eigenvalue routine against LAPACK's, and its CSV formatter against
-Python's ``format(v, ".17g")``.
+eigenvalue routine against LAPACK's, the layer field's rows and
+central-difference Jacobians against numpy's, and its CSV formatter
+against Python's ``format(v, ".17g")``.
 
 A built-in field is declared once and evaluated twice: by its Python
 ``fused`` and by its C kernel, which the loop runs.  Both must give the
@@ -354,6 +355,83 @@ def test_eigenvalue_failures_are_errors():
     assert lib.sl_eig(ffi.from_buffer("double[]", a), n, wr, wi) == -11
     a[0, 2] = math.nan
     assert lib.sl_eig(ffi.from_buffer("double[]", a), n, wr, wi) == -11
+
+
+
+def test_eigenvalues_of_two_double_roots():
+    # the colleague matrix of (lam + 0.09765625)^2 (lam - 0.05)^2 as sl_modes
+    # builds it: hqr's own shifts cycle on it past its 30 n steps
+    a = np.array([
+        [0.0, 0.70710678118654757, 0.0, -2.1002575470535159],
+        [0.70710678118654757, 0.0, 0.5, -0.2840759277343749],
+        [0.0, 0.5, 0.0, -1.4850109863281249],
+        [0.0, 0.0, 0.5, -0.095312499999999828]])
+    got = np.sort_complex(c_eig(a))
+    assert np.abs(got - np.repeat([-0.09765625, 0.05], 2)).max() < 1e-6
+    assert np.abs(got - np.sort_complex(np.linalg.eigvals(a))).max() < 1e-6
+
+
+# -- the layer field's rows and Jacobians of find_layer_equilibria -------
+
+
+def layer_rows(fused, t, Z):
+    """fused at each row z = (lam, x_rest) of Z: at x = (0, x_rest), lam clipped."""
+    X = Z.copy()
+    X[:, 0] = 0.0
+    return np.array([fused(x, t, lam) for x, lam in zip(X, np.clip(Z[:, 0], -1, 1).tolist())])
+
+
+def layer_jacobians(fused, t, Z, h):
+    """The central differences of layer_rows, in numpy's order of operations."""
+    m, n = Z.shape
+    J = np.empty((m, n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = h
+        J[:, :, j] = (layer_rows(fused, t, Z + e) - layer_rows(fused, t, Z - e)) / (2 * h)
+    return J
+
+
+def c_rows_and_jacobians(fused, t, Z, h):
+    """sl_rows and sl_jac at the rows of Z."""
+    m, n = Z.shape
+    field, _, keep = integrate._field((fused, "lam", 0.0), n)
+    F, J, Zp = np.empty((m, n)), np.empty((m, n, n)), ffi.from_buffer("double[]", Z)
+    assert lib.sl_rows(field, t, Zp, m, ffi.from_buffer("double[]", F)) == 0
+    assert lib.sl_jac(field, t, Zp, m, h, ffi.from_buffer("double[]", J)) == 0
+    return F, J
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_layer_rows_and_jacobians_are_numpys(name):
+    # lam past the layer, where it is clipped, and next to its edges, where
+    # the differences straddle the clip; -0.0 components, which z + e turns
+    # into +0.0 and z - e keeps
+    rng = np.random.default_rng(700 + list(FIELDS).index(name))
+    m, h = 2000, 1e-7
+    Z = np.column_stack((rng.uniform(-1.5, 1.5, m), magnitudes(rng, m)))
+    Z[:200, 0] = rng.choice([-1.0, 1.0], 200) + rng.uniform(-2 * h, 2 * h, 200)
+    Z[rng.random(Z.shape) < 0.1] = -0.0
+    t, fused = float(rng.uniform(-50.0, 50.0)), SYSTEMS[name].fused
+
+    def python(x, t, lam):  # untagged: the callback path
+        return fused(x, t, lam)
+    want = layer_rows(fused, t, Z).tobytes(), layer_jacobians(fused, t, Z, h).tobytes()
+    for f in (fused, python):
+        F, J = c_rows_and_jacobians(f, t, Z, h)
+        assert (F.tobytes(), J.tobytes()) == want
+
+
+def test_layer_jacobians_keep_numpys_signed_zeros():
+    # -lam and -x2 are -0.0 at z + e, where a -0.0 became +0.0, and +0.0 at
+    # z - e, so their difference is -0.0 exactly where z had a -0.0
+    def negated(x, t, lam):
+        return (-x[1], -lam)
+    Z = np.array([[-0.0, -0.0], [-0.0, 0.5], [0.5, -0.0], [0.0, 0.0]])
+    F, J = c_rows_and_jacobians(negated, 0.0, Z, 1e-7)
+    assert F.tobytes() == layer_rows(negated, 0.0, Z).tobytes()
+    assert J.tobytes() == layer_jacobians(negated, 0.0, Z, 1e-7).tobytes()
+    assert np.signbit(J[0]).sum() > 0
 
 
 # -- the CSV formatter --------------------------------------------------
