@@ -1,12 +1,13 @@
 """Build and load the compiled module: ``_loop.c``, which holds the step loop,
 the search for sliding modes (the roots of f1 in lam, with its eigenvalue
 routine ``sl_eig``), the layer field's stacked rows and central-difference
-Jacobians for the layer equilibria (``sl_rows``, ``sl_jac``) and the
-formatter of the CLI's CSV tables, the kernels of ``scenarios.FIELDS``,
-and the 128-bit truncated powers of ten from which the formatter's exact
-digit generator, ``sl_g17``, takes a number's 17 digits.  The kernels and
-the table are generated here, the table from exact Python integers, and
-appended to ``_loop.c``'s text.
+Jacobians for the layer equilibria (``sl_rows``, ``sl_jac``), the series
+fields' polynomial in lam (``sl_series``) and the formatter of the CLI's
+CSV tables, the kernels of ``scenarios.FIELDS``, and the 128-bit truncated
+powers of ten from which the formatter's exact digit generator,
+``sl_g17``, takes a number's 17 digits.  The kernels and the table are
+generated here, the table from exact Python integers, and appended to
+``_loop.c``'s text.
 
 cffi compiles it in API mode on the first import, in a child process the
 import waits for, so setuptools never loads into the importing process.
@@ -38,7 +39,8 @@ import _cffi_backend
 from .scenarios import FIELDS, components_read
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-KERNELS = {name: k for k, name in enumerate(sorted(FIELDS))}  # index in sl_kernel
+# index in sl_kernel: the declared fields', then the lam-series block's (sl_series)
+KERNELS = {**{name: k for k, name in enumerate(sorted(FIELDS))}, "series": len(FIELDS)}
 # the q of sl_g17's 10^q: q = 16 - k for the decimal exponents k of doubles,
 # floor(log10 2^-1074) = -324 to floor(log10 DBL_MAX) = 308
 Q_RANGE = range(16 - 308, 16 + 324 + 1)
@@ -91,17 +93,19 @@ with tempfile.TemporaryDirectory(dir=job["dir"]) as tmp:
 
 
 def kernel_source() -> str:
-    """The C kernels of the declared fields, in one switch on their index."""
+    """The C kernels of the declared fields and the series block's, in one
+    switch on their index."""
     out = ["static void sl_kernel(int k, const double *x_, double t, double lam,",
            "                      const double *p_, double *f_)", "{", "    switch (k) {"]
-    for name, k in KERNELS.items():
-        names, lets, comps = FIELDS[name]
+    for name in sorted(FIELDS):
+        k, (names, lets, comps) = KERNELS[name], FIELDS[name]
         out.append(f"    case {k}: {{  /* {name} */")
         out += [f"        const double x{i + 1} = x_[{i}];" for i in components_read(name)]
         out += [f"        const double {p} = p_[{i}];" for i, p in enumerate(names)]
         out += [f"        const double {v} = {e};" for v, e in lets]
         out += [f"        f_[{i}] = {e};" for i, e in enumerate(comps)]
         out.append("        return;\n    }")
+    out.append(f"    case {KERNELS['series']}:\n        sl_series(p_, lam, f_);\n        return;")
     return "\n".join(out + ["    }", "}", ""])
 
 

@@ -27,6 +27,9 @@
  * from an anchor (see slide_solve), with its own edge event.  f is a
  * compiled kernel (sl_kernel, generated from the built-in fields'
  * declarations and appended to this file) or the Python fused(x, t, lam).
+ * sl_kernel's last case, sl_series, is the polynomial in lam of a series
+ * field (series.to_hidden_form) from its coefficients at one fixed x, which
+ * only the sliding-mode search uses.
  * Every Python call goes through sl_py: C writes the state into the
  * field's buffer x, Python writes its slopes into f (or an event value
  * into g) and returns 0, or -1 after raising.
@@ -45,7 +48,8 @@
  * roots of the series as the eigenvalues of its colleague matrix, found by
  * EISPACK's balanc and hqr (sl_eig; Wilkinson & Reinsch 1971), clusters
  * merged, and each root polished by the Brent solver on its cell of a
- * uniform grid, whose sign-change scan also serves an f1 with a kink.  It
+ * uniform grid, whose sign-change scan also serves an f1 with a kink.  On
+ * a series field it runs on sl_series, which gives the series' floats.  It
  * makes the calls, at the same lam values and in the same order, that the
  * numpy search it replaced made (tests/sliding_reference.py), and returns
  * its polished roots bit for bit.
@@ -140,6 +144,24 @@ double sl_sigmoid(int kind, double eps, double v)
     case 1: return (2.0 / 3.141592653589793) * atan(v);
     case 2: return tanh(v);
     default: return erf(v);
+    }
+}
+
+/* A series field's f(x; lam) at one fixed x, the kernel of its sliding-mode
+   search: p is the block (n, N + 1, a_0, ..., a_N) of the coefficients
+   a_k = alpha_k(x), n values each, and f = a_0 + lam a_1 + lam^2 a_2 + ...
+   in series.to_hidden_form's fused order (the power by repeated products,
+   each term added in turn), so it gives fused's floats. */
+static void sl_series(const double *p, double lam, double *f)
+{
+    const int n = (int)p[0], terms = (int)p[1];
+    const double *a = p + 2;
+    double power = 1.0;
+    memcpy(f, a, n * sizeof *f);
+    for (int k = 1; k < terms; k++) {
+        power *= lam;
+        for (int i = 0; i < n; i++)
+            f[i] += power * a[k * n + i];
     }
 }
 

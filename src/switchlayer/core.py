@@ -64,7 +64,11 @@ class SwitchedField:
     that is no sequence a TypeError.  A ``fused`` with a ``kernel``
     attribute, as every built-in one has (see ``scenarios``), runs in the
     integrators as that compiled kernel, which gives the same floats; a
-    system whose ``fused`` is replaced runs the replacement.
+    system whose ``fused`` is replaced runs the replacement.  A ``fused``
+    with a ``series`` attribute, the coefficient functions that
+    ``series.to_hidden_form`` tags it with, gives ``find_sliding_modes``
+    the polynomial in lam at its fixed x; the runs ignore that tag and
+    call ``fused``.
     """
 
     dim: int

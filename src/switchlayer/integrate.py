@@ -160,23 +160,24 @@ def _take(rec, name: str, shape) -> np.ndarray:
         "version": 3}))
 
 
-def _field(rhs, n: int):
+def _field(rhs, n: int, tag=None):
     """The loop's ``sl_field`` for ``rhs`` (see ``_solve``), the state buffer
-    of its Python calls, and the objects the struct points into."""
+    of its Python calls, and the objects the struct points into.  ``tag``, a
+    (kernel name, parameters) pair, runs in place of the ``fused``'s own
+    ``kernel`` (see ``layer.find_sliding_modes``)."""
     x = np.zeros(n)
     keep = [ffi.from_buffer("double[]", x)]
     field = ffi.new("sl_field *")  # zeroed: kind SL_PLAIN
     field.n, field.x = n, keep[0]
     plain = callable(rhs)
     fn = rhs if plain else rhs[0]
-    tag = None
     if not plain:
         field.kind, field.sigmoid = _KINDS[rhs[1]]
         if rhs[1] == "slide":
             field.slide = rhs[2]
         else:
             field.value = rhs[2]
-        tag = getattr(fn, "kernel", None)
+        tag = tag or getattr(fn, "kernel", None)
     if tag is not None:
         field.kernel = KERNELS[tag[0]]
         keep.append(par := ffi.new("double[]", tag[1]))

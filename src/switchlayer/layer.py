@@ -140,6 +140,23 @@ def _modes_failed(code: int, where, x, t: float):
     raise RuntimeError(f"{bracket}: {_SOLVE_FAILED[code]}")
 
 
+def _series_block(sys: SwitchedField, x_rest: np.ndarray):
+    """The ``sl_series`` kernel tag of a series field at (0, x_rest): the
+    block (dim, N + 1, alpha_0, ..., alpha_N), or None for another field or
+    a coefficient that is not dim values."""
+    coeffs = getattr(sys.fused, "series", None)
+    if coeffs is None:
+        return None
+    x = _full_state(x_rest, sys.dim)
+    block = [sys.dim, len(coeffs)]
+    for a in coeffs:
+        v = np.asarray(a(x), dtype=float)  # as fused converts it
+        if v.shape != x.shape:
+            return None
+        block += v.tolist()
+    return "series", block
+
+
 def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0
                        ) -> list[SlidingSolution]:
     """All roots of f1(x; lam) = 0 on lam in [-1, 1], tagged with stability.
@@ -161,10 +178,16 @@ def find_sliding_modes(sys: SwitchedField, x_rest, t: float = 0.0
     The whole search runs in the step loop's module (``sl_modes`` in
     ``_loop.c``), on the field's compiled kernel when it has one, else
     through one Python callback per evaluation; every lam it evaluates
-    lies in [-1, 1].  An exception from the field is re-raised as it is.
+    lies in [-1, 1].  A series field (``series.to_hidden_form``) has its
+    coefficients evaluated once, at (0, x_rest), and the search runs on the
+    polynomial in lam they give (``sl_series``), with ``fused``'s floats;
+    if a coefficient is not dim values, the search calls ``fused`` instead,
+    as for any other field.  An exception from the field is re-raised as
+    it is.
     """
-    field, x, keep = _field((sys.fused, "lam", 0.0), sys.dim)
-    x[1:] = _check_rest(x_rest, sys.dim)  # the state (0, x_rest) of every call
+    x_rest = _check_rest(x_rest, sys.dim)
+    field, x, keep = _field((sys.fused, "lam", 0.0), sys.dim, _series_block(sys, x_rest))
+    x[1:] = x_rest  # the state (0, x_rest) of every call
     out = np.empty((_MODES_MAX, sys.dim + 1))
     count = lib.sl_modes(field, t, ffi.from_buffer("double[]", out))
     if count < 0:

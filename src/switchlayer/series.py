@@ -109,6 +109,12 @@ def to_hidden_form(e: SeriesExpansion, *, dim: int) -> SwitchedField:
     series with its value at lam = +-1 taken out; for N <= 1 it is zero up
     to rounding.  The coefficients are functions of x alone, so the field
     ignores t.
+
+    ``fused`` carries the coefficient functions as its ``series``
+    attribute.  ``layer.find_sliding_modes``, whose x is fixed, evaluates
+    them once and searches the polynomial in lam they give on a compiled
+    kernel with fused's floats; runs ignore the attribute and call
+    ``fused``, and a system whose ``fused`` is replaced loses it.
     """
     coeffs = e.coefficients
 
@@ -120,6 +126,7 @@ def to_hidden_form(e: SeriesExpansion, *, dim: int) -> SwitchedField:
             out += lam_pow * np.asarray(a(x), dtype=float)
         return out
 
+    fused.series = coeffs
     return SwitchedField(dim=dim, fused=fused)
 
 

@@ -39,7 +39,7 @@ from switchlayer import (
     make_example1,
     make_example2,
 )
-from switchlayer import _build
+from switchlayer import SeriesExpansion, _build, layer, to_hidden_form
 from switchlayer.core import NonFiniteFieldError
 from switchlayer.scenarios import FIELDS
 from switchlayer.sigmoids import KINDS
@@ -59,9 +59,10 @@ def magnitudes(rng, shape):
     return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 2.0, shape)
 
 
-def compiled(rhs, t, y, values=None):
-    """The loop's rhs at each (t, y), its ``value`` set per point if given."""
-    field, _, keep = integrate._field(rhs, y.shape[1])
+def compiled(rhs, t, y, values=None, tag=None):
+    """The loop's rhs at each (t, y), its ``value`` set per point if given,
+    on the kernel ``tag`` if given."""
+    field, _, keep = integrate._field(rhs, y.shape[1], tag)
     yb = np.empty(y.shape[1])
     y_ptr, dy = ffi.from_buffer("double[]", yb), ffi.new("double[]", y.shape[1])
     out = np.empty_like(y)
@@ -86,6 +87,34 @@ def test_kernel_equals_its_python_evaluator(name):
     fused = SYSTEMS[name].fused
     expected = np.array([fused(xi, ti, li) for xi, ti, li in zip(x, t.tolist(), lam.tolist())])
     assert compiled((fused, "lam", 0.0), t, x, lam).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", range(9))
+def test_series_kernel_equals_the_series_fused(degree, dim):
+    # the block of random coefficients, 15% of them +-0.0 and the last
+    # component's all -0.0, which sums to +-0.0 by lam's sign, at random
+    # lam, +-0.0 and +-1 among them; the fused ignores t
+    rng = np.random.default_rng(300 + 10 * degree + dim)
+    alphas = magnitudes(rng, (degree + 1, dim))
+    alphas[rng.random(alphas.shape) < 0.1] = -0.0
+    alphas[rng.random(alphas.shape) < 0.05] = 0.0
+    alphas[:, -1] = -0.0
+    lam = np.concatenate(([0.0, -0.0, 1.0, -1.0], rng.uniform(-1.5, 1.5, N // 10)))
+    x_rest, t = magnitudes(rng, dim - 1), rng.uniform(-50.0, 50.0, lam.size)
+    x = np.tile(np.concatenate(([0.0], x_rest)), (lam.size, 1))
+    if degree:
+        sys = to_hidden_form(SeriesExpansion(tuple((lambda a: lambda x: a)(a) for a in alphas)),
+                             dim=dim)
+        expected = np.array([sys.fused(xi, ti, li) for xi, ti, li in zip(x, t, lam.tolist())])
+        tag = layer._series_block(sys, x_rest)
+    else:  # no expansion has one coefficient: N = 0 is fused's first line, out = alpha_0
+        sys, expected = make_example1(), np.tile(alphas[0], (lam.size, 1))
+        tag = ("series", [dim, 1, *alphas[0].tolist()])
+    assert tag == ("series", [dim, degree + 1, *alphas.ravel().tolist()])
+    got = compiled((sys.fused, "lam", 0.0), t, x, lam, tag)
+    assert got.tobytes() == expected.tobytes()
+    assert np.signbit(got[:, -1]).any() and not (degree and np.signbit(got[:, -1]).all())
 
 
 @pytest.mark.parametrize("name", FIELDS)

@@ -12,7 +12,9 @@ at the reference's lam values, in its order, and an error must stop the
 search at the call that caused it.
 """
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,17 +22,24 @@ import pytest
 from switchlayer import (
     CircuitParams,
     DegenerateInclusionError,
+    IntegratorConfig,
     NonFiniteFieldError,
     SeriesExpansion,
     SwitchedField,
+    classify_surface_point,
+    expand_from_midpoint,
     find_sliding_modes,
+    integrate_hybrid,
     make_circuit,
     make_example1,
     make_example2,
     to_hidden_form,
 )
+from switchlayer.integrate import _solve
+from switchlayer.layer import _integrate_sliding, _series_block
 
 import sliding_reference as reference
+from test_layer import polynomial_system
 
 GRID_STEP = 2.0 / 512
 
@@ -92,10 +101,25 @@ def kink_field():
     return SwitchedField(dim=2, fused=lambda x, t, lam: np.array([abs(lam - 0.2) - 0.1, 1.0]))
 
 
+def untagged(sys):
+    """The same system with its fused behind a Python function, which the
+    search calls at every sample: the callback path."""
+    return dataclasses.replace(sys, fused=lambda x, t, lam: sys.fused(x, t, lam))
+
+
+def bits(found):
+    return [(r.lam_s.hex(), r.stability, r.sliding_field.tobytes()) for r in found]
+
+
 def assert_same_as_reference(sys, x_rest, t=0.0):
-    """find_sliding_modes(sys) against the reference; returns how many roots
-    were polished and how many were not."""
+    """find_sliding_modes(sys) against the reference, and for a series field,
+    which it searches on the compiled polynomial in lam, against its
+    callback path, bit for bit; returns how many roots were polished and
+    how many were not."""
     got = find_sliding_modes(sys, np.array(x_rest), t)
+    if hasattr(sys.fused, "series"):
+        assert _series_block(sys, np.array(x_rest)) is not None
+        assert bits(got) == bits(find_sliding_modes(untagged(sys), np.array(x_rest), t))
     want, polished = reference.find_sliding_modes(sys, np.array(x_rest), t)
     assert len(got) == len(want)
     for g, w, p in zip(got, want, polished):
@@ -237,3 +261,172 @@ class TestCalls:
         with pytest.raises(DegenerateInclusionError):
             reference.find_sliding_modes(want.system(), np.array([0.0]))
         assert field.calls == want.calls
+
+
+# -- series fields: the coefficients once, the polynomial in lam compiled ----
+
+
+def counted(funcs):
+    """The coefficient functions, each counting its calls in ``calls``."""
+    calls = [0] * len(funcs)
+
+    def wrap(k, a):
+        def alpha(x):
+            calls[k] += 1
+            return a(x)
+        return alpha
+    return tuple(wrap(k, a) for k, a in enumerate(funcs)), calls
+
+
+def midpoint_field_3d():
+    """A dim-3 expansion from its midpoint with dfdlam0, N = 3."""
+    def f_plus(x):
+        return np.array([-1.0 + 0.3 * x[1], x[2], -x[1] + 0.1 * x[2] ** 2])
+
+    def f_minus(x):
+        return np.array([0.8 - 0.2 * x[2], 1.0 + x[1] * x[2], 0.5 * x[1]])
+
+    def r(x):
+        return np.array([0.05 + 0.1 * x[1] * x[2], np.sin(x[1]), np.cos(x[2])])
+
+    def dfdlam0(x):
+        return np.array([-0.4 + 0.2 * x[1], 0.3, -0.1 * x[2]])
+    return to_hidden_form(expand_from_midpoint(f_plus, f_minus, r, dfdlam0), dim=3)
+
+
+class CoefficientFailed(Exception):
+    pass
+
+
+def failing(x):
+    raise CoefficientFailed("coefficient failed")
+
+
+def vec(*values):
+    return lambda x: np.array(values)
+
+
+GOOD = vec(0.5, 1.0)
+# bad coefficients, and what find_sliding_modes raised for them when it
+# called the series at every sample
+BAD_COEFFICIENTS = {
+    "three-values": ((vec(0.5, 1.0, 2.0), vec(1.0, 0.0, 1.0)), ValueError,
+                     "^field returned 3 values for dimension 2$"),
+    "lengths-differ": ((GOOD, vec(1.0, 0.0, 1.0)), ValueError, "could not be broadcast"),
+    "zero-d": ((lambda x: np.array(0.5), lambda x: np.array(1.0)), TypeError, None),
+    "nan": ((GOOD, vec(1.0, math.nan)), NonFiniteFieldError, r"lam=1\.0$"),
+    "inf": ((GOOD, vec(math.inf, 1.0)), NonFiniteFieldError, r"lam=1\.0$"),
+    "raises": ((GOOD, failing), CoefficientFailed, "^coefficient failed$"),
+}
+
+
+class TestSeriesFields:
+    # the seeded and tangential series fields of TestReferenceOracle compare
+    # with their callback path too (assert_same_as_reference)
+    def test_dim_3_expansion_from_its_midpoint(self):
+        sys = midpoint_field_3d()
+        rng = np.random.default_rng(11)
+        assert sum(sum(assert_same_as_reference(sys, rng.uniform(-2.0, 2.0, 2)))
+                   for _ in range(40)) > 20
+
+    def test_signed_zero_coefficients(self):
+        # f1 = lam - lam^3 with signed zeros, and f2 = -0.0 sum lam^n, which
+        # is -0.0 at lam = 1 and +0.0 at lam = -1: the sliding field's zeros
+        # keep the signs the series gives them
+        sys = to_hidden_form(SeriesExpansion((
+            vec(-0.0, -0.0), vec(1.0, -0.0), vec(0.0, -0.0), vec(-1.0, -0.0))), dim=2)
+        assert sum(assert_same_as_reference(sys, [0.0])) == 3
+        signs = np.signbit([r.sliding_field[0] for r in find_sliding_modes(sys, [0.0])])
+        assert signs.any() and not signs.all()
+
+    def test_vanishing_f1_is_degenerate_on_both_paths(self):
+        sys = to_hidden_form(SeriesExpansion((vec(0.0, 1.0), vec(-0.0, 0.5), vec(0.0, 2.0))),
+                             dim=2)
+        assert _series_block(sys, np.array([0.3])) is not None
+        for s in (sys, untagged(sys)):
+            with pytest.raises(DegenerateInclusionError):
+                find_sliding_modes(s, np.array([0.3]))
+
+    def test_coefficients_are_called_once_per_query(self):
+        funcs, calls = counted(SEEDED[17].fused.series)
+        sys = to_hidden_form(SeriesExpansion(funcs), dim=2)
+        find_sliding_modes(sys, np.array([0.3]))
+        assert calls == [1] * len(funcs)
+        assert classify_surface_point(sys, np.array([0.3]), 0.0, "plus")[0] == "stick"
+        assert calls == [3] * len(funcs)  # and f1 at the entry boundary
+        find_sliding_modes(untagged(sys), np.array([0.3]))
+        assert min(calls) > 30  # the callback path calls fused at every sample
+
+    def test_a_replaced_fused_drops_the_block(self):
+        sys = SEEDED[3]
+        assert _series_block(untagged(sys), np.array([0.0])) is None
+        assert _series_block(make_example1(), np.array([0.0])) is None
+
+    def test_hybrid_run_on_a_polynomial_system(self):
+        # f1 = -(lam - 0.3)(lam + 0.5): down onto the surface, stick at 0.3
+        sys = polynomial_system(-np.poly([0.3, -0.5])[::-1])
+        got = integrate_hybrid(sys, [0.5, 0.2], (0.0, 2.0))
+        want = integrate_hybrid(untagged(sys), [0.5, 0.2], (0.0, 2.0))
+        assert [k for _, k in got.transitions] == ["stick"]
+        assert got.transitions == want.transitions
+        assert len(got.segments) == len(want.segments) == 2
+        for g, w in zip(got.segments, want.segments):
+            assert g.regime == w.regime
+            assert (g.t.tobytes(), g.x.tobytes()) == (w.t.tobytes(), w.x.tobytes())
+            assert (g.lam is None and w.lam is None) or g.lam.tobytes() == w.lam.tobytes()
+        assert got.segments[1].lam[-1] == pytest.approx(0.3, abs=1e-12)
+
+    @pytest.mark.parametrize("kind, value", [("lam", 1.0), ("tanh", 0.05), ("layer", 1e-3)])
+    def test_runs_call_the_coefficients_at_every_evaluation(self, kind, value):
+        # a run's x moves, so it never takes the block: one call of every
+        # coefficient a field evaluation
+        funcs, calls = counted(midpoint_field_3d().fused.series)
+        sys = to_hidden_form(SeriesExpansion(funcs), dim=3)
+        x0 = [0.4, 0.2, -0.1] if kind != "layer" else [0.2, 0.2, -0.1]
+        run = _solve((sys.fused, kind, value), np.array(x0), (0.0, 0.5),
+                     IntegratorConfig(max_step=0.05))
+        assert run.evals > 10 and calls == [run.evals] * len(funcs)
+
+    def test_slides_call_the_coefficients_at_every_evaluation(self):
+        funcs, calls = counted(SEEDED[9].fused.series)
+        sys = to_hidden_form(SeriesExpansion(funcs), dim=2)
+        x = np.array([0.0, 0.1])
+        root = find_sliding_modes(sys, x[1:])[0]
+        counts = []
+        for s in (sys, untagged(sys)):
+            calls[:] = [0] * len(funcs)
+            seg, _, _ = _integrate_sliding(s, x, (0.0, 0.3), IntegratorConfig(max_step=0.05),
+                                           root)
+            counts.append(list(calls))
+        assert counts[0] == counts[1] and min(counts[0]) > seg.t.size
+
+    @pytest.mark.parametrize("name", BAD_COEFFICIENTS)
+    def test_bad_coefficients_fail_as_the_series_does(self, name):
+        funcs, exc, message = BAD_COEFFICIENTS[name]
+        sys = to_hidden_form(SeriesExpansion(funcs), dim=2)
+        for s in (sys, untagged(sys)):
+            with pytest.raises(exc, match=message):
+                find_sliding_modes(s, np.array([0.2]))
+
+    @pytest.mark.parametrize("funcs", [(GOOD, lambda x: np.array(1.0)), (GOOD, vec(1.0)),
+                                       (lambda x: [0.5, 1], lambda x: (1, 0))],
+                             ids=["zero-d-broadcast", "length-1-broadcast", "sequences"])
+    def test_coefficients_the_series_accepts(self, funcs):
+        # a coefficient numpy broadcasts takes the callback path, one that
+        # converts to dim floats the block; both give the series' roots
+        sys = to_hidden_form(SeriesExpansion(funcs), dim=2)
+        got = find_sliding_modes(sys, np.array([0.2]))
+        want = find_sliding_modes(untagged(sys), np.array([0.2]))
+        assert bits(got) == bits(want) != []
+
+    def test_overflow_is_non_finite_without_a_warning(self):
+        # numpy's sum warns on the overflow (an error under this suite's
+        # filter); the compiled sum does not, and the search reports the
+        # non-finite sample as the callback path does after its warning
+        sys = to_hidden_form(SeriesExpansion((vec(1e308, 1.0), vec(1e308, 0.0))), dim=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteFieldError, match=r"lam=1\.0$"):
+                find_sliding_modes(sys, np.array([0.2]))
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            find_sliding_modes(untagged(sys), np.array([0.2]))
